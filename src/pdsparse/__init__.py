@@ -19,8 +19,10 @@ from .classify import (
     eta_sweep,
     evaluate,
     predict,
+    predict_rows,
     signature,
     stratified_folds,
+    sweep_point,
     train_model,
 )
 from .data_io import (
@@ -52,9 +54,7 @@ from .projections import (
     proj_frobenius_unit,
     proj_l1_matrix,
     proj_l1_vector,
-    proj_l1_vector_scan,
     proj_l12,
-    proj_l12_bisection,
     proj_l12_with_state,
     proj_l21,
     proj_nuclear,

@@ -29,8 +29,10 @@ __all__ = [
     "eta_sweep",
     "evaluate",
     "predict",
+    "predict_rows",
     "signature",
     "stratified_folds",
+    "sweep_point",
     "train_model",
 ]
 
@@ -96,6 +98,19 @@ def _scores(Xp: np.ndarray, model: TrainedModel) -> np.ndarray:
     return np.abs(proj[:, None, :] - model.mu[None, :, :]).sum(axis=2)
 
 
+def _classes(X: np.ndarray, model: TrainedModel) -> np.ndarray:
+    """Class of every row of a checked raw-feature matrix."""
+    return np.argmin(_scores(X / model.feature_scale, model), axis=1)
+
+
+def predict_rows(X, model: TrainedModel) -> np.ndarray:
+    """Class of every row of X (raw features; the model's scale is applied)."""
+    X = check_matrix(X, "X")
+    if X.shape[1] != model.n_features:
+        raise ValueError(f"rows must have length {model.n_features}, got {X.shape[1]}")
+    return _classes(X, model)
+
+
 def predict(x, model: TrainedModel) -> int:
     """Class of a single query (already divided by ``model.feature_scale``)."""
     x = np.asarray(x, dtype=np.float64)
@@ -133,7 +148,7 @@ def evaluate(X_test, labels_test, model: TrainedModel,
     k = model.n_classes
     if labels_test.size and (labels_test.min() < 0 or labels_test.max() >= k):
         raise ValueError(f"test labels must lie in [0, {k})")
-    preds = np.argmin(_scores(X_test / model.feature_scale, model), axis=1)
+    preds = _classes(X_test, model)
     confusion = np.zeros((k, k), dtype=np.int64)
     np.add.at(confusion, (labels_test.astype(np.int64), preds), 1)
     counts = confusion.sum(axis=1)
@@ -164,12 +179,7 @@ def train_model(X, labels, template: ProblemTemplate,
         Xn, scale = X, 1.0
     Y = one_hot(labels, k)
     problem = template.bind(Xn, Y.matrix)
-    if params is None:
-        params = SolverParams.for_problem(problem)
-    else:
-        params = replace(params, rho=template.rho, delta=template.loss.delta,
-                         alpha=template.alpha)
-    model, history = solve(problem, params)
+    model, history = solve(problem, params if params is not None else SolverParams())
     return replace(model, feature_scale=scale), history
 
 
@@ -254,20 +264,30 @@ def eta_sweep(X, labels, etas, template: ProblemTemplate,
     for eta in etas:
         t = template.with_radius(eta)
         cv = cross_validate(X, labels, folds, t, params=params, seed=seed, jobs=jobs)
-        full_model, _ = train_model(X, labels, t, params=params)
-        sel = signature(full_model).union()
-        per_class = np.vstack([r.per_class_accuracy for r in cv.reports])
-        with np.errstate(invalid="ignore"):
-            per_class_mean = np.nanmean(per_class, axis=0)
-        points.append(SweepPoint(
-            eta=eta,
-            n_features=int(sel.size),
-            accuracy=cv.mean_accuracy,
-            per_class_accuracy=per_class_mean,
-            cv=cv,
-            selected_features=sel,
-        ))
+        points.append(sweep_point(X, labels, t, cv, params=params))
     return SweepResult(points=tuple(points))
+
+
+def sweep_point(X, labels, template: ProblemTemplate, cv: CVResult,
+                params: SolverParams | None = None) -> SweepPoint:
+    """Sweep entry at the template's radius from a finished CV run.
+
+    The accuracies come from ``cv``; the feature count from the signature
+    of one model fitted on the full data.
+    """
+    full_model, _ = train_model(X, labels, template, params=params)
+    sel = signature(full_model).union()
+    per_class = np.vstack([r.per_class_accuracy for r in cv.reports])
+    with np.errstate(invalid="ignore"):
+        per_class_mean = np.nanmean(per_class, axis=0)
+    return SweepPoint(
+        eta=template.ball.radius,
+        n_features=int(sel.size),
+        accuracy=cv.mean_accuracy,
+        per_class_accuracy=per_class_mean,
+        cv=cv,
+        selected_features=sel,
+    )
 
 
 def detect_knee(result: SweepResult) -> int | None:

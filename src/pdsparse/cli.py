@@ -10,21 +10,17 @@ import time
 import numpy as np
 
 from . import classify, data_io, projections, solver
-from .linalg import spectral_norm
-from .losses import LossSpec
+from .losses import LOSS_KINDS, LossSpec
 from .model import ProblemTemplate
-from .projections import BallSpec, ball_norm, proj_l1_matrix, proj_l12, proj_l21, proj_nuclear
-
-BALL_CHOICES = ("l1", "l21", "l12", "nuclear")
-LOSS_CHOICES = ("huber", "l1", "frobenius")
-VARIANT_CHOICES = ("base", "fixed-mu", "accelerated", "over-relaxed", "elastic")
+from .projections import (BALL_KINDS, BallSpec, ball_norm, proj_l1_matrix, proj_l12,
+                          proj_l21, proj_nuclear)
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eta", type=float, default=1.0, help="constraint radius (default: 1.0)")
-    p.add_argument("--ball", choices=BALL_CHOICES, default="l1",
+    p.add_argument("--ball", choices=BALL_KINDS, default="l1",
                    help="constraint ball (default: l1)")
-    p.add_argument("--loss", choices=LOSS_CHOICES, default="huber",
+    p.add_argument("--loss", choices=LOSS_KINDS, default="huber",
                    help="data loss (default: huber)")
     p.add_argument("--delta", type=float, default=1.0,
                    help="huber knee; ignored for l1/frobenius losses (default: 1.0)")
@@ -34,13 +30,13 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    help="elastic-net weight, elastic variant only (default: 0.0)")
     p.add_argument("--gamma", type=float, default=0.0,
                    help="over-relaxation in (-1,1), over-relaxed variant only (default: 0.0)")
-    p.add_argument("--variant", choices=VARIANT_CHOICES, default="base",
-                   help="iteration variant (default: base)")
+    # the solver picks the frobenius iteration from the loss, never by name
+    p.add_argument("--variant", choices=[v for v in solver.VARIANTS if v != "frobenius"],
+                   default="base", help="iteration variant (default: base)")
     p.add_argument("--iters", type=int, default=2000,
                    help="iteration budget (default: 2000)")
     p.add_argument("--beta", type=float, default=1.0,
                    help="center step-size heuristic scale (default: 1.0)")
-    p.add_argument("--seed", type=int, default=0, help="seed for all randomness (default: 0)")
     p.add_argument("--no-normalize", action="store_true",
                    help="skip rescaling features to unit operator norm")
     p.add_argument("--label-column", default="label",
@@ -50,21 +46,13 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _template_params(args) -> tuple[ProblemTemplate, solver.SolverParams]:
-    if args.loss == "huber":
-        loss = LossSpec("huber", args.delta)
-    else:
-        loss = LossSpec(args.loss, 0.0)
+    delta = args.delta if args.loss == "huber" else 0.0
     alpha = args.alpha if args.variant == "elastic" else 0.0
-    variant = args.variant
-    if args.loss == "frobenius":
-        if variant != "base":
-            raise ValueError("the frobenius loss only supports the base variant")
-        variant = "frobenius"
-    template = ProblemTemplate(loss=loss, ball=BallSpec(args.ball, args.eta),
+    template = ProblemTemplate(loss=LossSpec(args.loss, delta),
+                               ball=BallSpec(args.ball, args.eta),
                                rho=args.rho, alpha=alpha)
-    params = solver.SolverParams(rho=args.rho, delta=loss.delta, alpha=alpha,
-                                 gamma=args.gamma, beta=args.beta,
-                                 max_iter=args.iters, variant=variant)
+    params = solver.SolverParams(gamma=args.gamma, beta=args.beta,
+                                 max_iter=args.iters, variant=args.variant)
     return template, params
 
 
@@ -92,25 +80,17 @@ def cmd_train(args) -> int:
         _write_history_csv(args.history_out, history)
     report = classify.evaluate(dataset.X, dataset.labels, model)
     final = history.records[-1]
-    # the model was trained on X / feature_scale, whose norm the scale encodes
-    trained_norm = spectral_norm(dataset.X / model.feature_scale).value
-    _, slack = solver.check_step_condition(history.params, trained_norm,
-                                           _label_norm(dataset.labels))
     print(f"final objective: {final.objective.total:.6g} "
           f"(data {final.objective.data_term:.6g}, "
           f"centers {final.objective.center_penalty:.6g}, "
           f"elastic {final.objective.elastic_term:.6g})")
     print(f"constraint residual: {final.objective.constraint_violation:.3e}")
     print(f"dual residual: {_dual_residual(history, template):.3e}")
-    print(f"step-condition slack: {slack:.6g}")
+    print(f"step-condition slack: {history.step_slack:.6g}")
     print(f"training accuracy: {report.global_accuracy:.4f} "
           f"({report.n_selected_features} features selected)")
     print(f"model written to {args.model_out}")
     return 0
-
-
-def _label_norm(labels) -> float:
-    return float(np.sqrt(np.bincount(labels).max()))
 
 
 def _dual_residual(history, template) -> float:
@@ -136,8 +116,7 @@ def cmd_predict(args) -> int:
     model = data_io.load_model(args.model)
     dataset = data_io.load_csv(args.data, label_column=args.label_column,
                                delimiter=args.delimiter)
-    preds = np.array([classify.predict(x / model.feature_scale, model)
-                      for x in dataset.X])
+    preds = classify.predict_rows(dataset.X, model)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write("index,predicted_class\n")
@@ -160,10 +139,9 @@ def cmd_cv(args) -> int:
         print(f"fold {i}: accuracy {rep.global_accuracy:.4f}")
     print(f"mean accuracy: {result.mean_accuracy:.4f} +/- {result.std_accuracy:.4f}")
     if args.curve_out:
-        sweep = classify.eta_sweep(dataset.X, dataset.labels, [args.eta], template,
-                                   params=params, folds=args.folds, seed=args.seed,
-                                   jobs=args.jobs)
-        data_io.write_curve_csv(args.curve_out, sweep.points, dataset.n_classes)
+        point = classify.sweep_point(dataset.X, dataset.labels, template, result,
+                                     params=params)
+        data_io.write_curve_csv(args.curve_out, [point], dataset.n_classes)
         print(f"curve written to {args.curve_out}")
     return 0
 
@@ -279,6 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="input dataset CSV")
     p.add_argument("--folds", type=int, default=4, help="number of folds (default: 4)")
     p.add_argument("--jobs", type=int, default=1, help="parallel fold workers (default: 1)")
+    p.add_argument("--seed", type=int, default=0, help="fold-assignment seed (default: 0)")
     p.add_argument("--curve-out", default=None, help="optional single-point curve CSV")
     _add_solver_flags(p)
     p.set_defaults(func=cmd_cv)
@@ -289,13 +268,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output curve CSV")
     p.add_argument("--folds", type=int, default=4, help="number of folds (default: 4)")
     p.add_argument("--jobs", type=int, default=1, help="parallel fold workers (default: 1)")
+    p.add_argument("--seed", type=int, default=0, help="fold-assignment seed (default: 0)")
     _add_solver_flags(p)
     p.set_defaults(func=cmd_sweep_eta)
 
     p = sub.add_parser("project", help="project a matrix CSV onto a ball")
     p.add_argument("--input", required=True, help="input matrix CSV (no header)")
     p.add_argument("--output", required=True, help="output matrix CSV")
-    p.add_argument("--ball", choices=BALL_CHOICES, required=True, help="constraint ball")
+    p.add_argument("--ball", choices=BALL_KINDS, required=True, help="constraint ball")
     p.add_argument("--radius", type=float, required=True, help="ball radius")
     p.set_defaults(func=cmd_project)
 

@@ -33,7 +33,7 @@ __all__ = [
     "primal_objective",
 ]
 
-LOSS_KINDS = ("l1", "huber", "frobenius")
+LOSS_KINDS = ("huber", "l1", "frobenius")
 
 
 @dataclass(frozen=True)
@@ -110,14 +110,8 @@ def dual_prox(Zbar, sigma: float, spec: LossSpec) -> np.ndarray:
     return clip_box(np.asarray(Zbar, dtype=np.float64) / (1.0 + sigma * spec.delta))
 
 
-def primal_objective(W, mu, problem: "Problem",
-                     l1_penalty: float = 0.0) -> ObjectiveBreakdown:
-    """Evaluate the primal objective at (W, mu) for a training instance.
-
-    ``l1_penalty`` optionally folds a penalty-form l1 term on W into the
-    elastic term, for evaluating the penalized objective; the shipped
-    solvers are all constrained and leave it at 0.
-    """
+def primal_objective(W, mu, problem: "Problem") -> ObjectiveBreakdown:
+    """Evaluate the primal objective at (W, mu) for a training instance."""
     W = np.asarray(W, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
     X, Y = problem.X, problem.Y
@@ -130,8 +124,6 @@ def primal_objective(W, mu, problem: "Problem",
     data = loss_matrix(R, problem.loss)
     center = 0.5 * problem.rho * float(np.sum((np.eye(k) - mu) ** 2))
     elastic = 0.5 * problem.alpha * float(np.sum(W * W))
-    if l1_penalty:
-        elastic += l1_penalty * float(np.abs(W).sum())
     violation = max(0.0, ball_norm(W, problem.ball.kind) - problem.ball.radius)
     return ObjectiveBreakdown(
         data_term=data,

@@ -9,8 +9,7 @@ Implemented balls, for a matrix V with rows v_i:
 
 plus the l-infinity box and the Frobenius unit ball needed by the dual
 updates.  The l12 projection solves for its Lagrange multiplier with a
-guarded Newton iteration; ``proj_l12_bisection`` is a slow, structurally
-independent double-bisection used to cross-check it in tests.
+guarded Newton iteration.
 """
 
 from __future__ import annotations
@@ -30,9 +29,7 @@ __all__ = [
     "proj_frobenius_unit",
     "proj_l1_matrix",
     "proj_l1_vector",
-    "proj_l1_vector_scan",
     "proj_l12",
-    "proj_l12_bisection",
     "proj_l12_with_state",
     "proj_l21",
     "proj_nuclear",
@@ -93,58 +90,6 @@ def proj_l1_vector(v, radius) -> np.ndarray:
     rho = int(np.nonzero(u * j > css - radius)[0][-1])
     theta = (css[rho] - radius) / (rho + 1)
     return np.sign(v) * np.maximum(a - theta, 0.0)
-
-
-def proj_l1_vector_scan(v, radius) -> np.ndarray:
-    """Project onto the l1 ball with a sort-free pruning scan.
-
-    Single pass maintaining a candidate active set and a running threshold
-    estimate, followed by cleanup passes that evict entries falling below
-    the threshold.  Expected linear time; kept as an independent code path
-    to cross-validate the sort-based method.
-    """
-    radius = _check_radius(radius)
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"expected a vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector contains non-finite entries")
-    a = np.abs(v)
-    if a.sum() <= radius:
-        return v.copy()
-
-    y = a.tolist()
-    active = [y[0]]
-    waiting: list[float] = []
-    rho = y[0] - radius
-    for x in y[1:]:
-        if x > rho:
-            rho += (x - rho) / (len(active) + 1)
-            if rho > x - radius:
-                active.append(x)
-            else:
-                waiting.extend(active)
-                active = [x]
-                rho = x - radius
-    for x in waiting:
-        if x > rho:
-            active.append(x)
-            rho += (x - rho) / len(active)
-    # evict entries at or below the threshold until a fixed point is reached
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        while i < len(active):
-            x = active[i]
-            if x <= rho:
-                active[i] = active[-1]
-                active.pop()
-                rho += (rho - x) / len(active)
-                changed = True
-            else:
-                i += 1
-    return np.sign(v) * np.maximum(a - rho, 0.0)
 
 
 def proj_l1_matrix(V, radius) -> np.ndarray:
@@ -216,7 +161,6 @@ class L12NewtonState:
     ``residual`` the final constraint value minus radius^2.
     """
 
-    sorted_abs: np.ndarray
     prefix_sums: np.ndarray
     lam: float
     p: np.ndarray
@@ -257,7 +201,6 @@ def proj_l12_with_state(V, radius, tol: float = 1e-12,
         # feasible: multiplier 0, all entries active
         srt0 = np.sort(A, axis=1)[:, ::-1]
         state = L12NewtonState(
-            sorted_abs=srt0,
             prefix_sums=np.cumsum(srt0, axis=1),
             lam=0.0,
             p=np.full(n, m),
@@ -298,7 +241,6 @@ def proj_l12_with_state(V, radius, tol: float = 1e-12,
     deltas = lam * row_best
     W = np.sign(V) * np.maximum(A - deltas[:, None], 0.0)
     state = L12NewtonState(
-        sorted_abs=srt,
         prefix_sums=S,
         lam=lam,
         p=p.astype(np.int64),
@@ -313,59 +255,6 @@ def proj_l12(V, radius, tol: float = 1e-12, max_iter: int = 100) -> np.ndarray:
     """Project onto the l12 ball: sum_i (sum_j |w_ij|)^2 <= radius^2."""
     W, _ = proj_l12_with_state(V, radius, tol=tol, max_iter=max_iter)
     return W
-
-
-def proj_l12_bisection(V, radius, lam_iters: int = 100,
-                       threshold_iters: int = 72) -> np.ndarray:
-    """Slow independent l12 projection for cross-checking (test oracle).
-
-    For a fixed multiplier the per-row soft threshold solves the scalar
-    fixed point d = lam * sum_j (|v_j| - d)^+, found here by bisection; the
-    constraint value is decreasing in the multiplier, so an outer bisection
-    on lam closes the loop.  No sorting, prefix sums or Newton steps are
-    shared with ``proj_l12``.
-    """
-    radius = _check_radius(radius)
-    V = check_matrix(V, "V")
-    A = np.abs(V)
-    target = radius * radius
-    row_l1 = A.sum(axis=1)
-    if float((row_l1 * row_l1).sum()) <= target:
-        return V.copy()
-
-    row_max = A.max(axis=1)
-
-    def thresholds(lam: float) -> np.ndarray:
-        lo = np.zeros(A.shape[0])
-        hi = row_max.copy()
-        for _ in range(threshold_iters):
-            mid = 0.5 * (lo + hi)
-            g = lam * np.maximum(A - mid[:, None], 0.0).sum(axis=1) - mid
-            grow = g > 0
-            lo = np.where(grow, mid, lo)
-            hi = np.where(grow, hi, mid)
-        return 0.5 * (lo + hi)
-
-    def constraint(lam: float) -> float:
-        d = thresholds(lam)
-        W = np.maximum(A - d[:, None], 0.0)
-        s = W.sum(axis=1)
-        return float((s * s).sum())
-
-    lo, hi = 0.0, 1.0
-    while constraint(hi) > target:
-        hi *= 2.0
-        if hi > 1e18:  # pragma: no cover - defensive
-            raise RuntimeError("l12 bisection could not bracket the multiplier")
-    for _ in range(lam_iters):
-        mid = 0.5 * (lo + hi)
-        if constraint(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    lam = hi
-    d = thresholds(lam)
-    return np.sign(V) * np.maximum(A - d[:, None], 0.0)
 
 
 def ball_norm(V, kind: str) -> float:

@@ -65,17 +65,13 @@ class SolverParams:
     """Step sizes, variant switches and iteration budget.
 
     Step sizes left as None are derived at solve time from the problem's
-    norms (``beta`` scales the center-step heuristic).  ``rho``, ``delta``
-    and ``alpha`` must match the problem they are used with; build params
-    via :meth:`for_problem` to keep them consistent.
+    norms (``beta`` scales the center-step heuristic).  The criterion's
+    weights (``rho``, the huber ``delta``, ``alpha``) live on the Problem.
     """
 
     tau: float | None = None
     tau_mu: float | None = None
     sigma: float | None = None
-    rho: float = 1.0
-    delta: float = 1.0
-    alpha: float = 0.0
     gamma: float = 0.0
     beta: float = 1.0
     max_iter: int = 2000
@@ -88,9 +84,6 @@ class SolverParams:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
         if not -1.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must lie in (-1, 1), got {self.gamma}")
-        for name in ("rho", "delta", "alpha"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if self.beta <= 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
         if self.max_iter < 1:
@@ -101,14 +94,6 @@ class SolverParams:
             v = getattr(self, name)
             if v is not None and v <= 0:
                 raise ValueError(f"{name} must be positive, got {v}")
-
-    @classmethod
-    def for_problem(cls, problem: Problem, **overrides) -> "SolverParams":
-        """Params whose rho/delta/alpha mirror the problem's."""
-        overrides.setdefault("rho", problem.rho)
-        overrides.setdefault("delta", problem.loss.delta)
-        overrides.setdefault("alpha", problem.alpha)
-        return cls(**overrides)
 
     def has_steps(self) -> bool:
         return None not in (self.tau, self.tau_mu, self.sigma)
@@ -141,13 +126,18 @@ class HistoryRecord:
 
 @dataclass
 class TrainingHistory:
-    """Per-run diagnostics: recorded objectives plus final ergodic averages."""
+    """Per-run diagnostics: recorded objectives plus final ergodic averages.
+
+    ``params`` holds the resolved starting steps and ``step_slack`` the
+    slack of the convergence condition they were checked against.
+    """
 
     records: list[HistoryRecord] = field(default_factory=list)
     ergodic_W: np.ndarray | None = None
     ergodic_mu: np.ndarray | None = None
     ergodic_Z: np.ndarray | None = None
     params: SolverParams | None = None
+    step_slack: float | None = None
 
     def iterations(self) -> list[int]:
         return [r.iteration for r in self.records]
@@ -190,18 +180,19 @@ def _condition_lhs(tau: float, tau_mu: float, sigma: float, rho: float,
 
 
 def check_step_condition(params: SolverParams, X_norm: float, Y_norm: float,
-                         variant: str | None = None) -> tuple[bool, float]:
+                         rho: float, variant: str | None = None) -> tuple[bool, float]:
     """Whether the variant-appropriate convergence inequality holds strictly.
 
-    Returns ``(ok, slack)`` with ``slack = 1 - lhs``; the condition passes
-    only when the slack is strictly positive.
+    ``rho`` is the problem's center weight.  Returns ``(ok, slack)`` with
+    ``slack = 1 - lhs``; the condition passes only when the slack is
+    strictly positive.
     """
     if not params.has_steps():
         raise ValueError("params must carry explicit tau, tau_mu and sigma")
     variant = variant or params.variant
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    lhs = _condition_lhs(params.tau, params.tau_mu, params.sigma, params.rho,
+    lhs = _condition_lhs(params.tau, params.tau_mu, params.sigma, rho,
                          params.gamma, X_norm, Y_norm, variant)
     return lhs < 1.0, 1.0 - lhs
 
@@ -218,7 +209,7 @@ def ergodic_gap_bound(state: SolverState, problem: Problem,
     if not params.has_steps():
         raise ValueError("params must carry explicit step sizes")
     return _gap_bound(state.iter, problem.n_samples, problem.n_classes,
-                      params.sigma, params.tau, params.tau_mu, params.rho,
+                      params.sigma, params.tau, params.tau_mu, problem.rho,
                       params.beta, problem.ball.radius,
                       problem.loss.kind == "frobenius")
 
@@ -242,16 +233,6 @@ def _canonical_variant(variant: str, loss_kind: str) -> str:
     if variant == "frobenius":
         raise ValueError("the frobenius variant requires the frobenius loss")
     return variant
-
-
-def _check_params_match(params: SolverParams, problem: Problem):
-    if params.rho != problem.rho:
-        raise ValueError(f"params.rho={params.rho} differs from problem.rho={problem.rho}")
-    if params.delta != problem.loss.delta:
-        raise ValueError(
-            f"params.delta={params.delta} differs from problem.loss.delta={problem.loss.delta}")
-    if params.alpha != problem.alpha:
-        raise ValueError(f"params.alpha={params.alpha} differs from problem.alpha={problem.alpha}")
 
 
 def solve(problem: Problem, params: SolverParams, ball: BallSpec | None = None,
@@ -288,7 +269,6 @@ def solve(problem: Problem, params: SolverParams, ball: BallSpec | None = None,
     for the ergodic averages, the recorded diagnostics and the returned
     model; only the internal recursion sees the relaxed variables.
     """
-    _check_params_match(params, problem)
     if ball is not None and ball != problem.ball:
         problem = replace(problem, ball=ball)
     ball = problem.ball
@@ -297,7 +277,7 @@ def solve(problem: Problem, params: SolverParams, ball: BallSpec | None = None,
     m, d = X.shape
     k = Y.shape[1]
     loss = problem.loss
-    rho, delta, alpha, gamma = params.rho, params.delta, params.alpha, params.gamma
+    rho, delta, alpha, gamma = problem.rho, loss.delta, problem.alpha, params.gamma
 
     X_norm = spectral_norm(X).value
     Y_norm = float(np.sqrt(Y.sum(axis=0).max()))
@@ -312,7 +292,7 @@ def solve(problem: Problem, params: SolverParams, ball: BallSpec | None = None,
         if lhs >= STEP_STRICTNESS:
             sigma *= STEP_STRICTNESS / lhs
     resolved = replace(params, tau=tau, tau_mu=tau_mu, sigma=sigma)
-    ok, slack = check_step_condition(resolved, X_norm, Y_norm, variant)
+    ok, slack = check_step_condition(resolved, X_norm, Y_norm, rho, variant)
     if not ok:
         raise StepConditionError(
             f"step sizes violate the {variant} convergence condition "
@@ -338,7 +318,7 @@ def solve(problem: Problem, params: SolverParams, ball: BallSpec | None = None,
     relax = variant == "over-relaxed" and gamma != 0.0
     elastic = variant == "elastic"
 
-    history = TrainingHistory(params=resolved)
+    history = TrainingHistory(params=resolved, step_slack=slack)
     state = SolverState(W=W, mu=mu, Z=Z)
     theta = 1.0
     t0 = time.perf_counter()

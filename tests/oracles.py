@@ -1,0 +1,136 @@
+"""Slow, independently coded projections used as test oracles.
+
+None shares code with the projections it checks: ``l1_threshold_bisection``
+bisects the l1 soft threshold directly, ``proj_l1_vector_scan`` is a
+sort-free pruning scan against the sort-based l1 projection, and
+``proj_l12_bisection`` a double bisection against the Newton multiplier
+search of ``proj_l12``.
+"""
+
+import numpy as np
+
+from pdsparse.linalg import check_matrix
+from pdsparse.projections import _check_radius
+
+
+def l1_threshold_bisection(v, radius, iters=200):
+    """Independent l1 oracle: bisect the threshold t with sum (|v|-t)^+ = radius."""
+    a = np.abs(v)
+    if a.sum() <= radius:
+        return np.asarray(v, dtype=float).copy()
+    lo, hi = 0.0, float(a.max())
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if np.maximum(a - mid, 0.0).sum() > radius:
+            lo = mid
+        else:
+            hi = mid
+    t = 0.5 * (lo + hi)
+    return np.sign(v) * np.maximum(a - t, 0.0)
+
+
+def proj_l1_vector_scan(v, radius) -> np.ndarray:
+    """Project onto the l1 ball with a sort-free pruning scan.
+
+    Single pass maintaining a candidate active set and a running threshold
+    estimate, followed by cleanup passes that evict entries falling below
+    the threshold.  Expected linear time; kept as an independent code path
+    to cross-validate the sort-based method.
+    """
+    radius = _check_radius(radius)
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim != 1:
+        raise ValueError(f"expected a vector, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("vector contains non-finite entries")
+    a = np.abs(v)
+    if a.sum() <= radius:
+        return v.copy()
+
+    y = a.tolist()
+    active = [y[0]]
+    waiting: list[float] = []
+    rho = y[0] - radius
+    for x in y[1:]:
+        if x > rho:
+            rho += (x - rho) / (len(active) + 1)
+            if rho > x - radius:
+                active.append(x)
+            else:
+                waiting.extend(active)
+                active = [x]
+                rho = x - radius
+    for x in waiting:
+        if x > rho:
+            active.append(x)
+            rho += (x - rho) / len(active)
+    # evict entries at or below the threshold until a fixed point is reached
+    changed = True
+    while changed:
+        changed = False
+        i = 0
+        while i < len(active):
+            x = active[i]
+            if x <= rho:
+                active[i] = active[-1]
+                active.pop()
+                rho += (rho - x) / len(active)
+                changed = True
+            else:
+                i += 1
+    return np.sign(v) * np.maximum(a - rho, 0.0)
+
+
+
+
+def proj_l12_bisection(V, radius, lam_iters: int = 100,
+                       threshold_iters: int = 72) -> np.ndarray:
+    """Slow independent l12 projection for cross-checking (test oracle).
+
+    For a fixed multiplier the per-row soft threshold solves the scalar
+    fixed point d = lam * sum_j (|v_j| - d)^+, found here by bisection; the
+    constraint value is decreasing in the multiplier, so an outer bisection
+    on lam closes the loop.  No sorting, prefix sums or Newton steps are
+    shared with ``proj_l12``.
+    """
+    radius = _check_radius(radius)
+    V = check_matrix(V, "V")
+    A = np.abs(V)
+    target = radius * radius
+    row_l1 = A.sum(axis=1)
+    if float((row_l1 * row_l1).sum()) <= target:
+        return V.copy()
+
+    row_max = A.max(axis=1)
+
+    def thresholds(lam: float) -> np.ndarray:
+        lo = np.zeros(A.shape[0])
+        hi = row_max.copy()
+        for _ in range(threshold_iters):
+            mid = 0.5 * (lo + hi)
+            g = lam * np.maximum(A - mid[:, None], 0.0).sum(axis=1) - mid
+            grow = g > 0
+            lo = np.where(grow, mid, lo)
+            hi = np.where(grow, hi, mid)
+        return 0.5 * (lo + hi)
+
+    def constraint(lam: float) -> float:
+        d = thresholds(lam)
+        W = np.maximum(A - d[:, None], 0.0)
+        s = W.sum(axis=1)
+        return float((s * s).sum())
+
+    lo, hi = 0.0, 1.0
+    while constraint(hi) > target:
+        hi *= 2.0
+        if hi > 1e18:  # pragma: no cover - defensive
+            raise RuntimeError("l12 bisection could not bracket the multiplier")
+    for _ in range(lam_iters):
+        mid = 0.5 * (lo + hi)
+        if constraint(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    lam = hi
+    d = thresholds(lam)
+    return np.sign(V) * np.maximum(A - d[:, None], 0.0)

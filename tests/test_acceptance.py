@@ -20,9 +20,7 @@ from pdsparse.projections import (
     clip_box,
     proj_frobenius_unit,
     proj_l1_matrix,
-    proj_l1_vector_scan,
     proj_l12,
-    proj_l12_bisection,
     proj_l12_with_state,
     proj_l21,
     proj_nuclear,
@@ -36,25 +34,11 @@ from pdsparse.solver import (
 )
 
 from conftest import make_rng, random_feasible
+from oracles import l1_threshold_bisection, proj_l1_vector_scan, proj_l12_bisection
 
 
 def report(n, text):
     print(f"criterion {n:02d} PASS - {text}")
-
-
-def l1_threshold_bisection(v, radius, iters=200):
-    a = np.abs(v)
-    if a.sum() <= radius:
-        return np.asarray(v, dtype=float).copy()
-    lo, hi = 0.0, float(a.max())
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if np.maximum(a - mid, 0.0).sum() > radius:
-            lo = mid
-        else:
-            hi = mid
-    t = 0.5 * (lo + hi)
-    return np.sign(v) * np.maximum(a - t, 0.0)
 
 
 def l21_row_formula_oracle(V, radius):
@@ -184,11 +168,11 @@ def _rate_instance():
 def test_criterion_04_ergodic_rate():
     t0 = time.time()
     prob = _rate_instance()
-    params = SolverParams.for_problem(prob, max_iter=2000, record_every=250)
+    params = SolverParams(max_iter=2000, record_every=250)
     _, hist = solve(prob, params)
     erg = {r.iteration: r.ergodic_objective.total for r in hist.records}
 
-    ref_params = SolverParams.for_problem(prob, max_iter=30000, record_every=5000)
+    ref_params = SolverParams(max_iter=30000, record_every=5000)
     _, ref_hist = solve(prob, ref_params)
     ref = min(min(r.objective.total for r in ref_hist.records),
               ref_hist.records[-1].ergodic_objective.total)
@@ -218,15 +202,14 @@ def test_criterion_05_step_condition_enforcement():
         eta = float(rng.uniform(0.1, 20))
         tau, tau_mu, sigma = default_steps(1.0, Y_norm, m, k, rho, beta, eta)
         ok, slack = check_step_condition(
-            SolverParams(tau=tau, tau_mu=tau_mu, sigma=sigma, rho=rho), 1.0, Y_norm)
+            SolverParams(tau=tau, tau_mu=tau_mu, sigma=sigma), 1.0, Y_norm, rho=rho)
         assert ok and slack > 0
 
     prob = _rate_instance()
     for variant, extra in [("base", {}), ("fixed-mu", {}), ("accelerated", {}),
                            ("over-relaxed", {"gamma": 0.4}),
-                           ("elastic", {"alpha": 0.0})]:
-        params = SolverParams.for_problem(prob, tau=5.0, tau_mu=5.0, sigma=5.0,
-                                          variant=variant, **extra)
+                           ("elastic", {})]:
+        params = SolverParams(tau=5.0, tau_mu=5.0, sigma=5.0, variant=variant, **extra)
         with pytest.raises(StepConditionError):
             solve(prob, params)
     report(5, "default steps strict on 100 draws; violating steps refused "
@@ -243,7 +226,7 @@ def test_criterion_06_variant_reduction_identities():
 
     def iterates(variant, **kw):
         out = []
-        params = SolverParams.for_problem(prob, variant=variant, max_iter=200, **kw)
+        params = SolverParams(variant=variant, max_iter=200, **kw)
         solve(prob, params, callback=lambda s: out.append(
             (s.W.copy(), s.mu.copy(), s.Z.copy())))
         return out
@@ -274,8 +257,7 @@ def test_criterion_07_huber_smoothing():
         for delta in (0.0, 1.0):
             loss = LossSpec("huber", delta) if delta else LossSpec("l1")
             prob = Problem(X=X, Y=Y, loss=loss, ball=BallSpec("l1", 2.0), rho=1.0)
-            params = SolverParams.for_problem(prob, variant="fixed-mu",
-                                              max_iter=800, record_every=1)
+            params = SolverParams(variant="fixed-mu", max_iter=800, record_every=1)
             _, hist = solve(prob, params)
             f = np.array([r.objective.total for r in hist.records])
             f = f / f[0]

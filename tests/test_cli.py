@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pdsparse import data_io
+from pdsparse import classify, data_io
 from pdsparse.cli import build_parser, main
 
 SNAPSHOT_DIR = Path(__file__).parent / "data" / "help"
@@ -78,6 +78,37 @@ class TestTrainPredict:
                   str(tmp_path / "m.bin"), "--ball", "l3"])
         assert exc.value.code != 0
 
+    def test_predictions_match_per_row_predict(self, dataset_csv, tmp_path, capsys):
+        model_path, preds_path = tmp_path / "model.bin", tmp_path / "preds.csv"
+        assert main(["train", "--data", str(dataset_csv), "--model-out",
+                     str(model_path), "--eta", "2", "--iters", "300"]) == 0
+        assert main(["predict", "--model", str(model_path), "--data",
+                     str(dataset_csv), "--output", str(preds_path)]) == 0
+        capsys.readouterr()
+        model = data_io.load_model(model_path)
+        ds = data_io.load_csv(dataset_csv)
+        expect = "index,predicted_class\n" + "".join(
+            f"{i},{classify.predict(x / model.feature_scale, model)}\n"
+            for i, x in enumerate(ds.X))
+        assert preds_path.read_text() == expect
+
+    def test_frobenius_loss_trains(self, dataset_csv, tmp_path, capsys):
+        rc = main(["train", "--data", str(dataset_csv), "--model-out",
+                   str(tmp_path / "m.bin"), "--eta", "10", "--iters", "300",
+                   "--loss", "frobenius"])
+        assert rc == 0
+        assert "step-condition slack" in capsys.readouterr().out
+
+    def test_frobenius_loss_rejects_other_variants(self, dataset_csv, tmp_path, capsys):
+        rc = main(["train", "--data", str(dataset_csv), "--model-out",
+                   str(tmp_path / "m.bin"), "--loss", "frobenius",
+                   "--variant", "accelerated"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == ("error: the frobenius loss only supports the base "
+                       "iteration, got 'accelerated'\n")
+        assert not (tmp_path / "m.bin").exists()
+
     def test_missing_file_reports_one_line_error(self, tmp_path, capsys):
         rc = main(["train", "--data", str(tmp_path / "nope.csv"),
                    "--model-out", str(tmp_path / "m.bin")])
@@ -112,6 +143,15 @@ class TestCvAndSweep:
         lines = curve.read_text().splitlines()
         assert len(lines) == 2
         assert float(lines[1].split(",")[2]) == pytest.approx(mean, abs=5e-5)
+
+    def test_cv_curve_matches_single_point_sweep(self, dataset_csv, tmp_path, capsys):
+        cv_curve, sweep_curve = tmp_path / "cv.csv", tmp_path / "sweep.csv"
+        common = ["--data", str(dataset_csv), "--folds", "3", "--iters", "300",
+                  "--seed", "7"]
+        assert main(["cv", *common, "--eta", "5", "--curve-out", str(cv_curve)]) == 0
+        assert main(["sweep-eta", *common, "--etas", "5", "--out", str(sweep_curve)]) == 0
+        capsys.readouterr()
+        assert cv_curve.read_bytes() == sweep_curve.read_bytes()
 
     def test_sweep_deterministic_output_files(self, dataset_csv, tmp_path, capsys):
         paths = [tmp_path / "c1.csv", tmp_path / "c2.csv"]

@@ -154,18 +154,6 @@ class TestPrimalObjective:
         assert br.constraint_violation == pytest.approx(
             max(0.0, np.abs(W).sum() - 1.0), rel=1e-12)
 
-    def test_l1_penalty_folds_into_elastic_term(self):
-        rng = make_rng(20)
-        X = rng.standard_normal((5, 4))
-        Y = np.zeros((5, 2))
-        Y[np.arange(5), np.arange(5) % 2] = 1.0
-        W = rng.standard_normal((4, 2))
-        prob = self._problem(X, Y, ball=BallSpec("l1", 100.0))
-        with_pen = primal_objective(W, np.eye(2), prob, l1_penalty=0.5)
-        without = primal_objective(W, np.eye(2), prob)
-        assert with_pen.elastic_term == pytest.approx(
-            without.elastic_term + 0.5 * np.abs(W).sum())
-
     def test_shape_mismatch_rejected(self):
         rng = make_rng(21)
         X = rng.standard_normal((5, 4))

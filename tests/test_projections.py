@@ -11,9 +11,7 @@ from pdsparse.projections import (
     proj_frobenius_unit,
     proj_l1_matrix,
     proj_l1_vector,
-    proj_l1_vector_scan,
     proj_l12,
-    proj_l12_bisection,
     proj_l12_with_state,
     proj_l21,
     proj_nuclear,
@@ -21,22 +19,7 @@ from pdsparse.projections import (
 )
 
 from conftest import make_rng, random_feasible
-
-
-def l1_threshold_bisection(v, radius, iters=200):
-    """Independent l1 oracle: bisect the threshold t with sum (|v|-t)^+ = radius."""
-    a = np.abs(v)
-    if a.sum() <= radius:
-        return np.asarray(v, dtype=float).copy()
-    lo, hi = 0.0, float(a.max())
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if np.maximum(a - mid, 0.0).sum() > radius:
-            lo = mid
-        else:
-            hi = mid
-    t = 0.5 * (lo + hi)
-    return np.sign(v) * np.maximum(a - t, 0.0)
+from oracles import l1_threshold_bisection, proj_l1_vector_scan, proj_l12_bisection
 
 
 class TestProjL1Vector:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pdsparse.linalg import normalize_features, one_hot
+from pdsparse.linalg import normalize_features, one_hot, spectral_norm
 from pdsparse.losses import LossSpec
 from pdsparse.model import Problem, ProblemTemplate
 from pdsparse.projections import BallSpec, ball_norm
@@ -43,8 +43,8 @@ class TestDefaultSteps:
         assert tau_mu == pytest.approx(1.0 / 99.75, rel=1e-12)
         expect_sigma = 0.999 / (tau_mu * 25.0 / (1.0 + tau_mu / 4.0) + tau)
         assert sigma == pytest.approx(expect_sigma, rel=1e-12)
-        params = SolverParams(tau=tau, tau_mu=tau_mu, sigma=sigma, rho=1.0)
-        ok, slack = check_step_condition(params, 1.0, 5.0)
+        params = SolverParams(tau=tau, tau_mu=tau_mu, sigma=sigma)
+        ok, slack = check_step_condition(params, 1.0, 5.0, rho=1.0)
         assert ok and slack > 0
 
     def test_rho_zero_degenerates(self):
@@ -61,8 +61,8 @@ class TestDefaultSteps:
             beta = float(rng.uniform(0.1, 2))
             eta = float(rng.uniform(0.1, 20))
             tau, tau_mu, sigma = default_steps(1.0, Y_norm, m, k, rho, beta, eta)
-            params = SolverParams(tau=tau, tau_mu=tau_mu, sigma=sigma, rho=rho)
-            ok, slack = check_step_condition(params, 1.0, Y_norm)
+            params = SolverParams(tau=tau, tau_mu=tau_mu, sigma=sigma)
+            ok, slack = check_step_condition(params, 1.0, Y_norm, rho=rho)
             assert ok and slack > 0
 
     def test_oversized_beta_rejected(self):
@@ -73,33 +73,33 @@ class TestDefaultSteps:
 class TestCheckStepCondition:
     def test_boundary_fails_fixed_mu(self):
         params = SolverParams(tau=1.0, tau_mu=1.0, sigma=1.0, variant="fixed-mu")
-        ok, slack = check_step_condition(params, 1.0, 5.0)
+        ok, slack = check_step_condition(params, 1.0, 5.0, rho=1.0)
         assert not ok
         assert slack == 0.0
 
     def test_interior_passes_fixed_mu(self):
         params = SolverParams(tau=0.5, tau_mu=1.0, sigma=0.5, variant="fixed-mu")
-        ok, slack = check_step_condition(params, 1.0, 5.0)
+        ok, slack = check_step_condition(params, 1.0, 5.0, rho=1.0)
         assert ok
         assert slack == pytest.approx(0.75)
 
     def test_over_relaxed_switches_condition_at_half(self):
-        params = dict(tau=0.1, tau_mu=0.05, sigma=1.0, rho=2.0)
+        params = dict(tau=0.1, tau_mu=0.05, sigma=1.0)
         lo = SolverParams(**params, variant="over-relaxed", gamma=0.2)
         hi = SolverParams(**params, variant="over-relaxed", gamma=0.6)
-        _, slack_lo = check_step_condition(lo, 1.0, 2.0)
-        _, slack_hi = check_step_condition(hi, 1.0, 2.0)
+        _, slack_lo = check_step_condition(lo, 1.0, 2.0, rho=2.0)
+        _, slack_hi = check_step_condition(hi, 1.0, 2.0, rho=2.0)
         # gamma >= 1/2 drops the center-strong-convexity boost, shrinking slack
         assert slack_hi < slack_lo
         base = SolverParams(**params)
-        _, slack_base = check_step_condition(base, 1.0, 2.0)
+        _, slack_base = check_step_condition(base, 1.0, 2.0, rho=2.0)
         zero_gamma = SolverParams(**params, variant="over-relaxed", gamma=0.0)
-        _, slack_zero = check_step_condition(zero_gamma, 1.0, 2.0)
+        _, slack_zero = check_step_condition(zero_gamma, 1.0, 2.0, rho=2.0)
         assert slack_zero == slack_base
 
     def test_missing_steps_rejected(self):
         with pytest.raises(ValueError, match="explicit"):
-            check_step_condition(SolverParams(), 1.0, 1.0)
+            check_step_condition(SolverParams(), 1.0, 1.0, rho=1.0)
 
 
 class TestSolveBasics:
@@ -110,8 +110,7 @@ class TestSolveBasics:
         prob = Problem(X=X, Y=Y, loss=LossSpec("huber", 1.0),
                        ball=BallSpec("l1", 1.0), rho=1.0)
         sigma, tau, tau_mu = 0.3, 0.1, 0.05
-        params = SolverParams.for_problem(prob, tau=tau, tau_mu=tau_mu,
-                                          sigma=sigma, max_iter=1)
+        params = SolverParams(tau=tau, tau_mu=tau_mu, sigma=sigma, max_iter=1)
         states = []
         solve(prob, params, callback=lambda s: states.append(
             (s.W.copy(), s.mu.copy(), s.Z.copy())))
@@ -135,18 +134,21 @@ class TestSolveBasics:
 
     def test_refuses_bad_step_sizes(self):
         prob = small_problem()
-        params = SolverParams.for_problem(prob, tau=10.0, tau_mu=10.0, sigma=10.0)
+        params = SolverParams(tau=10.0, tau_mu=10.0, sigma=10.0)
         with pytest.raises(StepConditionError):
             solve(prob, params)
 
-    def test_param_problem_mismatch_rejected(self):
-        prob = small_problem(delta=1.0)
-        with pytest.raises(ValueError, match="delta"):
-            solve(prob, SolverParams(delta=0.5))
+    def test_history_keeps_checked_slack(self):
+        prob = small_problem(seed=4, rho=0.6)
+        _, hist = solve(prob, SolverParams(variant="over-relaxed", gamma=0.3, max_iter=5))
+        X_norm = spectral_norm(prob.X).value
+        Y_norm = float(np.sqrt(prob.Y.sum(axis=0).max()))
+        _, slack = check_step_condition(hist.params, X_norm, Y_norm, rho=prob.rho)
+        assert hist.step_slack == slack > 0
 
     def test_deterministic_histories(self):
         prob = small_problem(seed=5)
-        params = SolverParams.for_problem(prob, max_iter=300, record_every=50)
+        params = SolverParams(max_iter=300, record_every=50)
         _, h1 = solve(prob, params)
         _, h2 = solve(prob, params)
         t1 = [(r.iteration, r.objective.total, r.ergodic_objective.total, r.gap_bound)
@@ -175,7 +177,7 @@ class TestSolveBasics:
         d, k, m = prob.n_features, prob.n_classes, prob.n_samples
         bad = SolverState(W=np.zeros((d, k)), mu=np.full((k, k), np.nan),
                           Z=np.zeros((m, k)))
-        params = SolverParams.for_problem(prob, max_iter=10)
+        params = SolverParams(max_iter=10)
         with pytest.raises(SolverDivergenceError) as exc:
             solve(prob, params, initial=bad)
         assert exc.value.iteration == 1
@@ -184,21 +186,20 @@ class TestSolveBasics:
         prob = small_problem(seed=9)
         d, k, m = prob.n_features, prob.n_classes, prob.n_samples
         init = SolverState(W=np.zeros((d, k)), mu=np.eye(k), Z=np.zeros((m, k)))
-        params = SolverParams.for_problem(prob, max_iter=100, record_every=100)
+        params = SolverParams(max_iter=100, record_every=100)
         _, h_default = solve(prob, params)
         _, h_init = solve(prob, params, initial=init)
         assert h_default.records[-1].objective.total == h_init.records[-1].objective.total
 
     def test_early_stop_breaks_before_budget(self):
         prob = small_problem(seed=10)
-        params = SolverParams.for_problem(prob, max_iter=5000, record_every=5000,
-                                          early_stop_tol=1e-8)
+        params = SolverParams(max_iter=5000, record_every=5000, early_stop_tol=1e-8)
         _, hist = solve(prob, params)
         assert hist.records[-1].iteration < 5000
 
     def test_ball_override_wins(self):
         prob = small_problem(seed=11, eta=5.0)
-        params = SolverParams.for_problem(prob, max_iter=50)
+        params = SolverParams(max_iter=50)
         model, _ = solve(prob, params, ball=BallSpec("l1", 0.5))
         assert ball_norm(model.W, "l1") <= 0.5 * (1 + 1e-9)
 
@@ -207,7 +208,7 @@ class TestFeasibilityMaintenance:
     @pytest.mark.parametrize("kind", ["l1", "l21", "l12", "nuclear"])
     def test_primal_and_dual_feasible_every_iteration(self, kind):
         prob = small_problem(seed=12, kind=kind, eta=1.5)
-        params = SolverParams.for_problem(prob, max_iter=150)
+        params = SolverParams(max_iter=150)
         radii, duals = [], []
         solve(prob, params, callback=lambda s: (
             radii.append(ball_norm(s.W, kind)), duals.append(np.abs(s.Z).max())))
@@ -218,15 +219,14 @@ class TestFeasibilityMaintenance:
         prob = small_problem(seed=13, delta=0.0)
         prob = Problem(X=prob.X, Y=prob.Y, loss=LossSpec("frobenius"),
                        ball=prob.ball, rho=1.0)
-        params = SolverParams.for_problem(prob, variant="frobenius", max_iter=150)
+        params = SolverParams(variant="frobenius", max_iter=150)
         norms = []
         solve(prob, params, callback=lambda s: norms.append(np.linalg.norm(s.Z)))
         assert max(norms) <= 1.0 + 1e-12
 
     def test_over_relaxed_output_feasible(self):
         prob = small_problem(seed=14)
-        params = SolverParams.for_problem(prob, variant="over-relaxed",
-                                          gamma=0.8, max_iter=200)
+        params = SolverParams(variant="over-relaxed", gamma=0.8, max_iter=200)
         model, hist = solve(prob, params)
         assert ball_norm(model.W, "l1") <= prob.ball.radius * (1 + 1e-9)
         assert ball_norm(hist.ergodic_W, "l1") <= prob.ball.radius * (1 + 1e-9)
@@ -235,27 +235,25 @@ class TestFeasibilityMaintenance:
 class TestVariantReductions:
     def test_accelerated_delta_zero_equals_base(self):
         prob = small_problem(seed=15, delta=0.0)
-        base = collect_iterates(prob, SolverParams.for_problem(prob, max_iter=200), 200)
-        acc = collect_iterates(prob, SolverParams.for_problem(
-            prob, variant="accelerated", max_iter=200), 200)
+        base = collect_iterates(prob, SolverParams(max_iter=200), 200)
+        acc = collect_iterates(prob, SolverParams(variant="accelerated", max_iter=200), 200)
         worst = max(np.abs(a - b).max() for ta, tb in zip(acc, base)
                     for a, b in zip(ta, tb))
         assert worst <= 1e-12
 
     def test_over_relaxed_gamma_zero_equals_base(self):
         prob = small_problem(seed=16)
-        base = collect_iterates(prob, SolverParams.for_problem(prob, max_iter=200), 200)
-        orx = collect_iterates(prob, SolverParams.for_problem(
-            prob, variant="over-relaxed", gamma=0.0, max_iter=200), 200)
+        base = collect_iterates(prob, SolverParams(max_iter=200), 200)
+        orx = collect_iterates(prob, SolverParams(variant="over-relaxed", gamma=0.0,
+                                                  max_iter=200), 200)
         worst = max(np.abs(a - b).max() for ta, tb in zip(orx, base)
                     for a, b in zip(ta, tb))
         assert worst <= 1e-12
 
     def test_elastic_alpha_zero_equals_base(self):
         prob = small_problem(seed=17, alpha=0.0)
-        base = collect_iterates(prob, SolverParams.for_problem(prob, max_iter=200), 200)
-        ela = collect_iterates(prob, SolverParams.for_problem(
-            prob, variant="elastic", max_iter=200), 200)
+        base = collect_iterates(prob, SolverParams(max_iter=200), 200)
+        ela = collect_iterates(prob, SolverParams(variant="elastic", max_iter=200), 200)
         worst = max(np.abs(a - b).max() for ta, tb in zip(ela, base)
                     for a, b in zip(ta, tb))
         assert worst <= 1e-12
@@ -263,7 +261,7 @@ class TestVariantReductions:
     def test_fixed_mu_pins_centers(self):
         prob = small_problem(seed=18)
         mus = []
-        solve(prob, SolverParams.for_problem(prob, variant="fixed-mu", max_iter=50),
+        solve(prob, SolverParams(variant="fixed-mu", max_iter=50),
               callback=lambda s: mus.append(s.mu.copy()))
         for mu in mus:
             assert np.array_equal(mu, np.eye(prob.n_classes))
@@ -271,17 +269,17 @@ class TestVariantReductions:
     def test_variant_loss_consistency_enforced(self):
         prob = small_problem(seed=19)
         with pytest.raises(ValueError, match="frobenius"):
-            solve(prob, SolverParams.for_problem(prob, variant="frobenius"))
+            solve(prob, SolverParams(variant="frobenius"))
         frob = Problem(X=prob.X, Y=prob.Y, loss=LossSpec("frobenius"),
                        ball=prob.ball, rho=1.0)
         with pytest.raises(ValueError, match="base"):
-            solve(frob, SolverParams.for_problem(frob, variant="accelerated"))
+            solve(frob, SolverParams(variant="accelerated"))
 
 
 class TestAccelerated:
     def test_theta_schedule_shrinks_sigma_and_grows_tau(self):
         prob = small_problem(seed=20, delta=1.0)
-        params = SolverParams.for_problem(prob, variant="accelerated", max_iter=300)
+        params = SolverParams(variant="accelerated", max_iter=300)
         thetas = []
         solve(prob, params, callback=lambda s: thetas.append(s.theta))
         assert all(0 < t < 1 for t in thetas)
@@ -290,8 +288,7 @@ class TestAccelerated:
 
     def test_objective_still_converges(self):
         prob = small_problem(seed=21, delta=1.0)
-        params = SolverParams.for_problem(prob, variant="accelerated",
-                                          max_iter=800, record_every=100)
+        params = SolverParams(variant="accelerated", max_iter=800, record_every=100)
         _, hist = solve(prob, params)
         totals = [r.objective.total for r in hist.records]
         assert totals[-1] <= totals[0]
@@ -301,8 +298,7 @@ class TestErgodicDiagnostics:
     def test_gap_bound_frozen_arithmetic(self):
         prob = small_problem(seed=22, m=100, k=4, eta=1.0)
         # direct substitution: 4mk/sigma + (3rho/8 + 1/tau_mu) k beta^2 + 4 eta^2 / tau
-        params = SolverParams.for_problem(prob, tau=0.05, tau_mu=0.01, sigma=0.1,
-                                          beta=1.0)
+        params = SolverParams(tau=0.05, tau_mu=0.01, sigma=0.1, beta=1.0)
         state = SolverState(W=np.zeros((prob.n_features, 4)), mu=np.eye(4),
                             Z=np.zeros((100, 4)), iter=1000)
         got = ergodic_gap_bound(state, prob, params)
@@ -310,7 +306,7 @@ class TestErgodicDiagnostics:
 
     def test_gap_bound_halves_when_iterations_double(self):
         prob = small_problem(seed=23)
-        params = SolverParams.for_problem(prob, tau=0.05, tau_mu=0.01, sigma=0.1)
+        params = SolverParams(tau=0.05, tau_mu=0.01, sigma=0.1)
         s1 = SolverState(W=np.zeros((prob.n_features, 3)), mu=np.eye(3),
                          Z=np.zeros((30, 3)), iter=400)
         s2 = SolverState(W=np.zeros((prob.n_features, 3)), mu=np.eye(3),
@@ -320,8 +316,7 @@ class TestErgodicDiagnostics:
 
     def test_huge_sigma_drops_dual_term(self):
         prob = small_problem(seed=26, m=100, k=4, eta=1.0)
-        big = SolverParams.for_problem(prob, tau=0.05, tau_mu=0.01, sigma=1e15,
-                                       beta=1.0)
+        big = SolverParams(tau=0.05, tau_mu=0.01, sigma=1e15, beta=1.0)
         state = SolverState(W=np.zeros((prob.n_features, 4)), mu=np.eye(4),
                             Z=np.zeros((100, 4)), iter=1000)
         limit = ((0.375 + 1.0 / 0.01) * 4.0 + 4.0 / 0.05) / 1000
@@ -331,17 +326,17 @@ class TestErgodicDiagnostics:
         prob = small_problem(seed=24, m=50, k=2)
         frob = Problem(X=prob.X, Y=prob.Y, loss=LossSpec("frobenius"),
                        ball=prob.ball, rho=1.0)
-        params = SolverParams.for_problem(frob, tau=0.05, tau_mu=0.01, sigma=0.1)
+        params = SolverParams(tau=0.05, tau_mu=0.01, sigma=0.1)
         state = SolverState(W=np.zeros((prob.n_features, 2)), mu=np.eye(2),
                             Z=np.zeros((50, 2)), iter=100)
-        huber_params = SolverParams.for_problem(prob, tau=0.05, tau_mu=0.01, sigma=0.1)
+        huber_params = SolverParams(tau=0.05, tau_mu=0.01, sigma=0.1)
         diff = ergodic_gap_bound(state, prob, huber_params) - \
             ergodic_gap_bound(state, frob, params)
         assert diff == pytest.approx((4 * 50 * 2 - 4) / 0.1 / 100, rel=1e-12)
 
     def test_ergodic_average_matches_callback_mean(self):
         prob = small_problem(seed=25)
-        params = SolverParams.for_problem(prob, max_iter=80)
+        params = SolverParams(max_iter=80)
         Ws = []
         _, hist = solve(prob, params, callback=lambda s: Ws.append(s.W.copy()))
         assert np.allclose(hist.ergodic_W, np.mean(Ws, axis=0), atol=1e-12)
@@ -349,7 +344,7 @@ class TestErgodicDiagnostics:
     def test_ergodic_objective_monotone_trend(self):
         for seed in range(5):
             prob = small_problem(seed=700 + seed, m=40, d=30, k=3)
-            params = SolverParams.for_problem(prob, max_iter=1500, record_every=25)
+            params = SolverParams(max_iter=1500, record_every=25)
             _, hist = solve(prob, params)
             erg = [r.ergodic_objective.total for r in hist.records]
             assert all(erg[i + 1] <= erg[i] + 1e-6 for i in range(len(erg) - 1))
@@ -369,8 +364,7 @@ class TestHuberSmoothing:
             for delta in (0.0, 1.0):
                 loss = LossSpec("huber", delta) if delta else LossSpec("l1")
                 prob = Problem(X=X, Y=Y, loss=loss, ball=BallSpec("l1", 2.0), rho=1.0)
-                params = SolverParams.for_problem(prob, variant="fixed-mu",
-                                                  max_iter=800, record_every=1)
+                params = SolverParams(variant="fixed-mu", max_iter=800, record_every=1)
                 _, hist = solve(prob, params)
                 f = np.array([r.objective.total for r in hist.records])
                 f = f / f[0]
