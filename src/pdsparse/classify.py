@@ -168,19 +168,31 @@ def train_model(X, labels, template: ProblemTemplate,
     """Normalize features, build the problem and run the solver.
 
     The feature scale used for normalization is stored on the returned
-    model so queries can be scaled consistently.
+    model so queries can be scaled consistently.  Without ``n_classes``
+    the class count is ``max(labels) + 1`` and every class must have a
+    sample; an explicit count may exceed the labels present, as in a
+    cross-validation fold that misses a small class.
     """
     X = check_matrix(X, "X")
     labels = np.asarray(labels)
     k = n_classes if n_classes is not None else int(labels.max()) + 1
+    Y = one_hot(labels, k)
+    if n_classes is None:
+        _require_every_class(Y.class_counts)
     if normalize:
         Xn, scale = normalize_features(X)
     else:
         Xn, scale = X, 1.0
-    Y = one_hot(labels, k)
     problem = template.bind(Xn, Y.matrix)
     model, history = solve(problem, params if params is not None else SolverParams())
     return replace(model, feature_scale=scale), history
+
+
+def _require_every_class(class_counts: np.ndarray) -> None:
+    """Reject labels that leave one of the classes 0..k-1 without samples."""
+    missing = np.nonzero(class_counts == 0)[0]
+    if missing.size:
+        raise ValueError(f"class {int(missing[0])} has no samples")
 
 
 def stratified_folds(labels, folds: int, seed: int = 0) -> list[np.ndarray]:
@@ -197,10 +209,7 @@ def stratified_folds(labels, folds: int, seed: int = 0) -> list[np.ndarray]:
     if folds > labels.shape[0]:
         raise ValueError(f"cannot make {folds} folds from {labels.shape[0]} samples")
     k = int(labels.max()) + 1
-    counts = np.bincount(labels.astype(np.int64), minlength=k)
-    missing = np.nonzero(counts == 0)[0]
-    if missing.size:
-        raise ValueError(f"class {int(missing[0])} has no samples")
+    _require_every_class(np.bincount(labels.astype(np.int64), minlength=k))
     rng = np.random.Generator(np.random.Philox(seed))
     assignment = [[] for _ in range(folds)]
     offset = 0

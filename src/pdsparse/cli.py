@@ -47,10 +47,9 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
 
 def _template_params(args) -> tuple[ProblemTemplate, solver.SolverParams]:
     delta = args.delta if args.loss == "huber" else 0.0
-    alpha = args.alpha if args.variant == "elastic" else 0.0
     template = ProblemTemplate(loss=LossSpec(args.loss, delta),
                                ball=BallSpec(args.ball, args.eta),
-                               rho=args.rho, alpha=alpha)
+                               rho=args.rho, alpha=args.alpha)
     params = solver.SolverParams(gamma=args.gamma, beta=args.beta,
                                  max_iter=args.iters, variant=args.variant)
     return template, params

@@ -265,6 +265,10 @@ def solve(problem: Problem, params: SolverParams, ball: BallSpec | None = None,
 
     Notes
     -----
+    ``problem.alpha`` is applied only by the elastic variant; any other
+    variant rejects a positive alpha rather than report an objective it
+    does not minimise.
+
     The over-relaxed variant keeps its feasible pre-relaxation iterates
     for the ergodic averages, the recorded diagnostics and the returned
     model; only the internal recursion sees the relaxed variables.
@@ -273,6 +277,9 @@ def solve(problem: Problem, params: SolverParams, ball: BallSpec | None = None,
         problem = replace(problem, ball=ball)
     ball = problem.ball
     variant = _canonical_variant(params.variant, problem.loss.kind)
+    if problem.alpha > 0 and variant != "elastic":
+        raise ValueError(f"alpha={problem.alpha:g} needs the elastic variant, "
+                         f"got {params.variant!r}")
     X, Y = problem.X, problem.Y
     m, d = X.shape
     k = Y.shape[1]

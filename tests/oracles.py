@@ -1,15 +1,16 @@
-"""Slow, independently coded projections used as test oracles.
+"""Slow, independently coded routines used as test oracles.
 
-None shares code with the projections it checks: ``l1_threshold_bisection``
+None shares code with the routine it checks: ``l1_threshold_bisection``
 bisects the l1 soft threshold directly, ``proj_l1_vector_scan`` is a
-sort-free pruning scan against the sort-based l1 projection, and
+sort-free pruning scan against the sort-based l1 projection,
 ``proj_l12_bisection`` a double bisection against the Newton multiplier
-search of ``proj_l12``.
+search of ``proj_l12``, and ``spectral_norm_matrix_free`` the power
+iteration of ``spectral_norm`` without forming the Gram matrix.
 """
 
 import numpy as np
 
-from pdsparse.linalg import check_matrix
+from pdsparse.linalg import OperatorNormEstimate, check_matrix
 from pdsparse.projections import _check_radius
 
 
@@ -134,3 +135,40 @@ def proj_l12_bisection(V, radius, lam_iters: int = 100,
     lam = hi
     d = thresholds(lam)
     return np.sign(V) * np.maximum(A - d[:, None], 0.0)
+
+
+def spectral_norm_matrix_free(A, tol: float = 1e-9, max_iter: int = 1000,
+                              seed: int = 0) -> OperatorNormEstimate:
+    """``spectral_norm``'s power iteration applied as B^T (B v).
+
+    Same seeded start, stopping rule and null-space redraw as
+    ``spectral_norm``, but every step streams the matrix twice; it never
+    switches to a precomputed Gram matrix.
+    """
+    A = check_matrix(A, "A")
+    if tol <= 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if not A.any():
+        return OperatorNormEstimate(0.0, 0, tol, True)
+    B = A if A.shape[0] >= A.shape[1] else A.T
+    n = B.shape[1]
+    rng = np.random.Generator(np.random.Philox(seed))
+    v = rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    lam = 0.0
+    converged = False
+    its = 0
+    for its in range(1, max_iter + 1):
+        w = B.T @ (B @ v)
+        nw = float(np.linalg.norm(w))
+        if nw == 0.0:
+            v = rng.standard_normal(n)
+            v /= np.linalg.norm(v)
+            continue
+        v = w / nw
+        if abs(nw - lam) <= tol * nw:
+            lam = nw
+            converged = True
+            break
+        lam = nw
+    return OperatorNormEstimate(float(np.sqrt(lam)), its, tol, converged)

@@ -282,3 +282,13 @@ class TestTrainModel:
         X = ds.X / np.linalg.svd(ds.X, compute_uv=False)[0]
         model, _ = train_model(X, ds.labels, TPL, params=FAST, normalize=False)
         assert model.feature_scale == 1.0
+
+    def test_label_gap_rejected_when_classes_inferred(self):
+        X = make_rng(21).standard_normal((6, 4))
+        with pytest.raises(ValueError, match="class 2 has no samples"):
+            train_model(X, [0, 1, 5, 0, 1, 5], TPL, params=FAST)
+
+    def test_explicit_class_count_may_exceed_labels_present(self):
+        ds = generate_synthetic(SEPARABLE)
+        model, _ = train_model(ds.X, ds.labels, TPL, params=FAST, n_classes=3)
+        assert model.n_classes == 3

@@ -109,6 +109,22 @@ class TestTrainPredict:
                        "iteration, got 'accelerated'\n")
         assert not (tmp_path / "m.bin").exists()
 
+    def test_alpha_outside_elastic_rejected_like_the_library(self, dataset_csv,
+                                                           tmp_path, capsys):
+        rc = main(["train", "--data", str(dataset_csv), "--model-out",
+                   str(tmp_path / "m.bin"), "--alpha", "0.5"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: alpha=0.5 needs the elastic variant, got 'base'\n"
+        assert not (tmp_path / "m.bin").exists()
+        rc = main(["train", "--data", str(dataset_csv), "--model-out",
+                   str(tmp_path / "m.bin"), "--alpha", "0.5", "--variant", "elastic",
+                   "--eta", "10", "--iters", "300"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        final = next(l for l in out.splitlines() if l.startswith("final objective"))
+        assert float(final.split("elastic ")[1].rstrip(")")) > 0
+
     def test_missing_file_reports_one_line_error(self, tmp_path, capsys):
         rc = main(["train", "--data", str(tmp_path / "nope.csv"),
                    "--model-out", str(tmp_path / "m.bin")])

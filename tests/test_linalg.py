@@ -10,6 +10,7 @@ from pdsparse.linalg import (
 )
 
 from conftest import make_rng
+from oracles import spectral_norm_matrix_free
 
 
 class TestOneHot:
@@ -91,6 +92,41 @@ class TestSpectralNorm:
     def test_bad_tolerance_rejected(self):
         with pytest.raises(ValueError):
             spectral_norm(np.eye(2), tol=0.0)
+
+
+class TestSpectralNormMatchesMatrixFree:
+    """Switching to the Gram matrix reproduces the matrix-free run step for step."""
+
+    @staticmethod
+    def _assert_same(A, **kw):
+        got = spectral_norm(A, **kw)
+        want = spectral_norm_matrix_free(A, **kw)
+        assert got.value == pytest.approx(want.value, rel=1e-12)
+        assert got.iterations == want.iterations
+        assert got.converged == want.converged
+        return got
+
+    @pytest.mark.parametrize("shape", [(60, 25), (25, 60), (40, 40)],
+                             ids=["tall", "wide", "square"])
+    def test_random_shapes(self, shape):
+        for seed in range(4):
+            A = make_rng(400 + seed).standard_normal(shape)
+            assert self._assert_same(A).converged
+
+    def test_rank_one(self):
+        # n = 48: converges at step 3, before the switch to the Gram matrix
+        rng = make_rng(410)
+        A = np.outer(rng.standard_normal(60), rng.standard_normal(48))
+        est = self._assert_same(A)
+        assert est.iterations == 3
+        assert est.value == pytest.approx(np.linalg.norm(A), rel=1e-12)
+
+    @pytest.mark.parametrize("max_iter", [3, 20], ids=["matrix-free", "gram"])
+    def test_stopped_at_max_iter(self, max_iter):
+        # n = 50: the first 3 steps run matrix-free, later ones on the Gram matrix
+        A = make_rng(420).standard_normal((50, 70))
+        est = self._assert_same(A, max_iter=max_iter)
+        assert est.iterations == max_iter and not est.converged
 
 
 class TestLabelOperatorNorm:

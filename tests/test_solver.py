@@ -258,6 +258,16 @@ class TestVariantReductions:
                     for a, b in zip(ta, tb))
         assert worst <= 1e-12
 
+    @pytest.mark.parametrize("variant", ["base", "fixed-mu", "accelerated",
+                                         "over-relaxed"])
+    def test_alpha_rejected_outside_elastic(self, variant):
+        prob = small_problem(seed=17, alpha=0.5)
+        with pytest.raises(ValueError, match=f"alpha=0.5 needs the elastic variant, "
+                                             f"got '{variant}'"):
+            solve(prob, SolverParams(variant=variant, max_iter=5))
+        _, hist = solve(prob, SolverParams(variant="elastic", max_iter=5))
+        assert hist.records[-1].objective.elastic_term > 0
+
     def test_fixed_mu_pins_centers(self):
         prob = small_problem(seed=18)
         mus = []
