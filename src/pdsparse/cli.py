@@ -30,8 +30,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    help="elastic-net weight, elastic variant only (default: 0.0)")
     p.add_argument("--gamma", type=float, default=0.0,
                    help="over-relaxation in (-1,1), over-relaxed variant only (default: 0.0)")
-    # the solver picks the frobenius iteration from the loss, never by name
-    p.add_argument("--variant", choices=[v for v in solver.VARIANTS if v != "frobenius"],
+    p.add_argument("--variant", choices=solver.VARIANTS,
                    default="base", help="iteration variant (default: base)")
     p.add_argument("--iters", type=int, default=2000,
                    help="iteration budget (default: 2000)")
@@ -85,7 +84,10 @@ def cmd_train(args) -> int:
           f"elastic {final.objective.elastic_term:.6g})")
     print(f"constraint residual: {final.objective.constraint_violation:.3e}")
     print(f"dual residual: {_dual_residual(history, template):.3e}")
-    print(f"step-condition slack: {history.step_slack:.6g}")
+    est = history.x_norm
+    unconverged = "" if est.converged else \
+        f" (operator-norm estimate unconverged after {est.iterations} iterations)"
+    print(f"step-condition slack: {history.step_slack:.6g}{unconverged}")
     print(f"training accuracy: {report.global_accuracy:.4f} "
           f"({report.n_selected_features} features selected)")
     print(f"model written to {args.model_out}")

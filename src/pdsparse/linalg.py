@@ -144,13 +144,14 @@ def spectral_norm(A, tol: float = 1e-9, max_iter: int = 1000,
     return OperatorNormEstimate(float(np.sqrt(lam)), its, tol, converged)
 
 
-def label_operator_norm(labels: OneHotLabels) -> float:
-    """Operator norm of a one-hot label matrix.
+def label_operator_norm(Y) -> float:
+    """Operator norm of a one-hot label matrix *Y* (m x k).
 
-    The Gram matrix of a one-hot Y is diag(class_counts), so the norm is
+    The Gram matrix of a one-hot Y is diag(column sums), so the norm is
     sqrt of the largest class count, exactly.
     """
-    return float(np.sqrt(labels.class_counts.max()))
+    Y = check_matrix(Y, "Y")
+    return float(np.sqrt(Y.sum(axis=0).max()))
 
 
 def normalize_features(X, tol: float = 1e-9) -> tuple[np.ndarray, float]:

@@ -8,10 +8,10 @@ variable Z built from extrapolated primal iterates:
     mu <- (mu + rho tau_mu I - tau_mu Y^T Z) / (1 + tau_mu rho)
     Z  <- dual_prox(Z + sigma (Y (2 mu - mu_old) - X (2 W - W_old)))
 
-Variants: fixed centers (mu pinned to I), Frobenius loss (dual projected
-onto the Frobenius unit ball), accelerated (step-size schedule driven by
-the dual strong convexity of the huber loss), over-relaxed, and elastic
-net (shrink on W before projection).  Convergence requires a strict
+Variants: fixed centers (mu pinned to I), accelerated (step-size schedule
+driven by the dual strong convexity of the huber loss), over-relaxed, and
+elastic net (shrink on W before projection).  The Frobenius loss is not a
+variant; it swaps only the dual prox.  Convergence requires a strict
 inequality on (tau, tau_mu, sigma); the solver refuses to run otherwise.
 """
 
@@ -23,10 +23,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import spectral_norm
+from .linalg import OperatorNormEstimate, label_operator_norm, spectral_norm
 from .losses import ObjectiveBreakdown, dual_prox, primal_objective
 from .model import Problem, TrainedModel
-from .projections import BallSpec, project_ball
+from .projections import project_ball
 
 __all__ = [
     "HistoryRecord",
@@ -42,7 +42,7 @@ __all__ = [
     "solve",
 ]
 
-VARIANTS = ("base", "fixed-mu", "frobenius", "accelerated", "over-relaxed", "elastic")
+VARIANTS = ("base", "fixed-mu", "accelerated", "over-relaxed", "elastic")
 
 # default_steps picks sigma strictly inside the admissible region
 STEP_STRICTNESS = 0.999
@@ -101,16 +101,13 @@ class SolverParams:
 
 @dataclass
 class SolverState:
-    """Iterates, iteration counter and running ergodic averages."""
+    """Iterates, iteration counter and extrapolation weight."""
 
     W: np.ndarray
     mu: np.ndarray
     Z: np.ndarray
     iter: int = 0
     theta: float = 1.0
-    ergodic_W: np.ndarray | None = None
-    ergodic_mu: np.ndarray | None = None
-    ergodic_Z: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -128,8 +125,9 @@ class HistoryRecord:
 class TrainingHistory:
     """Per-run diagnostics: recorded objectives plus final ergodic averages.
 
-    ``params`` holds the resolved starting steps and ``step_slack`` the
-    slack of the convergence condition they were checked against.
+    ``params`` holds the resolved starting steps (the accelerated schedule
+    rescales them every iteration) and ``step_slack`` the slack of the
+    convergence condition they were checked against with ``x_norm``.
     """
 
     records: list[HistoryRecord] = field(default_factory=list)
@@ -138,6 +136,7 @@ class TrainingHistory:
     ergodic_Z: np.ndarray | None = None
     params: SolverParams | None = None
     step_slack: float | None = None
+    x_norm: OperatorNormEstimate | None = None
 
     def iterations(self) -> list[int]:
         return [r.iteration for r in self.records]
@@ -162,8 +161,8 @@ def default_steps(X_norm: float, Y_norm: float, m: int, k: int,
         raise ValueError(
             f"center-step denominator is {den:.3e} <= 0; choose a smaller beta")
     tau_mu = beta / den
-    sigma = STEP_STRICTNESS / (
-        tau_mu * Y_norm**2 / (1.0 + 0.25 * tau_mu * rho) + tau * X_norm**2)
+    sigma = STEP_STRICTNESS / _condition_lhs(tau, tau_mu, 1.0, rho, 0.0,
+                                             X_norm, Y_norm, "base")
     return tau, tau_mu, sigma
 
 
@@ -180,8 +179,8 @@ def _condition_lhs(tau: float, tau_mu: float, sigma: float, rho: float,
 
 
 def check_step_condition(params: SolverParams, X_norm: float, Y_norm: float,
-                         rho: float, variant: str | None = None) -> tuple[bool, float]:
-    """Whether the variant-appropriate convergence inequality holds strictly.
+                         rho: float) -> tuple[bool, float]:
+    """Whether the convergence inequality of ``params.variant`` holds strictly.
 
     ``rho`` is the problem's center weight.  Returns ``(ok, slack)`` with
     ``slack = 1 - lhs``; the condition passes only when the slack is
@@ -189,11 +188,8 @@ def check_step_condition(params: SolverParams, X_norm: float, Y_norm: float,
     """
     if not params.has_steps():
         raise ValueError("params must carry explicit tau, tau_mu and sigma")
-    variant = variant or params.variant
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
     lhs = _condition_lhs(params.tau, params.tau_mu, params.sigma, rho,
-                         params.gamma, X_norm, Y_norm, variant)
+                         params.gamma, X_norm, Y_norm, params.variant)
     return lhs < 1.0, 1.0 - lhs
 
 
@@ -202,40 +198,26 @@ def ergodic_gap_bound(state: SolverState, problem: Problem,
     """Computable O(1/N) bound on the ergodic primal suboptimality.
 
     Uses the surrogates 2*eta for the weight diameter and beta*sqrt(k) for
-    the center diameter; exact optima are unknowable at runtime.
+    the center diameter; exact optima are unknowable at runtime.  The
+    bound assumes fixed steps: it is NaN for the accelerated variant,
+    whose schedule rescales sigma, tau and tau_mu every iteration.
     """
     if state.iter < 1:
         raise ValueError("need at least one iteration for the bound")
     if not params.has_steps():
         raise ValueError("params must carry explicit step sizes")
-    return _gap_bound(state.iter, problem.n_samples, problem.n_classes,
-                      params.sigma, params.tau, params.tau_mu, problem.rho,
-                      params.beta, problem.ball.radius,
-                      problem.loss.kind == "frobenius")
+    if params.variant == "accelerated":
+        return math.nan
+    m, k = problem.n_samples, problem.n_classes
+    dual_diam_sq = 4.0 if problem.loss.kind == "frobenius" else 4.0 * m * k
+    d_mu_sq = (params.beta * math.sqrt(k)) ** 2
+    d_w_sq = (2.0 * problem.ball.radius) ** 2
+    return (dual_diam_sq / params.sigma
+            + (0.375 * problem.rho + 1.0 / params.tau_mu) * d_mu_sq
+            + d_w_sq / params.tau) / state.iter
 
 
-def _gap_bound(n_iter: int, m: int, k: int, sigma: float, tau: float,
-               tau_mu: float, rho: float, beta: float, eta: float,
-               frobenius: bool) -> float:
-    dual_diam_sq = 4.0 if frobenius else 4.0 * m * k
-    d_mu_sq = (beta * math.sqrt(k)) ** 2
-    d_w_sq = (2.0 * eta) ** 2
-    return (dual_diam_sq / sigma
-            + (0.375 * rho + 1.0 / tau_mu) * d_mu_sq
-            + d_w_sq / tau) / n_iter
-
-
-def _canonical_variant(variant: str, loss_kind: str) -> str:
-    if loss_kind == "frobenius":
-        if variant in ("base", "frobenius"):
-            return "frobenius"
-        raise ValueError(f"the frobenius loss only supports the base iteration, got {variant!r}")
-    if variant == "frobenius":
-        raise ValueError("the frobenius variant requires the frobenius loss")
-    return variant
-
-
-def solve(problem: Problem, params: SolverParams, ball: BallSpec | None = None,
+def solve(problem: Problem, params: SolverParams,
           initial: SolverState | None = None, callback=None
           ) -> tuple[TrainedModel, TrainingHistory]:
     """Run the primal-dual iteration for ``params.max_iter`` iterations.
@@ -243,13 +225,12 @@ def solve(problem: Problem, params: SolverParams, ball: BallSpec | None = None,
     Parameters
     ----------
     problem : Problem
-        Training instance; its loss/constraint drive the prox dispatch.
+        Training instance; its ball picks the projection, its loss the
+        dual prox.  The Frobenius loss runs only the base variant.
     params : SolverParams
         Steps, variant and budget.  Missing step sizes are derived from
-        the problem norms; the applicable convergence condition is checked
+        the problem norms; the variant's convergence condition is checked
         before iterating and the solver refuses to run when it fails.
-    ball : BallSpec, optional
-        Overrides the problem's constraint (used by radius sweeps).
     initial : SolverState, optional
         Starting iterates; defaults to W = 0, mu = I, Z = 0.  Ergodic
         averaging always restarts.
@@ -261,7 +242,7 @@ def solve(problem: Problem, params: SolverParams, ball: BallSpec | None = None,
     -------
     (TrainedModel, TrainingHistory)
         The final (non-ergodic) weights and centers, and diagnostics with
-        the final ergodic averages.
+        the final ergodic averages (see TrainingHistory).
 
     Notes
     -----
@@ -273,21 +254,20 @@ def solve(problem: Problem, params: SolverParams, ball: BallSpec | None = None,
     for the ergodic averages, the recorded diagnostics and the returned
     model; only the internal recursion sees the relaxed variables.
     """
-    if ball is not None and ball != problem.ball:
-        problem = replace(problem, ball=ball)
-    ball = problem.ball
-    variant = _canonical_variant(params.variant, problem.loss.kind)
+    variant = params.variant
+    if problem.loss.kind == "frobenius" and variant != "base":
+        raise ValueError(f"the frobenius loss only supports the base iteration, got {variant!r}")
     if problem.alpha > 0 and variant != "elastic":
         raise ValueError(f"alpha={problem.alpha:g} needs the elastic variant, "
-                         f"got {params.variant!r}")
-    X, Y = problem.X, problem.Y
+                         f"got {variant!r}")
+    X, Y, ball, loss = problem.X, problem.Y, problem.ball, problem.loss
     m, d = X.shape
     k = Y.shape[1]
-    loss = problem.loss
     rho, delta, alpha, gamma = problem.rho, loss.delta, problem.alpha, params.gamma
 
-    X_norm = spectral_norm(X).value
-    Y_norm = float(np.sqrt(Y.sum(axis=0).max()))
+    x_norm = spectral_norm(X)
+    X_norm = x_norm.value
+    Y_norm = label_operator_norm(Y)
     if params.has_steps():
         tau, tau_mu, sigma = params.tau, params.tau_mu, params.sigma
     else:
@@ -299,7 +279,7 @@ def solve(problem: Problem, params: SolverParams, ball: BallSpec | None = None,
         if lhs >= STEP_STRICTNESS:
             sigma *= STEP_STRICTNESS / lhs
     resolved = replace(params, tau=tau, tau_mu=tau_mu, sigma=sigma)
-    ok, slack = check_step_condition(resolved, X_norm, Y_norm, rho, variant)
+    ok, slack = check_step_condition(resolved, X_norm, Y_norm, rho)
     if not ok:
         raise StepConditionError(
             f"step sizes violate the {variant} convergence condition "
@@ -325,7 +305,7 @@ def solve(problem: Problem, params: SolverParams, ball: BallSpec | None = None,
     relax = variant == "over-relaxed" and gamma != 0.0
     elastic = variant == "elastic"
 
-    history = TrainingHistory(params=resolved, step_slack=slack)
+    history = TrainingHistory(params=resolved, step_slack=slack, x_norm=x_norm)
     state = SolverState(W=W, mu=mu, Z=Z)
     theta = 1.0
     t0 = time.perf_counter()
@@ -383,25 +363,18 @@ def solve(problem: Problem, params: SolverParams, ball: BallSpec | None = None,
         stop_now = False
         if params.early_stop_tol is not None and n % 100 == 0:
             obj_now = primal_objective(W_f, mu_f, problem).total
-            if prev_obj_total is not None:
-                if abs(prev_obj_total - obj_now) <= params.early_stop_tol * max(1.0, abs(obj_now)):
-                    stop_now = True
-                    record_now = True
+            if prev_obj_total is not None and abs(prev_obj_total - obj_now) <= \
+                    params.early_stop_tol * max(1.0, abs(obj_now)):
+                stop_now = record_now = True
             prev_obj_total = obj_now
-        if callback is not None or record_now:
-            state.ergodic_W = sum_W / n
-            state.ergodic_mu = sum_mu / n
-            state.ergodic_Z = sum_Z / n
         if callback is not None:
             callback(state)
         if record_now:
             history.records.append(HistoryRecord(
                 iteration=n,
                 objective=primal_objective(W_f, mu_f, problem),
-                ergodic_objective=primal_objective(state.ergodic_W, state.ergodic_mu, problem),
-                gap_bound=_gap_bound(n, m, k, resolved.sigma, resolved.tau,
-                                     resolved.tau_mu, rho, params.beta,
-                                     ball.radius, loss.kind == "frobenius"),
+                ergodic_objective=primal_objective(sum_W / n, sum_mu / n, problem),
+                gap_bound=ergodic_gap_bound(state, problem, resolved),
                 wall_time=time.perf_counter() - t0,
             ))
         if stop_now:

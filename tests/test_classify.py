@@ -224,7 +224,7 @@ class TestCrossValidate:
     def test_frobenius_loss_learns_separable_data(self):
         ds = generate_synthetic(SEPARABLE)
         tpl = ProblemTemplate(loss=LossSpec("frobenius"), ball=BallSpec("l1", 10.0))
-        params = SolverParams(variant="frobenius", max_iter=600)
+        params = SolverParams(max_iter=600)
         res = cross_validate(ds.X, ds.labels, 3, tpl, params=params, seed=0)
         assert res.mean_accuracy >= 0.9
 

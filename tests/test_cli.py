@@ -109,6 +109,38 @@ class TestTrainPredict:
                        "iteration, got 'accelerated'\n")
         assert not (tmp_path / "m.bin").exists()
 
+    def test_unconverged_norm_estimate_is_flagged(self, dataset_csv, tmp_path, capsys):
+        assert main(["train", "--data", str(dataset_csv), "--model-out",
+                     str(tmp_path / "m.bin"), "--iters", "5"]) == 0
+        slack = next(l for l in capsys.readouterr().out.splitlines()
+                     if l.startswith("step-condition slack"))
+        assert "unconverged" not in slack
+        # singular values spread evenly over [0.99, 1] stall the power iteration
+        X = np.zeros((30, 20))
+        X[:20] = np.diag(np.linspace(1.0, 0.99, 20))
+        path = tmp_path / "flat.csv"
+        data_io.write_dataset_csv(path, data_io.Dataset(X=X, labels=np.arange(30) % 3))
+        assert main(["train", "--data", str(path), "--model-out", str(tmp_path / "f.bin"),
+                     "--iters", "5", "--no-normalize"]) == 0
+        slack = next(l for l in capsys.readouterr().out.splitlines()
+                     if l.startswith("step-condition slack"))
+        assert slack.endswith(" (operator-norm estimate unconverged after 1000 iterations)")
+
+    def test_accelerated_history_has_no_gap_bound(self, dataset_csv, tmp_path, capsys):
+        for variant in ("base", "accelerated"):
+            hist = tmp_path / f"{variant}.csv"
+            assert main(["train", "--data", str(dataset_csv), "--model-out",
+                         str(tmp_path / "m.bin"), "--iters", "100", "--variant", variant,
+                         "--history-out", str(hist)]) == 0
+            header, *rows = hist.read_text().splitlines()
+            col = header.split(",").index("gap_bound")
+            bounds = [float(r.split(",")[col]) for r in rows]
+            if variant == "base":
+                assert all(np.isfinite(b) and b > 0 for b in bounds)
+            else:
+                assert all(np.isnan(b) for b in bounds)
+        capsys.readouterr()
+
     def test_alpha_outside_elastic_rejected_like_the_library(self, dataset_csv,
                                                            tmp_path, capsys):
         rc = main(["train", "--data", str(dataset_csv), "--model-out",

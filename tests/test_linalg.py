@@ -134,7 +134,7 @@ class TestLabelOperatorNorm:
         rng = make_rng(7)
         labels = rng.integers(0, 4, 100)
         enc = one_hot(labels, 4)
-        closed = label_operator_norm(enc)
+        closed = label_operator_norm(enc.matrix)
         iterated = spectral_norm(enc.matrix).value
         assert closed == pytest.approx(iterated, rel=1e-9)
         assert closed == np.sqrt(enc.class_counts.max())
