@@ -51,6 +51,7 @@ from .projections import (
     NewtonConvergenceError,
     ball_norm,
     clip_box,
+    dual_norm,
     proj_frobenius_unit,
     proj_l1_matrix,
     proj_l1_vector,
@@ -69,7 +70,6 @@ from .solver import (
     TrainingHistory,
     check_step_condition,
     default_steps,
-    ergodic_gap_bound,
     solve,
 )
 

@@ -112,6 +112,8 @@ def spectral_norm(A, tol: float = 1e-9, max_iter: int = 1000,
     A = check_matrix(A, "A")
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if not A.any():
         return OperatorNormEstimate(0.0, 0, tol, True)
     # Iterate v <- B^T B v on the thin side.

@@ -26,6 +26,7 @@ __all__ = [
     "NewtonConvergenceError",
     "ball_norm",
     "clip_box",
+    "dual_norm",
     "proj_frobenius_unit",
     "proj_l1_matrix",
     "proj_l1_vector",
@@ -268,6 +269,20 @@ def ball_norm(V, kind: str) -> float:
         return float(np.linalg.norm(np.abs(V).sum(axis=1)))
     if kind == "nuclear":
         return float(np.linalg.svd(V, compute_uv=False).sum())
+    raise ValueError(f"unknown ball kind {kind!r}")
+
+
+def dual_norm(V, kind: str) -> float:
+    """Evaluate the dual of a ball's norm: the max of <V, W> over its unit ball."""
+    V = check_matrix(V, "V")
+    if kind == "l1":
+        return float(np.abs(V).max())
+    if kind == "l21":
+        return float(np.linalg.norm(V, axis=1).max())
+    if kind == "l12":
+        return float(np.linalg.norm(np.abs(V).max(axis=1)))
+    if kind == "nuclear":
+        return float(np.sqrt(max(np.linalg.eigvalsh(V.T @ V)[-1], 0.0)))
     raise ValueError(f"unknown ball kind {kind!r}")
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from .linalg import OperatorNormEstimate, label_operator_norm, spectral_norm
 from .losses import ObjectiveBreakdown, dual_prox, primal_objective
 from .model import Problem, TrainedModel
-from .projections import project_ball
+from .projections import dual_norm, project_ball
 
 __all__ = [
     "HistoryRecord",
@@ -38,7 +38,6 @@ __all__ = [
     "VARIANTS",
     "check_step_condition",
     "default_steps",
-    "ergodic_gap_bound",
     "solve",
 ]
 
@@ -90,10 +89,10 @@ class SolverParams:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if self.record_every < 1:
             raise ValueError(f"record_every must be at least 1, got {self.record_every}")
-        for name in ("tau", "tau_mu", "sigma"):
+        for name in ("tau", "tau_mu", "sigma", "early_stop_tol"):
             v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ValueError(f"{name} must be positive, got {v}")
+            if v is not None and not 0 < v < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {v}")
 
     def has_steps(self) -> bool:
         return None not in (self.tau, self.tau_mu, self.sigma)
@@ -112,28 +111,30 @@ class SolverState:
 
 @dataclass(frozen=True)
 class HistoryRecord:
-    """Diagnostics captured at one recorded iteration."""
+    """Diagnostics captured at one recorded iteration, with the iterate's duality gap."""
 
     iteration: int
     objective: ObjectiveBreakdown
     ergodic_objective: ObjectiveBreakdown
-    gap_bound: float
+    gap: float
     wall_time: float
 
 
 @dataclass
 class TrainingHistory:
-    """Per-run diagnostics: recorded objectives plus final ergodic averages.
+    """Per-run diagnostics: recorded objectives and gaps plus final ergodic averages.
 
     ``params`` holds the resolved starting steps (the accelerated schedule
     rescales them every iteration) and ``step_slack`` the slack of the
     convergence condition they were checked against with ``x_norm``.
+    ``early_stop_tol`` ends a run at the first record whose gap is at most
+    ``early_stop_tol * max(1, |objective|)``; that record is always written, so
+    ``iterations()[-1] < params.max_iter`` identifies a stop on the gap.
     """
 
     records: list[HistoryRecord] = field(default_factory=list)
     ergodic_W: np.ndarray | None = None
     ergodic_mu: np.ndarray | None = None
-    ergodic_Z: np.ndarray | None = None
     params: SolverParams | None = None
     step_slack: float | None = None
     x_norm: OperatorNormEstimate | None = None
@@ -193,28 +194,24 @@ def check_step_condition(params: SolverParams, X_norm: float, Y_norm: float,
     return lhs < 1.0, 1.0 - lhs
 
 
-def ergodic_gap_bound(state: SolverState, problem: Problem,
-                      params: SolverParams) -> float:
-    """Computable O(1/N) bound on the ergodic primal suboptimality.
+def _duality_gap(primal: float, Z: np.ndarray, problem: Problem, fixed_mu: bool) -> float:
+    """Primal value minus the dual value D(Z); no step size enters, so any variant.
 
-    Uses the surrogates 2*eta for the weight diameter and beta*sqrt(k) for
-    the center diameter; exact optima are unknowable at runtime.  The
-    bound assumes fixed steps: it is NaN for the accelerated variant,
-    whose schedule rescales sigma, tau and tau_mu every iteration.
+    D(Z) = -(delta/2)||Z||^2 + tr(Y^T Z) - ||Y^T Z||^2/(2 rho) - eta ||X^T Z||_*; fixed centers
+    drop the ||Y^T Z||^2 term, free ones give +inf at rho = 0.  A positive alpha swaps the last
+    term for min over the ball of (alpha/2)||W||^2 - <X^T Z, W>, reached at P_ball(X^T Z/alpha).
     """
-    if state.iter < 1:
-        raise ValueError("need at least one iteration for the bound")
-    if not params.has_steps():
-        raise ValueError("params must carry explicit step sizes")
-    if params.variant == "accelerated":
-        return math.nan
-    m, k = problem.n_samples, problem.n_classes
-    dual_diam_sq = 4.0 if problem.loss.kind == "frobenius" else 4.0 * m * k
-    d_mu_sq = (params.beta * math.sqrt(k)) ** 2
-    d_w_sq = (2.0 * problem.ball.radius) ** 2
-    return (dual_diam_sq / params.sigma
-            + (0.375 * problem.rho + 1.0 / params.tau_mu) * d_mu_sq
-            + d_w_sq / params.tau) / state.iter
+    YtZ = problem.Y.T @ Z
+    dual = float(np.trace(YtZ)) - 0.5 * problem.loss.delta * float(np.sum(Z * Z))
+    if not fixed_mu:
+        if problem.rho == 0:
+            return math.inf
+        dual -= float(np.sum(YtZ * YtZ)) / (2.0 * problem.rho)
+    V = (Z.T @ problem.X).T  # cheaper than X.T @ Z when d is large
+    if problem.alpha > 0:
+        W = project_ball(V / problem.alpha, problem.ball)
+        return primal - dual + float(np.sum(V * W)) - 0.5 * problem.alpha * float(np.sum(W * W))
+    return primal - dual + problem.ball.radius * dual_norm(V, problem.ball.kind)
 
 
 def solve(problem: Problem, params: SolverParams,
@@ -242,7 +239,7 @@ def solve(problem: Problem, params: SolverParams,
     -------
     (TrainedModel, TrainingHistory)
         The final (non-ergodic) weights and centers, and diagnostics with
-        the final ergodic averages (see TrainingHistory).
+        recorded objectives and duality gaps and final ergodic averages.
 
     Notes
     -----
@@ -299,7 +296,6 @@ def solve(problem: Problem, params: SolverParams,
     I_k = np.eye(k)
     sum_W = np.zeros_like(W)
     sum_mu = np.zeros_like(mu)
-    sum_Z = np.zeros_like(Z)
     fixed_mu = variant == "fixed-mu"
     accelerated = variant == "accelerated"
     relax = variant == "over-relaxed" and gamma != 0.0
@@ -309,7 +305,6 @@ def solve(problem: Problem, params: SolverParams,
     state = SolverState(W=W, mu=mu, Z=Z)
     theta = 1.0
     t0 = time.perf_counter()
-    prev_obj_total = None
 
     n = 0
     for n in range(1, params.max_iter + 1):
@@ -348,7 +343,6 @@ def solve(problem: Problem, params: SolverParams,
             raise SolverDivergenceError(n)
         sum_W += W_f
         sum_mu += mu_f
-        sum_Z += Z_f
 
         if relax:
             W = W_f + gamma * (W_f - W_old)
@@ -359,29 +353,23 @@ def solve(problem: Problem, params: SolverParams,
         state.iter = n
         state.theta = theta
 
-        record_now = (n % params.record_every == 0) or n == params.max_iter
-        stop_now = False
-        if params.early_stop_tol is not None and n % 100 == 0:
-            obj_now = primal_objective(W_f, mu_f, problem).total
-            if prev_obj_total is not None and abs(prev_obj_total - obj_now) <= \
-                    params.early_stop_tol * max(1.0, abs(obj_now)):
-                stop_now = record_now = True
-            prev_obj_total = obj_now
         if callback is not None:
             callback(state)
-        if record_now:
+        if n % params.record_every == 0 or n == params.max_iter:
+            objective = primal_objective(W_f, mu_f, problem)
+            gap = _duality_gap(objective.total, Z_f, problem, fixed_mu)
             history.records.append(HistoryRecord(
                 iteration=n,
-                objective=primal_objective(W_f, mu_f, problem),
+                objective=objective,
                 ergodic_objective=primal_objective(sum_W / n, sum_mu / n, problem),
-                gap_bound=ergodic_gap_bound(state, problem, resolved),
+                gap=gap,
                 wall_time=time.perf_counter() - t0,
             ))
-        if stop_now:
-            break
+            tol = params.early_stop_tol
+            if tol is not None and gap <= tol * max(1.0, abs(objective.total)):
+                break
 
     history.ergodic_W = sum_W / n
     history.ergodic_mu = sum_mu / n
-    history.ergodic_Z = sum_Z / n
     model = TrainedModel(W=state.W, mu=state.mu, ball=ball, loss=loss)
     return model, history

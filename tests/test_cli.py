@@ -133,13 +133,18 @@ class TestTrainPredict:
                          str(tmp_path / "m.bin"), "--iters", "100", "--variant", variant,
                          "--history-out", str(hist)]) == 0
             header, *rows = hist.read_text().splitlines()
-            col = header.split(",").index("gap_bound")
-            bounds = [float(r.split(",")[col]) for r in rows]
-            if variant == "base":
-                assert all(np.isfinite(b) and b > 0 for b in bounds)
-            else:
-                assert all(np.isnan(b) for b in bounds)
-        capsys.readouterr()
+            assert "gap_bound" not in header.split(",")
+            col = header.split(",").index("gap")
+            totals = [abs(float(r.split(",")[1])) for r in rows]
+            gaps = [float(r.split(",")[col]) for r in rows]
+            assert all(np.isfinite(g) and g >= -1e-12 * max(1.0, t)
+                       for g, t in zip(gaps, totals))
+            out = capsys.readouterr().out
+            assert "dual residual" not in out
+            line = next(l for l in out.splitlines() if l.startswith("duality gap: "))
+            assert float(line.split()[2]) == pytest.approx(gaps[-1], rel=1e-3)
+            rel = float(line.split("relative ")[1].rstrip(")"))
+            assert rel == pytest.approx(gaps[-1] / max(1.0, totals[-1]), rel=1e-3)
 
     def test_alpha_outside_elastic_rejected_like_the_library(self, dataset_csv,
                                                            tmp_path, capsys):

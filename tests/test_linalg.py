@@ -93,6 +93,11 @@ class TestSpectralNorm:
         with pytest.raises(ValueError):
             spectral_norm(np.eye(2), tol=0.0)
 
+    def test_empty_iteration_budget_rejected(self):
+        A = make_rng(310).standard_normal((5, 4))
+        with pytest.raises(ValueError, match="max_iter must be at least 1, got 0"):
+            spectral_norm(A, max_iter=0)
+
 
 class TestSpectralNormMatchesMatrixFree:
     """Switching to the Gram matrix reproduces the matrix-free run step for step."""

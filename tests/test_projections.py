@@ -8,6 +8,7 @@ from pdsparse.projections import (
     NewtonConvergenceError,
     ball_norm,
     clip_box,
+    dual_norm,
     proj_frobenius_unit,
     proj_l1_matrix,
     proj_l1_vector,
@@ -315,6 +316,53 @@ class TestSharedProjectionProperties:
             for _ in range(100):
                 Wf = random_feasible(rng, V.shape, kind, radius)
                 assert np.sum((V - P) * (Wf - P)) <= slack
+
+
+def dual_maximiser(V, kind, radius):
+    """A point of the ball that maximises <V, W>, built by hand per ball."""
+    W = np.zeros_like(V)
+    if kind == "l1":
+        i, j = np.unravel_index(np.argmax(np.abs(V)), V.shape)
+        W[i, j] = radius * np.sign(V[i, j])
+    elif kind == "l21":
+        i = np.argmax(np.linalg.norm(V, axis=1))
+        W[i] = radius * V[i] / np.linalg.norm(V[i])
+    elif kind == "l12":
+        # each row spends its l1 mass on its largest entry, mass proportional to it
+        j = np.argmax(np.abs(V), axis=1)
+        a = np.abs(V).max(axis=1)
+        rows = np.arange(V.shape[0])
+        W[rows, j] = radius * a / np.linalg.norm(a) * np.sign(V[rows, j])
+    else:
+        U, _, Vt = np.linalg.svd(V)
+        W = radius * np.outer(U[:, 0], Vt[0])
+    return W
+
+
+class TestDualNorm:
+    @pytest.mark.parametrize("kind", BALLS)
+    def test_attained_at_explicit_maximiser(self, kind):
+        rng = make_rng(66)
+        for shape in [(9, 4), (3, 5), (1, 3)]:
+            V = rng.standard_normal(shape) * 3
+            W = dual_maximiser(V, kind, 2.0)
+            assert ball_norm(W, kind) == pytest.approx(2.0, rel=1e-12)
+            assert dual_norm(V, kind) == pytest.approx(np.sum(V * W) / 2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", BALLS)
+    def test_bounds_inner_product_over_the_ball(self, kind):
+        rng = make_rng(67)
+        for _ in range(20):
+            V = rng.standard_normal((6, 4)) * 3
+            bound = 1.5 * dual_norm(V, kind)
+            for _ in range(50):
+                W = random_feasible(rng, V.shape, kind, 1.5)
+                assert np.sum(V * W) <= bound * (1 + 1e-12)
+
+    def test_zero_matrix_and_unknown_kind(self):
+        assert all(dual_norm(np.zeros((4, 2)), kind) == 0.0 for kind in BALLS)
+        with pytest.raises(ValueError, match="unknown ball kind 'l3'"):
+            dual_norm(np.eye(2), "l3")
 
 
 class TestBallSpec:

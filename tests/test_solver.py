@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -10,9 +13,9 @@ from pdsparse.solver import (
     SolverParams,
     SolverState,
     StepConditionError,
+    VARIANTS,
     check_step_condition,
     default_steps,
-    ergodic_gap_bound,
     solve,
 )
 
@@ -151,9 +154,9 @@ class TestSolveBasics:
         params = SolverParams(max_iter=300, record_every=50)
         _, h1 = solve(prob, params)
         _, h2 = solve(prob, params)
-        t1 = [(r.iteration, r.objective.total, r.ergodic_objective.total, r.gap_bound)
+        t1 = [(r.iteration, r.objective.total, r.ergodic_objective.total, r.gap)
               for r in h1.records]
-        t2 = [(r.iteration, r.objective.total, r.ergodic_objective.total, r.gap_bound)
+        t2 = [(r.iteration, r.objective.total, r.ergodic_objective.total, r.gap)
               for r in h2.records]
         assert t1 == t2
         its = h1.iterations()
@@ -193,9 +196,28 @@ class TestSolveBasics:
 
     def test_early_stop_breaks_before_budget(self):
         prob = small_problem(seed=10)
-        params = SolverParams(max_iter=5000, record_every=5000, early_stop_tol=1e-8)
+        params = SolverParams(max_iter=5000, record_every=100, early_stop_tol=1e-8)
         _, hist = solve(prob, params)
         assert hist.records[-1].iteration < 5000
+
+    def test_early_stop_at_first_record_within_tolerance(self):
+        prob = small_problem(seed=10)
+        _, full = solve(prob, SolverParams(max_iter=3000, record_every=100))
+        first = next(i for i, r in enumerate(full.records)
+                     if r.gap <= 1e-6 * max(1.0, abs(r.objective.total)))
+        _, hist = solve(prob, SolverParams(max_iter=3000, record_every=100,
+                                           early_stop_tol=1e-6))
+        assert hist.iterations() == full.iterations()[:first + 1]
+        assert hist.iterations()[-1] < hist.params.max_iter
+        assert [r.gap for r in hist.records] == [r.gap for r in full.records[:first + 1]]
+
+    @pytest.mark.parametrize("name, value", [("early_stop_tol", 0.0),
+                                             ("early_stop_tol", -1.0),
+                                             ("early_stop_tol", math.nan),
+                                             ("tau", math.inf)])
+    def test_optional_values_must_be_positive_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            SolverParams(**{name: value})
 
 
 class TestFeasibilityMaintenance:
@@ -307,64 +329,6 @@ class TestAccelerated:
 
 
 class TestErgodicDiagnostics:
-    def test_gap_bound_frozen_arithmetic(self):
-        prob = small_problem(seed=22, m=100, k=4, eta=1.0)
-        # direct substitution: 4mk/sigma + (3rho/8 + 1/tau_mu) k beta^2 + 4 eta^2 / tau
-        params = SolverParams(tau=0.05, tau_mu=0.01, sigma=0.1, beta=1.0)
-        state = SolverState(W=np.zeros((prob.n_features, 4)), mu=np.eye(4),
-                            Z=np.zeros((100, 4)), iter=1000)
-        got = ergodic_gap_bound(state, prob, params)
-        assert got == pytest.approx(16.4815, rel=1e-12)
-
-    def test_gap_bound_halves_when_iterations_double(self):
-        prob = small_problem(seed=23)
-        params = SolverParams(tau=0.05, tau_mu=0.01, sigma=0.1)
-        s1 = SolverState(W=np.zeros((prob.n_features, 3)), mu=np.eye(3),
-                         Z=np.zeros((30, 3)), iter=400)
-        s2 = SolverState(W=np.zeros((prob.n_features, 3)), mu=np.eye(3),
-                         Z=np.zeros((30, 3)), iter=800)
-        assert ergodic_gap_bound(s1, prob, params) == pytest.approx(
-            2.0 * ergodic_gap_bound(s2, prob, params), rel=1e-15)
-
-    def test_huge_sigma_drops_dual_term(self):
-        prob = small_problem(seed=26, m=100, k=4, eta=1.0)
-        big = SolverParams(tau=0.05, tau_mu=0.01, sigma=1e15, beta=1.0)
-        state = SolverState(W=np.zeros((prob.n_features, 4)), mu=np.eye(4),
-                            Z=np.zeros((100, 4)), iter=1000)
-        limit = ((0.375 + 1.0 / 0.01) * 4.0 + 4.0 / 0.05) / 1000
-        assert ergodic_gap_bound(state, prob, big) == pytest.approx(limit, rel=1e-6)
-
-    def test_frobenius_uses_small_dual_diameter(self):
-        prob = small_problem(seed=24, m=50, k=2)
-        frob = Problem(X=prob.X, Y=prob.Y, loss=LossSpec("frobenius"),
-                       ball=prob.ball, rho=1.0)
-        params = SolverParams(tau=0.05, tau_mu=0.01, sigma=0.1)
-        state = SolverState(W=np.zeros((prob.n_features, 2)), mu=np.eye(2),
-                            Z=np.zeros((50, 2)), iter=100)
-        huber_params = SolverParams(tau=0.05, tau_mu=0.01, sigma=0.1)
-        diff = ergodic_gap_bound(state, prob, huber_params) - \
-            ergodic_gap_bound(state, frob, params)
-        assert diff == pytest.approx((4 * 50 * 2 - 4) / 0.1 / 100, rel=1e-12)
-
-    def test_accelerated_records_nan_bounds(self):
-        # the O(1/N) bound assumes fixed steps; the schedule changes them
-        prob = small_problem(seed=27)
-        params = SolverParams(variant="accelerated", max_iter=200)
-        _, hist = solve(prob, params)
-        assert hist.records and all(np.isnan(r.gap_bound) for r in hist.records)
-        state = SolverState(W=np.zeros((prob.n_features, 3)), mu=np.eye(3),
-                            Z=np.zeros((30, 3)), iter=10)
-        assert np.isnan(ergodic_gap_bound(state, prob, hist.params))
-
-    def test_base_run_records_fixed_step_bound(self):
-        prob = small_problem(seed=27, m=30, k=3, eta=2.0, rho=1.0)
-        _, hist = solve(prob, SolverParams(max_iter=200, record_every=50))
-        p = hist.params
-        for r in hist.records:
-            expect = (4.0 * 30 * 3 / p.sigma + (0.375 + 1.0 / p.tau_mu) * 3.0
-                      + 16.0 / p.tau) / r.iteration
-            assert r.gap_bound == pytest.approx(expect, rel=1e-14)
-
     def test_ergodic_average_matches_callback_mean(self):
         prob = small_problem(seed=25)
         params = SolverParams(max_iter=80)
@@ -379,6 +343,54 @@ class TestErgodicDiagnostics:
             _, hist = solve(prob, params)
             erg = [r.ergodic_objective.total for r in hist.records]
             assert all(erg[i + 1] <= erg[i] + 1e-6 for i in range(len(erg) - 1))
+
+
+class TestDualityGap:
+    def test_gap_nonnegative_for_every_loss_ball_variant(self):
+        prob = small_problem(seed=29)
+        fits = 0
+        for loss, kind, variant in itertools.product(
+                [LossSpec("huber", 1.0), LossSpec("l1"), LossSpec("frobenius")],
+                ["l1", "l21", "l12", "nuclear"], VARIANTS):
+            if loss.kind == "frobenius" and variant != "base":
+                continue
+            p = Problem(X=prob.X, Y=prob.Y, loss=loss, ball=BallSpec(kind, 2.0),
+                        alpha=0.3 if variant == "elastic" else 0.0)
+            params = SolverParams(variant=variant, max_iter=200, record_every=20,
+                                  gamma=0.5 if variant == "over-relaxed" else 0.0)
+            _, hist = solve(p, params)
+            for r in hist.records:
+                assert np.isfinite(r.gap)
+                assert r.gap >= -1e-12 * max(1.0, abs(r.objective.total)), \
+                    (loss.kind, kind, variant, r.iteration)
+            fits += 1
+        assert fits == 44
+
+    def test_gap_bounds_suboptimality_and_closes(self):
+        prob = small_problem(seed=30)
+        _, hist = solve(prob, SolverParams(max_iter=1500, record_every=100))
+        best = min(r.objective.total for r in hist.records)
+        for r in hist.records:
+            # the gap bounds the distance to the optimum, so to any later objective
+            assert r.objective.total - best <= r.gap + 1e-12
+        final = hist.records[-1]
+        assert final.gap <= 1e-9 * max(1.0, abs(final.objective.total))
+        assert hist.records[0].gap > 1e-3
+
+    def test_rho_zero_gives_infinite_gap_with_free_centers(self):
+        prob = small_problem(seed=31, rho=0.0)
+        _, base = solve(prob, SolverParams(max_iter=100, record_every=50))
+        assert all(r.gap == math.inf for r in base.records)
+        _, fixed = solve(prob, SolverParams(variant="fixed-mu", max_iter=100,
+                                            record_every=50))
+        assert all(np.isfinite(r.gap) and r.gap >= 0 for r in fixed.records)
+
+    def test_accelerated_records_finite_nonnegative_gaps(self):
+        prob = small_problem(seed=27)
+        _, hist = solve(prob, SolverParams(variant="accelerated", max_iter=400))
+        gaps = [r.gap for r in hist.records]
+        assert all(np.isfinite(g) and g >= 0 for g in gaps)
+        assert gaps[-1] < gaps[0]
 
 
 class TestNormEstimate:
