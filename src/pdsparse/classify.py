@@ -131,7 +131,7 @@ def signature(model: TrainedModel, epsilon: float | None = None) -> Signature:
     if epsilon is None:
         epsilon = DEFAULT_EPSILON_SCALE * float(np.abs(W).max())
     if epsilon < 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
     sel = tuple(np.nonzero(np.abs(W[:, j]) > epsilon)[0] for j in range(W.shape[1]))
     return Signature(selected=sel, epsilon=float(epsilon))
 
@@ -232,7 +232,9 @@ def _fit_and_score(X, labels, train_idx, test_idx, template, params, k):
 def cross_validate(X, labels, folds: int, template: ProblemTemplate,
                    params: SolverParams | None = None, seed: int = 0,
                    jobs: int = 1) -> CVResult:
-    """Stratified k-fold cross validation with one solver run per fold."""
+    """Stratified k-fold cross validation, one solver run per fold on ``jobs`` threads."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     X = check_matrix(X, "X")
     labels = np.asarray(labels)
     k = int(labels.max()) + 1
@@ -242,14 +244,10 @@ def cross_validate(X, labels, folds: int, template: ProblemTemplate,
     for test_idx in fold_idx:
         train_idx = np.setdiff1d(all_idx, test_idx)
         tasks.append((train_idx, test_idx))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(
-                lambda t: _fit_and_score(X, labels, t[0], t[1], template, params, k),
-                tasks))
-    else:
-        reports = [_fit_and_score(X, labels, tr, te, template, params, k)
-                   for tr, te in tasks]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        reports = list(pool.map(
+            lambda t: _fit_and_score(X, labels, t[0], t[1], template, params, k),
+            tasks))
     accs = np.array([r.global_accuracy for r in reports])
     return CVResult(reports=tuple(reports),
                     mean_accuracy=float(accs.mean()),

@@ -27,9 +27,9 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rho", type=float, default=1.0,
                    help="center-anchoring weight (default: 1.0)")
     p.add_argument("--alpha", type=float, default=0.0,
-                   help="elastic-net weight, elastic variant only (default: 0.0)")
+                   help="elastic-net weight (default: 0.0)")
     p.add_argument("--gamma", type=float, default=0.0,
-                   help="over-relaxation in (-1,1), over-relaxed variant only (default: 0.0)")
+                   help="over-relaxation in (-1,1) (default: 0.0)")
     p.add_argument("--variant", choices=solver.VARIANTS,
                    default="base", help="iteration variant (default: base)")
     p.add_argument("--iters", type=int, default=2000,

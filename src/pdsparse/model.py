@@ -20,8 +20,8 @@ class Problem:
     """Immutable training instance: data, one-hot labels, loss/ball, weights.
 
     ``rho`` weighs the center-anchoring penalty (rho/2)||I - mu||_F^2 and
-    ``alpha`` the optional elastic term (alpha/2)||W||_F^2, which only the
-    elastic solver variant minimises.
+    ``alpha`` the optional elastic term (alpha/2)||W||_F^2, which the
+    solver minimises with a shrink on W before each projection.
     """
 
     X: np.ndarray

@@ -8,11 +8,11 @@ variable Z built from extrapolated primal iterates:
     mu <- (mu + rho tau_mu I - tau_mu Y^T Z) / (1 + tau_mu rho)
     Z  <- dual_prox(Z + sigma (Y (2 mu - mu_old) - X (2 W - W_old)))
 
-Variants: fixed centers (mu pinned to I), accelerated (step-size schedule
-driven by the dual strong convexity of the huber loss), over-relaxed, and
-elastic net (shrink on W before projection).  The Frobenius loss is not a
-variant; it swaps only the dual prox.  Convergence requires a strict
-inequality on (tau, tau_mu, sigma); the solver refuses to run otherwise.
+A run departs from it in at most one way: fixed centers (mu pinned to I),
+an accelerated step schedule, over-relaxation by a nonzero gamma, an elastic
+shrink on W when alpha > 0, or the Frobenius loss's dual prox.  Convergence
+requires a strict inequality on (tau, tau_mu, sigma); the solver refuses to
+run otherwise.
 """
 
 from __future__ import annotations
@@ -41,14 +41,14 @@ __all__ = [
     "solve",
 ]
 
-VARIANTS = ("base", "fixed-mu", "accelerated", "over-relaxed", "elastic")
+VARIANTS = ("base", "fixed-mu", "accelerated")
 
 # default_steps picks sigma strictly inside the admissible region
 STEP_STRICTNESS = 0.999
 
 
 class StepConditionError(ValueError):
-    """Raised when the step sizes violate the variant's convergence condition."""
+    """Raised when the step sizes violate the run's convergence condition."""
 
 
 class SolverDivergenceError(RuntimeError):
@@ -61,11 +61,13 @@ class SolverDivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Step sizes, variant switches and iteration budget.
+    """Step sizes, variant, over-relaxation and iteration budget.
 
-    Step sizes left as None are derived at solve time from the problem's
-    norms (``beta`` scales the center-step heuristic).  The criterion's
-    weights (``rho``, the huber ``delta``, ``alpha``) live on the Problem.
+    The three steps are set together, or left as None to be derived at
+    solve time from the problem's norms (``beta`` scales the center-step
+    heuristic).  A nonzero ``gamma`` over-relaxes every iterate.  The
+    criterion's weights (``rho``, the huber ``delta``, ``alpha``) live on
+    the Problem.
     """
 
     tau: float | None = None
@@ -93,9 +95,8 @@ class SolverParams:
             v = getattr(self, name)
             if v is not None and not 0 < v < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {v}")
-
-    def has_steps(self) -> bool:
-        return None not in (self.tau, self.tau_mu, self.sigma)
+        if len({self.tau is None, self.tau_mu is None, self.sigma is None}) > 1:
+            raise ValueError("tau, tau_mu and sigma must be set together")
 
 
 @dataclass
@@ -171,23 +172,22 @@ def _condition_lhs(tau: float, tau_mu: float, sigma: float, rho: float,
                    gamma: float, X_norm: float, Y_norm: float, variant: str) -> float:
     if variant == "fixed-mu":
         return sigma * tau * X_norm**2
-    if variant == "over-relaxed":
-        if gamma >= 0.5:
-            return sigma * (tau_mu * Y_norm**2 + tau * X_norm**2)
-        shrink = 1.0 + 0.25 * tau_mu * rho * (1.0 - 2.0 * gamma) / (1.0 - gamma)
-        return sigma * (tau_mu * Y_norm**2 / shrink + tau * X_norm**2)
-    return sigma * (tau_mu * Y_norm**2 / (1.0 + 0.25 * tau_mu * rho) + tau * X_norm**2)
+    if gamma >= 0.5:
+        return sigma * (tau_mu * Y_norm**2 + tau * X_norm**2)
+    # at gamma = 0 the factor is exactly 1, giving the base condition bit for bit
+    shrink = 1.0 + 0.25 * tau_mu * rho * (1.0 - 2.0 * gamma) / (1.0 - gamma)
+    return sigma * (tau_mu * Y_norm**2 / shrink + tau * X_norm**2)
 
 
 def check_step_condition(params: SolverParams, X_norm: float, Y_norm: float,
                          rho: float) -> tuple[bool, float]:
-    """Whether the convergence inequality of ``params.variant`` holds strictly.
+    """Whether the convergence inequality of ``params``' variant and gamma holds strictly.
 
     ``rho`` is the problem's center weight.  Returns ``(ok, slack)`` with
     ``slack = 1 - lhs``; the condition passes only when the slack is
     strictly positive.
     """
-    if not params.has_steps():
+    if params.tau is None:
         raise ValueError("params must carry explicit tau, tau_mu and sigma")
     lhs = _condition_lhs(params.tau, params.tau_mu, params.sigma, rho,
                          params.gamma, X_norm, Y_norm, params.variant)
@@ -223,11 +223,11 @@ def solve(problem: Problem, params: SolverParams,
     ----------
     problem : Problem
         Training instance; its ball picks the projection, its loss the
-        dual prox.  The Frobenius loss runs only the base variant.
+        dual prox, and a positive alpha adds the elastic shrink.
     params : SolverParams
-        Steps, variant and budget.  Missing step sizes are derived from
-        the problem norms; the variant's convergence condition is checked
-        before iterating and the solver refuses to run when it fails.
+        Steps, variant, gamma and budget.  Missing step sizes are derived
+        from the problem norms; the iteration's convergence condition is
+        checked before iterating and the solver refuses to run when it fails.
     initial : SolverState, optional
         Starting iterates; defaults to W = 0, mu = I, Z = 0.  Ergodic
         averaging always restarts.
@@ -243,20 +243,23 @@ def solve(problem: Problem, params: SolverParams,
 
     Notes
     -----
-    ``problem.alpha`` is applied only by the elastic variant; any other
-    variant rejects a positive alpha rather than report an objective it
-    does not minimise.
+    Any two departures from the base iteration (a non-base variant, a
+    nonzero gamma, a positive alpha, the Frobenius loss) raise ValueError
+    naming both: each is written and checked against the base alone.
 
-    The over-relaxed variant keeps its feasible pre-relaxation iterates
-    for the ergodic averages, the recorded diagnostics and the returned
-    model; only the internal recursion sees the relaxed variables.
+    Over-relaxation keeps the feasible pre-relaxation iterates for the
+    ergodic averages, the recorded diagnostics and the returned model;
+    only the internal recursion sees the relaxed variables.
     """
     variant = params.variant
-    if problem.loss.kind == "frobenius" and variant != "base":
-        raise ValueError(f"the frobenius loss only supports the base iteration, got {variant!r}")
-    if problem.alpha > 0 and variant != "elastic":
-        raise ValueError(f"alpha={problem.alpha:g} needs the elastic variant, "
-                         f"got {variant!r}")
+    departures = [name for name, on in [
+        (f"variant {variant!r}", variant != "base"),
+        (f"gamma={params.gamma:g}", params.gamma != 0.0),
+        (f"alpha={problem.alpha:g}", problem.alpha > 0),
+        ("the frobenius loss", problem.loss.kind == "frobenius")] if on]
+    if len(departures) > 1:
+        raise ValueError(f"cannot combine {' and '.join(departures)}: "
+                         f"a run departs from the base iteration in at most one way")
     X, Y, ball, loss = problem.X, problem.Y, problem.ball, problem.loss
     m, d = X.shape
     k = Y.shape[1]
@@ -265,21 +268,22 @@ def solve(problem: Problem, params: SolverParams,
     x_norm = spectral_norm(X)
     X_norm = x_norm.value
     Y_norm = label_operator_norm(Y)
-    if params.has_steps():
+    if params.tau is not None:
         tau, tau_mu, sigma = params.tau, params.tau_mu, params.sigma
     else:
         tau, tau_mu, sigma = default_steps(X_norm, Y_norm, m, k, rho,
                                            params.beta, ball.radius)
         # derived defaults target the base condition; shrink sigma when the
-        # requested variant's condition is stricter
+        # run's condition (variant and gamma) is stricter
         lhs = _condition_lhs(tau, tau_mu, sigma, rho, gamma, X_norm, Y_norm, variant)
         if lhs >= STEP_STRICTNESS:
             sigma *= STEP_STRICTNESS / lhs
     resolved = replace(params, tau=tau, tau_mu=tau_mu, sigma=sigma)
     ok, slack = check_step_condition(resolved, X_norm, Y_norm, rho)
     if not ok:
+        condition = variant if gamma == 0.0 else f"gamma={gamma:g}"
         raise StepConditionError(
-            f"step sizes violate the {variant} convergence condition "
+            f"step sizes violate the {condition} convergence condition "
             f"(slack {slack:.3e}); reduce sigma or the primal steps")
 
     if initial is not None:
@@ -298,8 +302,6 @@ def solve(problem: Problem, params: SolverParams,
     sum_mu = np.zeros_like(mu)
     fixed_mu = variant == "fixed-mu"
     accelerated = variant == "accelerated"
-    relax = variant == "over-relaxed" and gamma != 0.0
-    elastic = variant == "elastic"
 
     history = TrainingHistory(params=resolved, step_slack=slack, x_norm=x_norm)
     state = SolverState(W=W, mu=mu, Z=Z)
@@ -311,7 +313,7 @@ def solve(problem: Problem, params: SolverParams,
         W_old, mu_old, Z_old = W, mu, Z
 
         G = W + tau * (X.T @ Z)
-        if elastic:
+        if alpha > 0:
             G /= 1.0 + tau * alpha
         W = project_ball(G, ball)
         if not fixed_mu:
@@ -344,7 +346,7 @@ def solve(problem: Problem, params: SolverParams,
         sum_W += W_f
         sum_mu += mu_f
 
-        if relax:
+        if gamma != 0.0:
             W = W_f + gamma * (W_f - W_old)
             mu = mu_f + gamma * (mu_f - mu_old)
             Z = Z_f + gamma * (Z_f - Z_old)

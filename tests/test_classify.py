@@ -88,6 +88,14 @@ class TestSignature:
         sig = signature(toy_model(W, np.eye(2)), epsilon=np.abs(W).max() + 1)
         assert sig.union().size == 0
 
+    def test_epsilon_zero_accepted_negative_rejected(self):
+        W = np.zeros((3, 2))
+        W[1, 0] = 1e-300
+        model = toy_model(W, np.eye(2))
+        assert np.array_equal(signature(model, epsilon=0.0).union(), [1])
+        with pytest.raises(ValueError, match="epsilon must be nonnegative, got -1"):
+            signature(model, epsilon=-1.0)
+
     def test_default_epsilon_is_relative(self):
         W = np.zeros((4, 2))
         W[0, 0] = 100.0
@@ -194,6 +202,14 @@ class TestCrossValidate:
         a = cross_validate(ds.X, ds.labels, 4, TPL, params=FAST, seed=2)
         b = cross_validate(ds.X, ds.labels, 4, TPL, params=FAST, seed=2, jobs=4)
         assert a.mean_accuracy == b.mean_accuracy
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_rejected(self, jobs):
+        ds = generate_synthetic(SEPARABLE)
+        with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
+            cross_validate(ds.X, ds.labels, 4, TPL, params=FAST, jobs=jobs)
+        with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
+            eta_sweep(ds.X, ds.labels, [5.0], TPL, params=FAST, jobs=jobs)
 
     def test_leave_one_out_runs_one_fit_per_sample(self):
         spec = SyntheticSpec(m=8, d=6, k=2, s=2, separation=2.0, noise_sd=0.05,

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pdsparse import classify, data_io
+from pdsparse import classify, cli, data_io
 from pdsparse.cli import build_parser, main
 
 SNAPSHOT_DIR = Path(__file__).parent / "data" / "help"
@@ -105,8 +105,8 @@ class TestTrainPredict:
                    "--variant", "accelerated"])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err == ("error: the frobenius loss only supports the base "
-                       "iteration, got 'accelerated'\n")
+        assert err == ("error: cannot combine variant 'accelerated' and the frobenius loss: "
+                       "a run departs from the base iteration in at most one way\n")
         assert not (tmp_path / "m.bin").exists()
 
     def test_unconverged_norm_estimate_is_flagged(self, dataset_csv, tmp_path, capsys):
@@ -146,17 +146,28 @@ class TestTrainPredict:
             rel = float(line.split("relative ")[1].rstrip(")"))
             assert rel == pytest.approx(gaps[-1] / max(1.0, totals[-1]), rel=1e-3)
 
-    def test_alpha_outside_elastic_rejected_like_the_library(self, dataset_csv,
-                                                           tmp_path, capsys):
+    def test_departure_pairs_rejected_like_the_library(self, dataset_csv,
+                                                       tmp_path, capsys):
+        ds = data_io.load_csv(dataset_csv)
+        departures = [("--variant", "fixed-mu"), ("--variant", "accelerated"),
+                      ("--gamma", "0.5"), ("--alpha", "0.5"), ("--loss", "frobenius")]
+        pairs = [(a, b) for i, a in enumerate(departures) for b in departures[i + 1:]
+                 if a[0] != b[0]]
+        assert len(pairs) == 9
+        for a, b in pairs:
+            args = build_parser().parse_args(["train", "--data", "x", "--model-out", "x",
+                                              *a, *b])
+            template, params = cli._template_params(args)
+            with pytest.raises(ValueError) as lib:
+                classify.train_model(ds.X, ds.labels, template, params=params)
+            rc = main(["train", "--data", str(dataset_csv), "--model-out",
+                       str(tmp_path / "m.bin"), *a, *b])
+            assert rc == 1
+            assert capsys.readouterr().err == f"error: {lib.value}\n"
+            assert "cannot combine" in str(lib.value)
+            assert not (tmp_path / "m.bin").exists()
         rc = main(["train", "--data", str(dataset_csv), "--model-out",
-                   str(tmp_path / "m.bin"), "--alpha", "0.5"])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err == "error: alpha=0.5 needs the elastic variant, got 'base'\n"
-        assert not (tmp_path / "m.bin").exists()
-        rc = main(["train", "--data", str(dataset_csv), "--model-out",
-                   str(tmp_path / "m.bin"), "--alpha", "0.5", "--variant", "elastic",
-                   "--eta", "10", "--iters", "300"])
+                   str(tmp_path / "m.bin"), "--alpha", "0.5", "--eta", "10", "--iters", "300"])
         assert rc == 0
         out = capsys.readouterr().out
         final = next(l for l in out.splitlines() if l.startswith("final objective"))
@@ -225,6 +236,14 @@ class TestCvAndSweep:
             assert rc == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+    def test_jobs_below_one_rejected(self, dataset_csv, tmp_path, capsys):
+        curve = tmp_path / "c.csv"
+        for cmd in (["cv"], ["sweep-eta", "--etas", "4", "--out", str(curve)]):
+            for jobs in ("0", "-2"):
+                assert main([*cmd, "--data", str(dataset_csv), "--jobs", jobs]) == 1
+                assert capsys.readouterr().err == f"error: jobs must be at least 1, got {jobs}\n"
+        assert not curve.exists()
 
 
 class TestProject:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -88,15 +89,15 @@ class TestCheckStepCondition:
 
     def test_over_relaxed_switches_condition_at_half(self):
         params = dict(tau=0.1, tau_mu=0.05, sigma=1.0)
-        lo = SolverParams(**params, variant="over-relaxed", gamma=0.2)
-        hi = SolverParams(**params, variant="over-relaxed", gamma=0.6)
+        lo = SolverParams(**params, gamma=0.2)
+        hi = SolverParams(**params, gamma=0.6)
         _, slack_lo = check_step_condition(lo, 1.0, 2.0, rho=2.0)
         _, slack_hi = check_step_condition(hi, 1.0, 2.0, rho=2.0)
         # gamma >= 1/2 drops the center-strong-convexity boost, shrinking slack
         assert slack_hi < slack_lo
         base = SolverParams(**params)
         _, slack_base = check_step_condition(base, 1.0, 2.0, rho=2.0)
-        zero_gamma = SolverParams(**params, variant="over-relaxed", gamma=0.0)
+        zero_gamma = SolverParams(**params, gamma=0.0)
         _, slack_zero = check_step_condition(zero_gamma, 1.0, 2.0, rho=2.0)
         assert slack_zero == slack_base
 
@@ -143,7 +144,7 @@ class TestSolveBasics:
 
     def test_history_keeps_checked_slack(self):
         prob = small_problem(seed=4, rho=0.6)
-        _, hist = solve(prob, SolverParams(variant="over-relaxed", gamma=0.3, max_iter=5))
+        _, hist = solve(prob, SolverParams(gamma=0.3, max_iter=5))
         X_norm = spectral_norm(prob.X).value
         Y_norm = float(np.sqrt(prob.Y.sum(axis=0).max()))
         _, slack = check_step_condition(hist.params, X_norm, Y_norm, rho=prob.rho)
@@ -219,6 +220,11 @@ class TestSolveBasics:
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
             SolverParams(**{name: value})
 
+    @pytest.mark.parametrize("name", ["tau", "tau_mu", "sigma"])
+    def test_lone_step_rejected(self, name):
+        with pytest.raises(ValueError, match="tau, tau_mu and sigma must be set together"):
+            SolverParams(**{name: 1e-3})
+
 
 class TestFeasibilityMaintenance:
     @pytest.mark.parametrize("kind", ["l1", "l21", "l12", "nuclear"])
@@ -242,7 +248,7 @@ class TestFeasibilityMaintenance:
 
     def test_over_relaxed_output_feasible(self):
         prob = small_problem(seed=14)
-        params = SolverParams(variant="over-relaxed", gamma=0.8, max_iter=200)
+        params = SolverParams(gamma=0.8, max_iter=200)
         model, hist = solve(prob, params)
         assert ball_norm(model.W, "l1") <= prob.ball.radius * (1 + 1e-9)
         assert ball_norm(hist.ergodic_W, "l1") <= prob.ball.radius * (1 + 1e-9)
@@ -257,32 +263,45 @@ class TestVariantReductions:
                     for a, b in zip(ta, tb))
         assert worst <= 1e-12
 
-    def test_over_relaxed_gamma_zero_equals_base(self):
-        prob = small_problem(seed=16)
-        base = collect_iterates(prob, SolverParams(max_iter=200), 200)
-        orx = collect_iterates(prob, SolverParams(variant="over-relaxed", gamma=0.0,
-                                                  max_iter=200), 200)
-        worst = max(np.abs(a - b).max() for ta, tb in zip(orx, base)
-                    for a, b in zip(ta, tb))
-        assert worst <= 1e-12
-
-    def test_elastic_alpha_zero_equals_base(self):
-        prob = small_problem(seed=17, alpha=0.0)
-        base = collect_iterates(prob, SolverParams(max_iter=200), 200)
-        ela = collect_iterates(prob, SolverParams(variant="elastic", max_iter=200), 200)
-        worst = max(np.abs(a - b).max() for ta, tb in zip(ela, base)
-                    for a, b in zip(ta, tb))
-        assert worst <= 1e-12
-
-    @pytest.mark.parametrize("variant", ["base", "fixed-mu", "accelerated",
-                                         "over-relaxed"])
-    def test_alpha_rejected_outside_elastic(self, variant):
+    @pytest.mark.parametrize("params, loss, named", [
+        pytest.param({"variant": "fixed-mu"}, None, "variant 'fixed-mu' and alpha=0.5",
+                     id="fixed-mu"),
+        pytest.param({"variant": "accelerated"}, None,
+                     "variant 'accelerated' and alpha=0.5", id="accelerated"),
+        pytest.param({"gamma": 0.5}, None, "gamma=0.5 and alpha=0.5", id="over-relaxed"),
+        pytest.param({}, LossSpec("frobenius"), "alpha=0.5 and the frobenius loss",
+                     id="frobenius"),
+    ])
+    def test_alpha_rejected_outside_elastic(self, params, loss, named):
+        # the elastic shrink is the run's one departure from the base iteration
         prob = small_problem(seed=17, alpha=0.5)
-        with pytest.raises(ValueError, match=f"alpha=0.5 needs the elastic variant, "
-                                             f"got '{variant}'"):
-            solve(prob, SolverParams(variant=variant, max_iter=5))
-        _, hist = solve(prob, SolverParams(variant="elastic", max_iter=5))
+        _, hist = solve(prob, SolverParams(max_iter=5))
         assert hist.records[-1].objective.elastic_term > 0
+        if loss is not None:
+            prob = replace(prob, loss=loss)
+        with pytest.raises(ValueError) as err:
+            solve(prob, SolverParams(max_iter=5, **params))
+        assert str(err.value) == (f"cannot combine {named}: a run departs from "
+                                  f"the base iteration in at most one way")
+
+    @pytest.mark.parametrize("params, loss, named", [
+        ({"variant": "fixed-mu", "gamma": 0.5}, None, "variant 'fixed-mu' and gamma=0.5"),
+        ({"variant": "accelerated", "gamma": -0.25}, None,
+         "variant 'accelerated' and gamma=-0.25"),
+        ({"variant": "fixed-mu"}, LossSpec("frobenius"),
+         "variant 'fixed-mu' and the frobenius loss"),
+        ({"variant": "accelerated"}, LossSpec("frobenius"),
+         "variant 'accelerated' and the frobenius loss"),
+        ({"gamma": 0.5}, LossSpec("frobenius"), "gamma=0.5 and the frobenius loss"),
+    ])
+    def test_other_departure_pairs_refused(self, params, loss, named):
+        prob = small_problem(seed=17)
+        if loss is not None:
+            prob = replace(prob, loss=loss)
+        with pytest.raises(ValueError) as err:
+            solve(prob, SolverParams(max_iter=5, **params))
+        assert str(err.value) == (f"cannot combine {named}: a run departs from "
+                                  f"the base iteration in at most one way")
 
     def test_fixed_mu_pins_centers(self):
         prob = small_problem(seed=18)
@@ -308,6 +327,11 @@ class TestVariantReductions:
                        ball=prob.ball, rho=1.0)
         with pytest.raises(StepConditionError, match="violate the base convergence"):
             solve(frob, SolverParams(tau=10.0, tau_mu=10.0, sigma=10.0))
+
+    def test_over_relaxed_step_error_names_gamma(self):
+        params = SolverParams(tau=10.0, tau_mu=10.0, sigma=10.0, gamma=0.5)
+        with pytest.raises(StepConditionError, match="violate the gamma=0.5 convergence"):
+            solve(small_problem(seed=19), params)
 
 
 class TestAccelerated:
@@ -349,20 +373,19 @@ class TestDualityGap:
     def test_gap_nonnegative_for_every_loss_ball_variant(self):
         prob = small_problem(seed=29)
         fits = 0
-        for loss, kind, variant in itertools.product(
+        runs = [(v, 0.0, 0.0) for v in VARIANTS] + [("base", 0.5, 0.0), ("base", 0.0, 0.3)]
+        for loss, kind, (variant, gamma, alpha) in itertools.product(
                 [LossSpec("huber", 1.0), LossSpec("l1"), LossSpec("frobenius")],
-                ["l1", "l21", "l12", "nuclear"], VARIANTS):
-            if loss.kind == "frobenius" and variant != "base":
+                ["l1", "l21", "l12", "nuclear"], runs):
+            if loss.kind == "frobenius" and (variant, gamma, alpha) != ("base", 0.0, 0.0):
                 continue
-            p = Problem(X=prob.X, Y=prob.Y, loss=loss, ball=BallSpec(kind, 2.0),
-                        alpha=0.3 if variant == "elastic" else 0.0)
-            params = SolverParams(variant=variant, max_iter=200, record_every=20,
-                                  gamma=0.5 if variant == "over-relaxed" else 0.0)
+            p = Problem(X=prob.X, Y=prob.Y, loss=loss, ball=BallSpec(kind, 2.0), alpha=alpha)
+            params = SolverParams(variant=variant, max_iter=200, record_every=20, gamma=gamma)
             _, hist = solve(p, params)
             for r in hist.records:
                 assert np.isfinite(r.gap)
                 assert r.gap >= -1e-12 * max(1.0, abs(r.objective.total)), \
-                    (loss.kind, kind, variant, r.iteration)
+                    (loss.kind, kind, variant, gamma, alpha, r.iteration)
             fits += 1
         assert fits == 44
 
