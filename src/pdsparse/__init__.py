@@ -36,7 +36,6 @@ from .data_io import (
     write_dataset_csv,
 )
 from .linalg import (
-    OneHotLabels,
     OperatorNormEstimate,
     label_operator_norm,
     normalize_features,

@@ -41,10 +41,9 @@ DEFAULT_EPSILON_SCALE = 1e-6
 
 @dataclass(frozen=True)
 class Signature:
-    """Per-class selected feature indices and the threshold that chose them."""
+    """Per-class selected feature indices."""
 
     selected: tuple[np.ndarray, ...]
-    epsilon: float
 
     def union(self) -> np.ndarray:
         """Distinct features selected by any class, ascending."""
@@ -98,17 +97,12 @@ def _scores(Xp: np.ndarray, model: TrainedModel) -> np.ndarray:
     return np.abs(proj[:, None, :] - model.mu[None, :, :]).sum(axis=2)
 
 
-def _classes(X: np.ndarray, model: TrainedModel) -> np.ndarray:
-    """Class of every row of a checked raw-feature matrix."""
-    return np.argmin(_scores(X / model.feature_scale, model), axis=1)
-
-
 def predict_rows(X, model: TrainedModel) -> np.ndarray:
     """Class of every row of X (raw features; the model's scale is applied)."""
     X = check_matrix(X, "X")
     if X.shape[1] != model.n_features:
         raise ValueError(f"rows must have length {model.n_features}, got {X.shape[1]}")
-    return _classes(X, model)
+    return np.argmin(_scores(X / model.feature_scale, model), axis=1)
 
 
 def predict(x, model: TrainedModel) -> int:
@@ -133,32 +127,35 @@ def signature(model: TrainedModel, epsilon: float | None = None) -> Signature:
     if epsilon < 0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
     sel = tuple(np.nonzero(np.abs(W[:, j]) > epsilon)[0] for j in range(W.shape[1]))
-    return Signature(selected=sel, epsilon=float(epsilon))
+    return Signature(selected=sel)
 
 
-def evaluate(X_test, labels_test, model: TrainedModel,
-             epsilon: float | None = None) -> EvalReport:
-    """Confusion matrix and accuracies of the model on a labelled set."""
-    X_test = check_matrix(X_test, "X_test")
+def evaluate(X_test, labels_test, model: TrainedModel) -> EvalReport:
+    """Confusion matrix and accuracies of the model on a labelled set.
+
+    Rows are scored by ``predict_rows`` (raw features; the model's scale is
+    applied) and labels are class indices in ``[0, k)``.  The feature count
+    is that of ``signature(model)`` at its default threshold.
+    """
+    preds = predict_rows(X_test, model)
     labels_test = np.asarray(labels_test)
-    if X_test.shape[0] == 0:
+    if preds.shape[0] == 0:
         raise ValueError("empty test set")
-    if labels_test.shape[0] != X_test.shape[0]:
+    if labels_test.shape[0] != preds.shape[0]:
         raise ValueError("labels length does not match the number of rows")
     k = model.n_classes
-    if labels_test.size and (labels_test.min() < 0 or labels_test.max() >= k):
+    if labels_test.min() < 0 or labels_test.max() >= k:
         raise ValueError(f"test labels must lie in [0, {k})")
-    preds = _classes(X_test, model)
     confusion = np.zeros((k, k), dtype=np.int64)
     np.add.at(confusion, (labels_test.astype(np.int64), preds), 1)
     counts = confusion.sum(axis=1)
     with np.errstate(invalid="ignore"):
         per_class = np.where(counts > 0, np.diag(confusion) / np.maximum(counts, 1), np.nan)
     return EvalReport(
-        global_accuracy=float(np.trace(confusion) / X_test.shape[0]),
+        global_accuracy=float(np.trace(confusion) / preds.shape[0]),
         per_class_accuracy=per_class,
         confusion=confusion,
-        n_selected_features=int(signature(model, epsilon).union().size),
+        n_selected_features=int(signature(model).union().size),
     )
 
 
@@ -178,12 +175,12 @@ def train_model(X, labels, template: ProblemTemplate,
     k = n_classes if n_classes is not None else int(labels.max()) + 1
     Y = one_hot(labels, k)
     if n_classes is None:
-        _require_every_class(Y.class_counts)
+        _require_every_class(Y.sum(axis=0))
     if normalize:
         Xn, scale = normalize_features(X)
     else:
         Xn, scale = X, 1.0
-    problem = template.bind(Xn, Y.matrix)
+    problem = template.bind(Xn, Y)
     model, history = solve(problem, params if params is not None else SolverParams())
     return replace(model, feature_scale=scale), history
 

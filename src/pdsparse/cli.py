@@ -6,6 +6,7 @@ import argparse
 import statistics
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -36,8 +37,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    help="iteration budget (default: 2000)")
     p.add_argument("--beta", type=float, default=1.0,
                    help="center step-size heuristic scale (default: 1.0)")
-    p.add_argument("--no-normalize", action="store_true",
-                   help="skip rescaling features to unit operator norm")
     p.add_argument("--label-column", default="label",
                    help="label column name in the dataset CSV (default: label)")
     p.add_argument("--delimiter", default=",",
@@ -73,6 +72,7 @@ def cmd_train(args) -> int:
     model, history = classify.train_model(dataset.X, dataset.labels, template,
                                           params=params,
                                           normalize=not args.no_normalize)
+    model = replace(model, class_names=tuple(dataset.label_names))
     data_io.save_model(args.model_out, model)
     if args.history_out:
         _write_history_csv(args.history_out, history)
@@ -111,14 +111,19 @@ def cmd_predict(args) -> int:
     model = data_io.load_model(args.model)
     dataset = data_io.load_csv(args.data, label_column=args.label_column,
                                delimiter=args.delimiter)
-    preds = classify.predict_rows(dataset.X, model)
+    # the file numbers its labels by first appearance, so compare them by name
+    unknown = [name for name in dataset.label_names if name not in model.class_names]
+    if unknown:
+        raise ValueError(f"{args.data}: label {unknown[0]!r} is not a class of the model "
+                         f"(classes: {', '.join(model.class_names)})")
+    preds = np.array(model.class_names)[classify.predict_rows(dataset.X, model)]
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write("index,predicted_class\n")
             for i, p in enumerate(preds):
-                fh.write(f"{i},{int(p)}\n")
+                fh.write(f"{i},{p}\n")
         print(f"predictions written to {args.output}")
-    acc = float((preds == dataset.labels).mean())
+    acc = float((preds == np.array(dataset.label_names)[dataset.labels]).mean())
     print(f"accuracy: {acc:.4f} on {len(preds)} samples")
     return 0
 
@@ -235,6 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="input dataset CSV")
     p.add_argument("--model-out", required=True, help="output model file")
     p.add_argument("--history-out", default=None, help="optional training history CSV")
+    p.add_argument("--no-normalize", action="store_true",
+                   help="skip rescaling features to unit operator norm")
     _add_solver_flags(p)
     p.set_defaults(func=cmd_train)
 

@@ -7,13 +7,14 @@ Disjoint blocks give a ground-truth signature that recovery tests can
 score against.
 
 Model files are a small self-describing binary container (magic bytes,
-version, shapes, little-endian float64 payload) so that weights round-trip
-bit-exactly; CSV would not.
+version, shapes, little-endian float64 payload, then the class names as an
+ASCII JSON list) so that weights round-trip bit-exactly; CSV would not.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 import struct
 from dataclasses import dataclass
@@ -39,7 +40,7 @@ __all__ = [
 ]
 
 MODEL_MAGIC = b"PDSM"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 _HEADER = struct.Struct("<4sIBBdddqq")
 _BALL_CODES = {"l1": 0, "l21": 1, "l12": 2, "nuclear": 3}
 _LOSS_CODES = {"l1": 0, "huber": 1, "frobenius": 2}
@@ -112,13 +113,13 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     return Dataset(X=X, labels=labels)
 
 
-def load_csv(path, label_column="label", delimiter: str = ",") -> Dataset:
+def load_csv(path, label_column: str = "label", delimiter: str = ",") -> Dataset:
     """Load a labelled dataset from a delimited text file.
 
-    The first row must be a header; ``label_column`` picks the label field
-    by name or positional index and every other column must be numeric and
-    finite.  Labels are factor-encoded in order of first appearance and the
-    mapping is kept on the returned dataset.
+    The first row must be a header; ``label_column`` names the label field
+    and every other column must be numeric and finite.  Labels are coded
+    in order of first appearance in this file, with their names kept as
+    ``label_names``; compare labels across files by name, not by code.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
@@ -126,22 +127,16 @@ def load_csv(path, label_column="label", delimiter: str = ",") -> Dataset:
     if not rows:
         raise ValueError(f"{path}: empty file")
     header = rows[0]
-    if isinstance(label_column, int):
-        if not 0 <= label_column < len(header):
-            raise ValueError(f"{path}: label column index {label_column} out of range")
-        label_idx = label_column
-    else:
-        if label_column not in header:
-            raise ValueError(f"{path}: label column {label_column!r} not found in header")
-        label_idx = header.index(label_column)
+    if label_column not in header:
+        raise ValueError(f"{path}: label column {label_column!r} not found in header")
+    label_idx = header.index(label_column)
     feature_names = [h for i, h in enumerate(header) if i != label_idx]
     data_rows = rows[1:]
     if not data_rows:
         raise ValueError(f"{path}: no data rows")
 
     X = np.empty((len(data_rows), len(feature_names)))
-    label_names: list[str] = []
-    label_codes: dict[str, int] = {}
+    label_codes: dict[str, int] = {}  # name -> code, in order of first appearance
     labels = np.empty(len(data_rows), dtype=np.int64)
     for r, row in enumerate(data_rows):
         if len(row) != len(header):
@@ -150,10 +145,7 @@ def load_csv(path, label_column="label", delimiter: str = ",") -> Dataset:
         c_out = 0
         for c, tok in enumerate(row):
             if c == label_idx:
-                if tok not in label_codes:
-                    label_codes[tok] = len(label_names)
-                    label_names.append(tok)
-                labels[r] = label_codes[tok]
+                labels[r] = label_codes.setdefault(tok, len(label_codes))
                 continue
             try:
                 val = float(tok)
@@ -168,12 +160,11 @@ def load_csv(path, label_column="label", delimiter: str = ",") -> Dataset:
             X[r, c_out] = val
             c_out += 1
     return Dataset(X=X, labels=labels, feature_names=feature_names,
-                   label_names=label_names)
+                   label_names=list(label_codes))
 
 
-def write_dataset_csv(path, dataset: Dataset, label_column: str = "label",
-                      delimiter: str = ",") -> None:
-    """Write a dataset as delimited text, label column last.
+def write_dataset_csv(path, dataset: Dataset, delimiter: str = ",") -> None:
+    """Write a dataset as delimited text, the ``label`` column last.
 
     Floats are written with ``repr`` so a load round-trips them exactly.
     """
@@ -183,7 +174,7 @@ def write_dataset_csv(path, dataset: Dataset, label_column: str = "label",
         raise ValueError("feature_names length does not match the matrix")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, delimiter=delimiter)
-        writer.writerow([*names, label_column])
+        writer.writerow([*names, "label"])
         for i in range(X.shape[0]):
             lab = int(dataset.labels[i])
             name = dataset.label_names[lab] if dataset.label_names else str(lab)
@@ -201,10 +192,14 @@ def save_model(path, model: TrainedModel) -> None:
         fh.write(header)
         fh.write(np.ascontiguousarray(W, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(mu, dtype="<f8").tobytes())
+        fh.write(json.dumps(list(model.class_names)).encode("ascii"))
 
 
 def load_model(path) -> TrainedModel:
-    """Read a model container; refuses unknown versions and corrupt files."""
+    """Read a model container; refuses unknown versions and corrupt files.
+
+    A version 1 file ends at the payload; its classes are named ``"0".."k-1"``.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _HEADER.size:
@@ -213,14 +208,21 @@ def load_model(path) -> TrainedModel:
         _HEADER.unpack_from(blob)
     if magic != MODEL_MAGIC:
         raise ValueError(f"{path}: not a model file")
-    if version != MODEL_VERSION:
+    if version not in (1, MODEL_VERSION):
         raise ValueError(f"{path}: unsupported model file version {version}")
     if ball_code not in _BALL_NAMES or loss_code not in _LOSS_NAMES:
         raise ValueError(f"{path}: corrupt model file (unknown ball/loss code)")
     expected = _HEADER.size + 8 * (d * k + k * k)
     if len(blob) < expected:
         raise ValueError(f"{path}: truncated model file")
-    if len(blob) > expected:
+    names, end = None, expected
+    if version > 1:
+        try:
+            names, used = json.JSONDecoder().raw_decode(blob[expected:].decode("ascii"))
+        except ValueError:
+            raise ValueError(f"{path}: truncated or corrupt model file (class names)") from None
+        end += used
+    if len(blob) > end:
         raise ValueError(f"{path}: corrupt model file (trailing data)")
     off = _HEADER.size
     W = np.frombuffer(blob, dtype="<f8", count=d * k, offset=off).reshape(d, k).copy()
@@ -228,7 +230,7 @@ def load_model(path) -> TrainedModel:
     mu = np.frombuffer(blob, dtype="<f8", count=k * k, offset=off).reshape(k, k).copy()
     return TrainedModel(W=W, mu=mu, ball=BallSpec(_BALL_NAMES[ball_code], radius),
                         loss=LossSpec(_LOSS_NAMES[loss_code], delta),
-                        feature_scale=scale)
+                        feature_scale=scale, class_names=names)
 
 
 def write_curve_csv(path, points, n_classes: int) -> None:
@@ -247,10 +249,10 @@ def write_curve_csv(path, points, n_classes: int) -> None:
             fh.write(",".join(cells) + "\n")
 
 
-def load_matrix_csv(path, delimiter: str = ",") -> np.ndarray:
-    """Load a headerless numeric matrix from delimited text."""
+def load_matrix_csv(path) -> np.ndarray:
+    """Load a headerless numeric matrix from comma-separated text."""
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh, delimiter=delimiter) if r]
+        rows = [r for r in csv.reader(fh) if r]
     if not rows:
         raise ValueError(f"{path}: empty file")
     width = len(rows[0])
@@ -268,9 +270,9 @@ def load_matrix_csv(path, delimiter: str = ",") -> np.ndarray:
     return check_matrix(out, path if isinstance(path, str) else "matrix")
 
 
-def save_matrix_csv(path, M, delimiter: str = ",") -> None:
-    """Write a matrix as headerless delimited text with exact floats."""
+def save_matrix_csv(path, M) -> None:
+    """Write a matrix as headerless comma-separated text with exact floats."""
     M = check_matrix(M, "M")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         for row in M:
-            fh.write(delimiter.join(repr(float(v)) for v in row) + "\n")
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")

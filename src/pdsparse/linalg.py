@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "OneHotLabels",
     "OperatorNormEstimate",
     "check_matrix",
     "one_hot",
@@ -20,6 +19,9 @@ __all__ = [
     "label_operator_norm",
     "normalize_features",
 ]
+
+POWER_TOL = 1e-9
+POWER_SEED = 0
 
 
 def check_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -33,32 +35,19 @@ def check_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class OneHotLabels:
-    """One-hot label matrix (m x k) together with per-class sample counts."""
-
-    matrix: np.ndarray
-    class_counts: np.ndarray
-
-    @property
-    def n_classes(self) -> int:
-        return self.matrix.shape[1]
-
-
-@dataclass(frozen=True)
 class OperatorNormEstimate:
     """Largest-singular-value estimate from power iteration.
 
     ``converged`` is False when the iteration hit ``max_iter`` before the
-    Rayleigh-quotient residual dropped below ``tolerance``.
+    Rayleigh-quotient residual dropped below ``POWER_TOL``.
     """
 
     value: float
     iterations: int
-    tolerance: float
     converged: bool
 
 
-def one_hot(labels, k: int) -> OneHotLabels:
+def one_hot(labels, k: int) -> np.ndarray:
     """Encode integer labels into an m x k one-hot matrix.
 
     Parameters
@@ -70,8 +59,8 @@ def one_hot(labels, k: int) -> OneHotLabels:
 
     Returns
     -------
-    OneHotLabels
-        Row i has a single 1 at column ``labels[i]``.
+    np.ndarray
+        m x k; row i has a single 1 at column ``labels[i]``.
     """
     lab = np.asarray(labels)
     if lab.ndim != 1:
@@ -89,17 +78,16 @@ def one_hot(labels, k: int) -> OneHotLabels:
     m = lab.shape[0]
     mat = np.zeros((m, k))
     mat[np.arange(m), lab] = 1.0
-    counts = np.bincount(lab, minlength=k)
-    return OneHotLabels(matrix=mat, class_counts=counts)
+    return mat
 
 
-def spectral_norm(A, tol: float = 1e-9, max_iter: int = 1000,
-                  seed: int = 0) -> OperatorNormEstimate:
+def spectral_norm(A, max_iter: int = 1000) -> OperatorNormEstimate:
     """Estimate the operator (spectral) norm of *A* by power iteration.
 
     The iteration runs on the Gram matrix of the smaller side, n = min(m, d),
-    with a seeded random unit start, and stops once successive Rayleigh
-    quotients agree to relative ``tol``.  The first n/16 steps apply *A* and
+    with a random unit start drawn from ``Philox(POWER_SEED)``, and stops
+    once successive Rayleigh quotients agree to relative ``POWER_TOL``, or
+    after ``max_iter`` steps.  The first n/16 steps apply *A* and
     its transpose, two passes over *A* each, so a run that stops within them
     never pays for the Gram matrix.  A run still going forms the n x n Gram
     matrix in one level-3 product (on a 2-core host, about the cost of those
@@ -110,18 +98,16 @@ def spectral_norm(A, tol: float = 1e-9, max_iter: int = 1000,
     A zero matrix yields value 0, flagged converged.
     """
     A = check_matrix(A, "A")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if not A.any():
-        return OperatorNormEstimate(0.0, 0, tol, True)
+        return OperatorNormEstimate(0.0, 0, True)
     # Iterate v <- B^T B v on the thin side.
     B = A if A.shape[0] >= A.shape[1] else A.T
     n = B.shape[1]
     gram_after = max(1, n // 16)
     G = None
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = np.random.Generator(np.random.Philox(POWER_SEED))
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     lam = 0.0
@@ -138,12 +124,12 @@ def spectral_norm(A, tol: float = 1e-9, max_iter: int = 1000,
             v /= np.linalg.norm(v)
             continue
         v = w / nw
-        if abs(nw - lam) <= tol * nw:
+        if abs(nw - lam) <= POWER_TOL * nw:
             lam = nw
             converged = True
             break
         lam = nw
-    return OperatorNormEstimate(float(np.sqrt(lam)), its, tol, converged)
+    return OperatorNormEstimate(float(np.sqrt(lam)), its, converged)
 
 
 def label_operator_norm(Y) -> float:
@@ -156,14 +142,14 @@ def label_operator_norm(Y) -> float:
     return float(np.sqrt(Y.sum(axis=0).max()))
 
 
-def normalize_features(X, tol: float = 1e-9) -> tuple[np.ndarray, float]:
+def normalize_features(X) -> tuple[np.ndarray, float]:
     """Rescale *X* to unit operator norm.
 
     Returns the scaled matrix and the scale (the divisor applied).  Raises
     on an all-zero matrix, which cannot be normalized.
     """
     X = check_matrix(X, "X")
-    est = spectral_norm(X, tol=tol)
+    est = spectral_norm(X)
     if est.value == 0.0:
         raise ValueError("cannot normalize a zero matrix")
     return X / est.value, est.value

@@ -85,6 +85,7 @@ class TrainedModel:
 
     ``feature_scale`` is the divisor applied to the training features;
     queries must be divided by it before projecting through W.
+    ``class_names[j]`` is class j's training label, ``"0".."k-1"`` unless given.
     """
 
     W: np.ndarray
@@ -92,6 +93,7 @@ class TrainedModel:
     ball: BallSpec
     loss: LossSpec
     feature_scale: float = 1.0
+    class_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         W = check_matrix(self.W, "W")
@@ -103,6 +105,11 @@ class TrainedModel:
             raise ValueError(f"feature_scale must be positive, got {self.feature_scale}")
         if ball_norm(W, self.ball.kind) > self.ball.radius * (1.0 + FEASIBILITY_RTOL):
             raise ValueError("W violates the model's ball constraint")
+        names = tuple(map(str, range(k))) if self.class_names is None else self.class_names
+        if not (isinstance(names, (tuple, list)) and all(isinstance(n, str) for n in names)
+                and len(set(names)) == len(names) == k):
+            raise ValueError(f"class_names must be {k} distinct strings, got {names!r}")
+        object.__setattr__(self, "class_names", tuple(names))
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "mu", mu)
 

@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 BALL_KINDS = ("l1", "l21", "l12", "nuclear")
+L12_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -99,11 +100,9 @@ def proj_l1_matrix(V, radius) -> np.ndarray:
     return proj_l1_vector(V.ravel(), radius).reshape(V.shape)
 
 
-def clip_box(Z, lo: float = -1.0, hi: float = 1.0) -> np.ndarray:
-    """Clamp every entry into [lo, hi]."""
-    if lo > hi:
-        raise ValueError(f"need lo <= hi, got [{lo}, {hi}]")
-    return np.clip(Z, lo, hi)
+def clip_box(Z) -> np.ndarray:
+    """Clamp every entry into [-1, 1], the unit l-infinity box."""
+    return np.clip(Z, -1.0, 1.0)
 
 
 def proj_frobenius_unit(Z) -> np.ndarray:
@@ -180,15 +179,14 @@ def _l12_row_state(S: np.ndarray, lam: float):
     return p_idx + 1, row_best
 
 
-def proj_l12_with_state(V, radius, tol: float = 1e-12,
-                        max_iter: int = 100) -> tuple[np.ndarray, L12NewtonState]:
+def proj_l12_with_state(V, radius, max_iter: int = 100) -> tuple[np.ndarray, L12NewtonState]:
     """Project onto the l12 ball and return the multiplier-search state.
 
     The constraint is sum_i (sum_j |w_ij|)^2 <= radius^2.  The multiplier
     lambda starts at a computable lower bound, so the Newton iterates
     increase monotonically toward the root; the per-row active counts are
     refreshed once per multiplier update.  Stops at relative residual
-    ``tol`` and raises ``NewtonConvergenceError`` after ``max_iter``
+    ``L12_TOL`` and raises ``NewtonConvergenceError`` after ``max_iter``
     updates without convergence.
     """
     radius = _check_radius(radius)
@@ -223,14 +221,14 @@ def proj_l12_with_state(V, radius, tol: float = 1e-12,
     p, row_best = _l12_row_state(S, lam)
     val = float((row_best * row_best).sum())
     iterations = 0
-    if val - target > tol * target:
+    if val - target > L12_TOL * target:
         for iterations in range(1, max_iter + 1):
             deriv = 2.0 * float((p * row_best * row_best / (1.0 + lam * p)).sum())
             lam = lam + (val - target) / deriv
             lambdas.append(lam)
             p, row_best = _l12_row_state(S, lam)
             val = float((row_best * row_best).sum())
-            if val - target <= tol * target:
+            if val - target <= L12_TOL * target:
                 break
         else:
             raise NewtonConvergenceError(
@@ -252,9 +250,9 @@ def proj_l12_with_state(V, radius, tol: float = 1e-12,
     return W, state
 
 
-def proj_l12(V, radius, tol: float = 1e-12, max_iter: int = 100) -> np.ndarray:
+def proj_l12(V, radius, max_iter: int = 100) -> np.ndarray:
     """Project onto the l12 ball: sum_i (sum_j |w_ij|)^2 <= radius^2."""
-    W, _ = proj_l12_with_state(V, radius, tol=tol, max_iter=max_iter)
+    W, _ = proj_l12_with_state(V, radius, max_iter=max_iter)
     return W
 
 

@@ -64,10 +64,10 @@ class SolverParams:
     """Step sizes, variant, over-relaxation and iteration budget.
 
     The three steps are set together, or left as None to be derived at
-    solve time from the problem's norms (``beta`` scales the center-step
-    heuristic).  A nonzero ``gamma`` over-relaxes every iterate.  The
-    criterion's weights (``rho``, the huber ``delta``, ``alpha``) live on
-    the Problem.
+    solve time from the problem's norms; ``beta`` scales the center-step
+    heuristic, so a non-default one is refused with explicit steps.  A
+    nonzero ``gamma`` over-relaxes every iterate.  The criterion's weights
+    (``rho``, the huber ``delta``, ``alpha``) live on the Problem.
     """
 
     tau: float | None = None
@@ -97,6 +97,9 @@ class SolverParams:
                 raise ValueError(f"{name} must be positive and finite, got {v}")
         if len({self.tau is None, self.tau_mu is None, self.sigma is None}) > 1:
             raise ValueError("tau, tau_mu and sigma must be set together")
+        if self.tau is not None and self.beta != 1.0:
+            raise ValueError("beta scales the derived steps; it cannot be set "
+                             "with explicit tau, tau_mu and sigma")
 
 
 @dataclass
@@ -123,7 +126,7 @@ class HistoryRecord:
 
 @dataclass
 class TrainingHistory:
-    """Per-run diagnostics: recorded objectives and gaps plus final ergodic averages.
+    """Per-run diagnostics: recorded objectives and gaps plus the final ergodic W.
 
     ``params`` holds the resolved starting steps (the accelerated schedule
     rescales them every iteration) and ``step_slack`` the slack of the
@@ -135,7 +138,6 @@ class TrainingHistory:
 
     records: list[HistoryRecord] = field(default_factory=list)
     ergodic_W: np.ndarray | None = None
-    ergodic_mu: np.ndarray | None = None
     params: SolverParams | None = None
     step_slack: float | None = None
     x_norm: OperatorNormEstimate | None = None
@@ -239,7 +241,7 @@ def solve(problem: Problem, params: SolverParams,
     -------
     (TrainedModel, TrainingHistory)
         The final (non-ergodic) weights and centers, and diagnostics with
-        recorded objectives and duality gaps and final ergodic averages.
+        recorded objectives and duality gaps and the final ergodic W.
 
     Notes
     -----
@@ -372,6 +374,5 @@ def solve(problem: Problem, params: SolverParams,
                 break
 
     history.ergodic_W = sum_W / n
-    history.ergodic_mu = sum_mu / n
     model = TrainedModel(W=state.W, mu=state.mu, ball=ball, loss=loss)
     return model, history

@@ -142,6 +142,11 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="empty"):
             evaluate(np.zeros((0, 2)), [], model)
 
+    def test_wrong_width_rejected_like_predict_rows(self):
+        model = toy_model(np.eye(2), np.eye(2))
+        with pytest.raises(ValueError, match="rows must have length 2, got 3"):
+            evaluate(np.zeros((4, 3)), [0, 1, 0, 1], model)
+
     def test_feature_scale_applied(self):
         # model trained on X/2 must see queries divided by 2
         model = toy_model(np.eye(2), np.eye(2), scale=2.0)

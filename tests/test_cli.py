@@ -92,6 +92,61 @@ class TestTrainPredict:
             for i, x in enumerate(ds.X))
         assert preds_path.read_text() == expect
 
+    def test_predict_compares_labels_by_name(self, tmp_path, capsys):
+        # the scored file starts at a class-z row, so it numbers its labels
+        # z, x, y where the training file had x, y, z
+        ds = data_io.generate_synthetic(data_io.SyntheticSpec(
+            m=60, d=12, k=3, s=3, separation=3.0, noise_sd=0.1, dropout_rate=0.0, seed=4))
+        names = ["x", "y", "z"]
+        train_csv, shifted_csv = tmp_path / "train.csv", tmp_path / "shifted.csv"
+        data_io.write_dataset_csv(train_csv, data_io.Dataset(X=ds.X, labels=ds.labels,
+                                                             label_names=names))
+        data_io.write_dataset_csv(shifted_csv, data_io.Dataset(
+            X=ds.X[2:], labels=ds.labels[2:], label_names=names))
+        assert data_io.load_csv(shifted_csv).label_names == ["z", "x", "y"]
+        model_path, preds_path = tmp_path / "m.bin", tmp_path / "p.csv"
+        assert main(["train", "--data", str(train_csv), "--model-out", str(model_path),
+                     "--eta", "10", "--iters", "600"]) == 0
+        assert "training accuracy: 1.0000" in capsys.readouterr().out
+        assert data_io.load_model(model_path).class_names == ("x", "y", "z")
+        assert main(["predict", "--model", str(model_path), "--data", str(shifted_csv),
+                     "--output", str(preds_path)]) == 0
+        assert "accuracy: 1.0000 on 58 samples" in capsys.readouterr().out
+        assert preds_path.read_text() == "index,predicted_class\n" + "".join(
+            f"{i},{names[c]}\n" for i, c in enumerate(ds.labels[2:]))
+
+    def test_predict_refuses_unknown_label(self, dataset_csv, tmp_path, capsys):
+        model_path, preds_path = tmp_path / "m.bin", tmp_path / "p.csv"
+        assert main(["train", "--data", str(dataset_csv), "--model-out",
+                     str(model_path), "--iters", "50"]) == 0
+        other = tmp_path / "other.csv"
+        other.write_text("f0,f1,f2,f3,f4,f5,f6,f7,f8,f9,f10,f11,label\n"
+                         + ",".join(["0.5"] * 12) + ",1\n" + ",".join(["0.5"] * 12) + ",7\n")
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model_path), "--data", str(other),
+                     "--output", str(preds_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {other}: label '7' is not a class of the model (classes: 0, 1)\n")
+        assert not preds_path.exists()
+
+    def test_predict_reads_version_one_model(self, dataset_csv, tmp_path, capsys):
+        v2, v1 = tmp_path / "v2.bin", tmp_path / "v1.bin"
+        assert main(["train", "--data", str(dataset_csv), "--model-out", str(v2),
+                     "--iters", "50"]) == 0
+        # a version 1 file is the same container without the trailing names
+        blob = bytearray(v2.read_bytes())
+        assert blob.endswith(b'["0", "1"]')
+        blob[4:8] = (1).to_bytes(4, "little")
+        v1.write_bytes(bytes(blob[:-len(b'["0", "1"]')]))
+        outputs = []
+        for model_path in (v2, v1):
+            preds_path = tmp_path / f"{model_path.stem}.csv"
+            capsys.readouterr()
+            assert main(["predict", "--model", str(model_path), "--data", str(dataset_csv),
+                         "--output", str(preds_path)]) == 0
+            outputs.append((capsys.readouterr().out.splitlines()[-1], preds_path.read_text()))
+        assert outputs[0] == outputs[1]
+
     def test_frobenius_loss_trains(self, dataset_csv, tmp_path, capsys):
         rc = main(["train", "--data", str(dataset_csv), "--model-out",
                    str(tmp_path / "m.bin"), "--eta", "10", "--iters", "300",
@@ -180,6 +235,55 @@ class TestTrainPredict:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert len(err.strip().splitlines()) == 1
+
+
+class TestEveryOptionIsRead:
+    """Each option a subcommand parses is read by the code it runs."""
+
+    def test_every_parsed_option_is_read(self, dataset_csv, tmp_path, capsys):
+        matrix = tmp_path / "in.csv"
+        data_io.save_matrix_csv(matrix, np.array([[1.0, -2.0], [0.5, 0.0]]))
+        model = tmp_path / "m.bin"
+        runs = {
+            "gen-synthetic": ["--out", str(tmp_path / "g.csv"), "--samples", "12",
+                              "--features", "6", "--classes", "2", "--informative", "2"],
+            "train": ["--data", str(dataset_csv), "--model-out", str(model),
+                      "--history-out", str(tmp_path / "h.csv"), "--iters", "5"],
+            "predict": ["--model", str(model), "--data", str(dataset_csv),
+                        "--output", str(tmp_path / "p.csv")],
+            "cv": ["--data", str(dataset_csv), "--folds", "2", "--iters", "5",
+                   "--curve-out", str(tmp_path / "c.csv")],
+            "sweep-eta": ["--data", str(dataset_csv), "--etas", "1", "--folds", "2",
+                          "--iters", "5", "--out", str(tmp_path / "s.csv")],
+            "project": ["--input", str(matrix), "--output", str(tmp_path / "o.csv"),
+                        "--ball", "l1", "--radius", "1"],
+            "bench-proj": ["--dims", "8", "--k", "2", "--reps", "1",
+                           "--out", str(tmp_path / "b.csv")],
+        }
+        assert set(runs) == set(build_parser()._subparsers._group_actions[0].choices)
+        unread = {}
+        for command, argv in runs.items():  # train runs before predict
+            args = build_parser().parse_args([command, *argv])
+            read = set()
+
+            class Recorder:
+                def __getattr__(self, name):
+                    read.add(name)
+                    return getattr(args, name)
+
+            assert args.func(Recorder()) == 0
+            unread[command] = set(vars(args)) - {"command", "func"} - read
+        capsys.readouterr()
+        assert unread == {command: set() for command in runs}
+
+    @pytest.mark.parametrize("argv", [["cv", "--data", "x"],
+                                      ["sweep-eta", "--data", "x", "--etas", "1", "--out", "y"]],
+                             ids=["cv", "sweep-eta"])
+    def test_no_normalize_is_train_only(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--no-normalize"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no-normalize" in capsys.readouterr().err
 
 
 class TestCvAndSweep:

@@ -103,13 +103,6 @@ class TestCsvRoundTrip:
         assert ds.label_names == ["a", "b"]
         assert np.array_equal(ds.X, [[1.5, 2.5], [0.5, 1.0], [2.0, 3.0]])
 
-    def test_label_column_by_index(self, tmp_path):
-        path = tmp_path / "tiny.csv"
-        path.write_text("label,f0\nu,1.0\nv,2.0\n")
-        ds = load_csv(path, label_column=0)
-        assert np.array_equal(ds.labels, [0, 1])
-        assert ds.feature_names == ["f0"]
-
     def test_missing_label_column(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("f0,f1\n1.0,2.0\n")
@@ -150,7 +143,7 @@ class TestModelRoundTrip:
         W = rng.standard_normal((6, 3)) * 0.1
         return TrainedModel(W=W, mu=rng.standard_normal((3, 3)),
                             ball=BallSpec("l21", 7.25), loss=LossSpec("huber", 0.5),
-                            feature_scale=3.375)
+                            feature_scale=3.375, class_names=("x", "\u00df", "z z"))
 
     def test_round_trip_bit_exact(self, tmp_path):
         model = self._model()
@@ -162,6 +155,36 @@ class TestModelRoundTrip:
         assert back.ball == model.ball
         assert back.loss == model.loss
         assert back.feature_scale == model.feature_scale
+        assert back.class_names == ("x", "\u00df", "z z")
+
+    def test_version_one_file_names_classes_by_index(self, tmp_path):
+        model = self._model()
+        path = tmp_path / "model.bin"
+        save_model(path, model)
+        blob = bytearray(path.read_bytes())
+        names = b'["x", "\\u00df", "z z"]'
+        assert blob.endswith(names)
+        blob[4:8] = (1).to_bytes(4, "little")
+        path.write_bytes(bytes(blob[:-len(names)]))
+        back = load_model(path)
+        assert back.class_names == ("0", "1", "2")
+        assert np.array_equal(back.W, model.W) and np.array_equal(back.mu, model.mu)
+
+    def test_class_names_must_be_k_distinct_strings(self, tmp_path):
+        model = self._model()
+        assert TrainedModel(W=model.W, mu=model.mu, ball=model.ball,
+                            loss=model.loss).class_names == ("0", "1", "2")
+        for names in (("a", "b"), ("a", "b", "a"), ("a", "b", 3), 5):
+            with pytest.raises(ValueError, match="class_names must be 3 distinct strings"):
+                TrainedModel(W=model.W, mu=model.mu, ball=model.ball, loss=model.loss,
+                             class_names=names)
+        # a names block that is valid JSON but not a list of strings
+        path = tmp_path / "model.bin"
+        save_model(path, model)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:blob.rindex(b"[")] + b"[1, 2, 3]")
+        with pytest.raises(ValueError, match="class_names must be 3 distinct strings"):
+            load_model(path)
 
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "model.bin"

@@ -16,12 +16,12 @@ from oracles import spectral_norm_matrix_free
 class TestOneHot:
     def test_basic_encoding(self):
         enc = one_hot([0, 1, 0], 2)
-        assert np.array_equal(enc.matrix, [[1, 0], [0, 1], [1, 0]])
-        assert np.array_equal(enc.class_counts, [2, 1])
+        assert np.array_equal(enc, [[1, 0], [0, 1], [1, 0]])
+        assert np.array_equal(enc.sum(axis=0), [2, 1])
 
     def test_single_sample(self):
         enc = one_hot([2], 3)
-        assert np.array_equal(enc.matrix, [[0, 0, 1]])
+        assert np.array_equal(enc, [[0, 0, 1]])
 
     def test_out_of_range_label_rejected(self):
         with pytest.raises(ValueError, match="label 3 at index 1"):
@@ -39,8 +39,8 @@ class TestOneHot:
         rng = make_rng(3)
         labels = rng.integers(0, 5, 40)
         enc = one_hot(labels, 5)
-        assert np.array_equal(enc.matrix.sum(axis=1), np.ones(40))
-        assert np.array_equal(enc.matrix.sum(axis=0), enc.class_counts)
+        assert np.array_equal(enc.sum(axis=1), np.ones(40))
+        assert np.array_equal(enc.sum(axis=0), np.bincount(labels, minlength=5))
 
 
 class TestSpectralNorm:
@@ -89,10 +89,6 @@ class TestSpectralNorm:
             A = rng.standard_normal((12, 9))
             assert spectral_norm(A).value <= np.linalg.norm(A) * (1 + 1e-12)
 
-    def test_bad_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            spectral_norm(np.eye(2), tol=0.0)
-
     def test_empty_iteration_budget_rejected(self):
         A = make_rng(310).standard_normal((5, 4))
         with pytest.raises(ValueError, match="max_iter must be at least 1, got 0"):
@@ -139,10 +135,10 @@ class TestLabelOperatorNorm:
         rng = make_rng(7)
         labels = rng.integers(0, 4, 100)
         enc = one_hot(labels, 4)
-        closed = label_operator_norm(enc.matrix)
-        iterated = spectral_norm(enc.matrix).value
+        closed = label_operator_norm(enc)
+        iterated = spectral_norm(enc).value
         assert closed == pytest.approx(iterated, rel=1e-9)
-        assert closed == np.sqrt(enc.class_counts.max())
+        assert closed == np.sqrt(np.bincount(labels).max())
 
 
 class TestNormalizeFeatures:

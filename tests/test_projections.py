@@ -85,17 +85,14 @@ class TestClipBox:
                                               (0.5, -1, 1, 0.5),
                                               (3.0, -1, 1, 1.0)])
     def test_scalar_entries(self, x, lo, hi, want):
-        assert clip_box(np.array([[x]]), lo, hi)[0, 0] == want
+        # the box is fixed at [lo, hi] = [-1, 1]
+        assert clip_box(np.array([[x]]))[0, 0] == want == np.clip(x, lo, hi)
 
     def test_idempotent(self):
         rng = make_rng(5)
         Z = rng.standard_normal((6, 4)) * 3
         once = clip_box(Z)
         assert np.array_equal(clip_box(once), once)
-
-    def test_bad_interval_rejected(self):
-        with pytest.raises(ValueError):
-            clip_box(np.zeros((2, 2)), 1.0, -1.0)
 
 
 class TestProjFrobeniusUnit:

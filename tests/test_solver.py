@@ -27,7 +27,7 @@ def small_problem(seed=0, m=30, d=20, k=3, delta=1.0, eta=2.0, rho=1.0,
                   alpha=0.0, kind="l1"):
     rng = make_rng(seed)
     X, _ = normalize_features(rng.standard_normal((m, d)))
-    Y = one_hot(np.arange(m) % k, k).matrix
+    Y = one_hot(np.arange(m) % k, k)
     loss = LossSpec("huber", delta) if delta > 0 else LossSpec("l1", 0.0)
     return Problem(X=X, Y=Y, loss=loss, ball=BallSpec(kind, eta), rho=rho, alpha=alpha)
 
@@ -110,7 +110,7 @@ class TestSolveBasics:
     def test_zero_data_first_iterates_exact(self):
         m, d, k = 6, 4, 2
         X = np.zeros((m, d))
-        Y = one_hot(np.arange(m) % k, k).matrix
+        Y = one_hot(np.arange(m) % k, k)
         prob = Problem(X=X, Y=Y, loss=LossSpec("huber", 1.0),
                        ball=BallSpec("l1", 1.0), rho=1.0)
         sigma, tau, tau_mu = 0.3, 0.1, 0.05
@@ -224,6 +224,14 @@ class TestSolveBasics:
     def test_lone_step_rejected(self, name):
         with pytest.raises(ValueError, match="tau, tau_mu and sigma must be set together"):
             SolverParams(**{name: 1e-3})
+
+    def test_beta_with_explicit_steps_rejected(self):
+        steps = dict(tau=1e-3, tau_mu=1e-3, sigma=1e-3)
+        with pytest.raises(ValueError, match="beta scales the derived steps; it cannot be set "
+                                             "with explicit tau, tau_mu and sigma"):
+            SolverParams(beta=3.0, **steps)
+        assert SolverParams(beta=1.0, **steps).beta == 1.0
+        assert SolverParams(beta=3.0).beta == 3.0
 
 
 class TestFeasibilityMaintenance:
@@ -428,7 +436,7 @@ class TestNormEstimate:
         # stalls at its 1000-step budget about 1.6e-4 below the true norm
         X = np.zeros((30, 20))
         X[:20] = np.diag(np.linspace(1.0, 0.99, 20))
-        Y = one_hot(np.arange(30) % 3, 3).matrix
+        Y = one_hot(np.arange(30) % 3, 3)
         prob = Problem(X=X, Y=Y, loss=LossSpec("huber", 1.0), ball=BallSpec("l1", 2.0))
         _, hist = solve(prob, SolverParams(max_iter=5))
         assert not hist.x_norm.converged
