@@ -22,7 +22,6 @@ from .classify import (
     predict_rows,
     signature,
     stratified_folds,
-    sweep_point,
     train_model,
 )
 from .data_io import (

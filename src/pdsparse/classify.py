@@ -32,7 +32,6 @@ __all__ = [
     "predict_rows",
     "signature",
     "stratified_folds",
-    "sweep_point",
     "train_model",
 ]
 
@@ -256,8 +255,9 @@ def eta_sweep(X, labels, etas, template: ProblemTemplate,
               seed: int = 0, jobs: int = 1) -> SweepResult:
     """Cross-validate over a grid of constraint radii.
 
-    For each radius the accuracy comes from cross validation and the
-    feature count from the signature of a model fitted on the full data.
+    For each radius the accuracies come from ``cross_validate`` (the
+    per-class ones averaged over the folds that hold the class) and the
+    feature count from the signature of one model fitted on the full data.
     """
     etas = [float(e) for e in etas]
     if not etas:
@@ -268,30 +268,16 @@ def eta_sweep(X, labels, etas, template: ProblemTemplate,
     for eta in etas:
         t = template.with_radius(eta)
         cv = cross_validate(X, labels, folds, t, params=params, seed=seed, jobs=jobs)
-        points.append(sweep_point(X, labels, t, cv, params=params))
+        full_model, _ = train_model(X, labels, t, params=params)
+        sel = signature(full_model).union()
+        per_class = np.vstack([r.per_class_accuracy for r in cv.reports])
+        with np.errstate(invalid="ignore"):
+            per_class_mean = np.nanmean(per_class, axis=0)
+        points.append(SweepPoint(eta=eta, n_features=int(sel.size),
+                                 accuracy=cv.mean_accuracy,
+                                 per_class_accuracy=per_class_mean,
+                                 cv=cv, selected_features=sel))
     return SweepResult(points=tuple(points))
-
-
-def sweep_point(X, labels, template: ProblemTemplate, cv: CVResult,
-                params: SolverParams | None = None) -> SweepPoint:
-    """Sweep entry at the template's radius from a finished CV run.
-
-    The accuracies come from ``cv``; the feature count from the signature
-    of one model fitted on the full data.
-    """
-    full_model, _ = train_model(X, labels, template, params=params)
-    sel = signature(full_model).union()
-    per_class = np.vstack([r.per_class_accuracy for r in cv.reports])
-    with np.errstate(invalid="ignore"):
-        per_class_mean = np.nanmean(per_class, axis=0)
-    return SweepPoint(
-        eta=template.ball.radius,
-        n_features=int(sel.size),
-        accuracy=cv.mean_accuracy,
-        per_class_accuracy=per_class_mean,
-        cv=cv,
-        selected_features=sel,
-    )
 
 
 def detect_knee(result: SweepResult) -> int | None:

@@ -17,39 +17,56 @@ from .projections import (BALL_KINDS, BallSpec, ball_norm, proj_l1_matrix, proj_
                           proj_l21, proj_nuclear)
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--eta", type=float, default=1.0, help="constraint radius (default: 1.0)")
-    p.add_argument("--ball", choices=BALL_KINDS, default="l1",
-                   help="constraint ball (default: l1)")
-    p.add_argument("--loss", choices=LOSS_KINDS, default="huber",
-                   help="data loss (default: huber)")
-    p.add_argument("--delta", type=float, default=1.0,
-                   help="huber knee; ignored for l1/frobenius losses (default: 1.0)")
-    p.add_argument("--rho", type=float, default=1.0,
-                   help="center-anchoring weight (default: 1.0)")
-    p.add_argument("--alpha", type=float, default=0.0,
-                   help="elastic-net weight (default: 0.0)")
-    p.add_argument("--gamma", type=float, default=0.0,
-                   help="over-relaxation in (-1,1) (default: 0.0)")
-    p.add_argument("--variant", choices=solver.VARIANTS,
-                   default="base", help="iteration variant (default: base)")
-    p.add_argument("--iters", type=int, default=2000,
-                   help="iteration budget (default: 2000)")
-    p.add_argument("--beta", type=float, default=1.0,
-                   help="center step-size heuristic scale (default: 1.0)")
+def _add_data_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--data", required=True, help="input dataset CSV")
     p.add_argument("--label-column", default="label",
                    help="label column name in the dataset CSV (default: label)")
     p.add_argument("--delimiter", default=",",
                    help="dataset CSV field delimiter (default: ,)")
 
 
+def _load_dataset(args) -> data_io.Dataset:
+    return data_io.load_csv(args.data, label_column=args.label_column,
+                            delimiter=args.delimiter)
+
+
+def _add_cv_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--folds", type=int, default=4, help="number of folds (default: 4)")
+    p.add_argument("--jobs", type=int, default=1, help="parallel fold workers (default: 1)")
+    p.add_argument("--seed", type=int, default=0, help="fold-assignment seed (default: 0)")
+
+
+def _add_solver_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--eta", type=float, default=1.0, help="constraint radius (default: 1.0)")
+    p.add_argument("--ball", choices=BALL_KINDS, default="l1",
+                   help="constraint ball (default: l1)")
+    p.add_argument("--loss", choices=LOSS_KINDS, default="huber",
+                   help="data loss (default: huber)")
+    p.add_argument("--delta", type=float, default=None,
+                   help="huber knee; the other losses take none (default: 1.0 "
+                        "for huber)")
+    p.add_argument("--rho", type=float, default=1.0,
+                   help="center-anchoring weight (default: 1.0)")
+    p.add_argument("--alpha", type=float, default=0.0,
+                   help="elastic-net weight (default: 0.0)")
+    p.add_argument("--gamma", type=float, default=0.0,
+                   help="over-relaxation in (-1,1) (default: 0.0)")
+    p.add_argument("--variant", choices=solver.VARIANTS, default="base",
+                   help="iteration variant; accelerated is the base iteration "
+                        "when delta is 0, as under the l1 loss (default: base)")
+    p.add_argument("--iters", type=int, default=2000,
+                   help="iteration budget (default: 2000)")
+
+
 def _template_params(args) -> tuple[ProblemTemplate, solver.SolverParams]:
-    delta = args.delta if args.loss == "huber" else 0.0
+    delta = args.delta
+    if delta is None:
+        delta = 1.0 if args.loss == "huber" else 0.0
     template = ProblemTemplate(loss=LossSpec(args.loss, delta),
                                ball=BallSpec(args.ball, args.eta),
                                rho=args.rho, alpha=args.alpha)
-    params = solver.SolverParams(gamma=args.gamma, beta=args.beta,
-                                 max_iter=args.iters, variant=args.variant)
+    params = solver.SolverParams(gamma=args.gamma, max_iter=args.iters,
+                                 variant=args.variant)
     return template, params
 
 
@@ -66,8 +83,7 @@ def cmd_gen_synthetic(args) -> int:
 
 
 def cmd_train(args) -> int:
-    dataset = data_io.load_csv(args.data, label_column=args.label_column,
-                               delimiter=args.delimiter)
+    dataset = _load_dataset(args)
     template, params = _template_params(args)
     model, history = classify.train_model(dataset.X, dataset.labels, template,
                                           params=params,
@@ -109,8 +125,7 @@ def _write_history_csv(path, history) -> None:
 
 def cmd_predict(args) -> int:
     model = data_io.load_model(args.model)
-    dataset = data_io.load_csv(args.data, label_column=args.label_column,
-                               delimiter=args.delimiter)
+    dataset = _load_dataset(args)
     # the file numbers its labels by first appearance, so compare them by name
     unknown = [name for name in dataset.label_names if name not in model.class_names]
     if unknown:
@@ -129,8 +144,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    dataset = data_io.load_csv(args.data, label_column=args.label_column,
-                               delimiter=args.delimiter)
+    dataset = _load_dataset(args)
     template, params = _template_params(args)
     result = classify.cross_validate(dataset.X, dataset.labels, args.folds,
                                      template, params=params, seed=args.seed,
@@ -138,17 +152,11 @@ def cmd_cv(args) -> int:
     for i, rep in enumerate(result.reports):
         print(f"fold {i}: accuracy {rep.global_accuracy:.4f}")
     print(f"mean accuracy: {result.mean_accuracy:.4f} +/- {result.std_accuracy:.4f}")
-    if args.curve_out:
-        point = classify.sweep_point(dataset.X, dataset.labels, template, result,
-                                     params=params)
-        data_io.write_curve_csv(args.curve_out, [point], dataset.n_classes)
-        print(f"curve written to {args.curve_out}")
     return 0
 
 
 def cmd_sweep_eta(args) -> int:
-    dataset = data_io.load_csv(args.data, label_column=args.label_column,
-                               delimiter=args.delimiter)
+    dataset = _load_dataset(args)
     template, params = _template_params(args)
     etas = [float(tok) for tok in args.etas.split(",") if tok]
     result = classify.eta_sweep(dataset.X, dataset.labels, etas, template,
@@ -237,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_synthetic)
 
     p = sub.add_parser("train", help="train a model and write it to disk")
-    p.add_argument("--data", required=True, help="input dataset CSV")
+    _add_data_flags(p)
     p.add_argument("--model-out", required=True, help="output model file")
     p.add_argument("--history-out", default=None, help="optional training history CSV")
     p.add_argument("--no-normalize", action="store_true",
@@ -247,30 +255,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="score a dataset with a saved model")
     p.add_argument("--model", required=True, help="model file from train")
-    p.add_argument("--data", required=True, help="input dataset CSV")
+    _add_data_flags(p)
     p.add_argument("--output", default=None, help="optional per-sample predictions CSV")
-    p.add_argument("--label-column", default="label",
-                   help="label column name in the dataset CSV (default: label)")
-    p.add_argument("--delimiter", default=",",
-                   help="dataset CSV field delimiter (default: ,)")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("cv", help="stratified k-fold cross validation")
-    p.add_argument("--data", required=True, help="input dataset CSV")
-    p.add_argument("--folds", type=int, default=4, help="number of folds (default: 4)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel fold workers (default: 1)")
-    p.add_argument("--seed", type=int, default=0, help="fold-assignment seed (default: 0)")
-    p.add_argument("--curve-out", default=None, help="optional single-point curve CSV")
+    _add_data_flags(p)
+    _add_cv_flags(p)
     _add_solver_flags(p)
     p.set_defaults(func=cmd_cv)
 
     p = sub.add_parser("sweep-eta", help="cross-validated sweep over constraint radii")
-    p.add_argument("--data", required=True, help="input dataset CSV")
+    _add_data_flags(p)
     p.add_argument("--etas", required=True, help="comma-separated ascending radii")
     p.add_argument("--out", required=True, help="output curve CSV")
-    p.add_argument("--folds", type=int, default=4, help="number of folds (default: 4)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel fold workers (default: 1)")
-    p.add_argument("--seed", type=int, default=0, help="fold-assignment seed (default: 0)")
+    _add_cv_flags(p)
     _add_solver_flags(p)
     p.set_defaults(func=cmd_sweep_eta)
 

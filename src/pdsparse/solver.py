@@ -64,17 +64,18 @@ class SolverParams:
     """Step sizes, variant, over-relaxation and iteration budget.
 
     The three steps are set together, or left as None to be derived at
-    solve time from the problem's norms; ``beta`` scales the center-step
-    heuristic, so a non-default one is refused with explicit steps.  A
-    nonzero ``gamma`` over-relaxes every iterate.  The criterion's weights
-    (``rho``, the huber ``delta``, ``alpha``) live on the Problem.
+    solve time from the problem's norms.  A nonzero ``gamma`` over-relaxes
+    every iterate.  The accelerated variant rescales the steps by
+    ``1/sqrt(1 + delta*sigma)``, so under a loss with ``delta = 0`` (the l1
+    loss, or huber at zero knee) it runs the base iteration bit for bit.
+    The criterion's weights (``rho``, the huber ``delta``, ``alpha``) live
+    on the Problem.
     """
 
     tau: float | None = None
     tau_mu: float | None = None
     sigma: float | None = None
     gamma: float = 0.0
-    beta: float = 1.0
     max_iter: int = 2000
     record_every: int = 50
     variant: str = "base"
@@ -85,8 +86,6 @@ class SolverParams:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
         if not -1.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must lie in (-1, 1), got {self.gamma}")
-        if self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if self.record_every < 1:
@@ -97,9 +96,6 @@ class SolverParams:
                 raise ValueError(f"{name} must be positive and finite, got {v}")
         if len({self.tau is None, self.tau_mu is None, self.sigma is None}) > 1:
             raise ValueError("tau, tau_mu and sigma must be set together")
-        if self.tau is not None and self.beta != 1.0:
-            raise ValueError("beta scales the derived steps; it cannot be set "
-                             "with explicit tau, tau_mu and sigma")
 
 
 @dataclass
@@ -147,24 +143,24 @@ class TrainingHistory:
 
 
 def default_steps(X_norm: float, Y_norm: float, m: int, k: int,
-                  rho: float, beta: float, eta: float) -> tuple[float, float, float]:
+                  rho: float, eta: float) -> tuple[float, float, float]:
     """Step sizes from the ball radius and data norms.
 
     With the weights confined to a ball of radius eta the primal diameter
-    is at most 2 eta, which fixes tau; tau_mu follows the tuned-beta
-    heuristic; sigma is then set just inside the convergence boundary.
-    Raises when beta is too large for the heuristic's denominator.
+    is at most 2 eta, which fixes tau; tau_mu is 1 / (2 sqrt(m) Y_norm -
+    rho/4); sigma is then set just inside the convergence boundary.
+    Raises when rho is too large for the center step's denominator.
     """
     if X_norm <= 0 or Y_norm <= 0:
         raise ValueError("data norms must be positive")
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
     tau = eta / (math.sqrt(m * k) * X_norm)
-    den = 2.0 * math.sqrt(m) * Y_norm - 0.25 * beta * rho
+    den = 2.0 * math.sqrt(m) * Y_norm - 0.25 * rho
     if den <= 0:
         raise ValueError(
-            f"center-step denominator is {den:.3e} <= 0; choose a smaller beta")
-    tau_mu = beta / den
+            f"center-step denominator is {den:.3e} <= 0; choose a smaller rho")
+    tau_mu = 1.0 / den
     sigma = STEP_STRICTNESS / _condition_lhs(tau, tau_mu, 1.0, rho, 0.0,
                                              X_norm, Y_norm, "base")
     return tau, tau_mu, sigma
@@ -273,8 +269,7 @@ def solve(problem: Problem, params: SolverParams,
     if params.tau is not None:
         tau, tau_mu, sigma = params.tau, params.tau_mu, params.sigma
     else:
-        tau, tau_mu, sigma = default_steps(X_norm, Y_norm, m, k, rho,
-                                           params.beta, ball.radius)
+        tau, tau_mu, sigma = default_steps(X_norm, Y_norm, m, k, rho, ball.radius)
         # derived defaults target the base condition; shrink sigma when the
         # run's condition (variant and gamma) is stricter
         lhs = _condition_lhs(tau, tau_mu, sigma, rho, gamma, X_norm, Y_norm, variant)

@@ -199,9 +199,8 @@ def test_criterion_05_step_condition_enforcement():
         k = int(rng.integers(2, 12))
         Y_norm = float(np.sqrt(rng.integers(1, m + 1)))
         rho = float(rng.uniform(0, 3))
-        beta = float(rng.uniform(0.1, 2))
         eta = float(rng.uniform(0.1, 20))
-        tau, tau_mu, sigma = default_steps(1.0, Y_norm, m, k, rho, beta, eta)
+        tau, tau_mu, sigma = default_steps(1.0, Y_norm, m, k, rho, eta)
         ok, slack = check_step_condition(
             SolverParams(tau=tau, tau_mu=tau_mu, sigma=sigma), 1.0, Y_norm, rho=rho)
         assert ok and slack > 0

@@ -1,3 +1,5 @@
+import argparse
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -5,6 +7,11 @@ import pytest
 
 from pdsparse import classify, cli, data_io
 from pdsparse.cli import build_parser, main
+from pdsparse.linalg import normalize_features, one_hot
+from pdsparse.losses import LossSpec
+from pdsparse.model import ProblemTemplate
+from pdsparse.projections import BallSpec
+from pdsparse.solver import SolverParams, solve
 
 SNAPSHOT_DIR = Path(__file__).parent / "data" / "help"
 
@@ -228,6 +235,30 @@ class TestTrainPredict:
         final = next(l for l in out.splitlines() if l.startswith("final objective"))
         assert float(final.split("elastic ")[1].rstrip(")")) > 0
 
+    @pytest.mark.parametrize("loss", ["l1", "frobenius"])
+    def test_delta_outside_huber_rejected_like_the_library(self, loss, dataset_csv,
+                                                           tmp_path, capsys):
+        with pytest.raises(ValueError) as lib:
+            LossSpec(loss, 2.0)
+        model_path = tmp_path / "m.bin"
+        train = ["train", "--data", str(dataset_csv), "--model-out", str(model_path),
+                 "--loss", loss, "--iters", "50"]
+        assert main([*train, "--delta", "2"]) == 1
+        assert capsys.readouterr().err == f"error: {lib.value}\n"
+        assert not model_path.exists()
+        assert main(train) == 0
+        assert model_path.exists()
+
+    def test_delta_defaults_by_loss(self):
+        def loss_of(*argv):
+            args = build_parser().parse_args(["train", "--data", "x", "--model-out", "x",
+                                              *argv])
+            return cli._template_params(args)[0].loss
+        assert loss_of() == LossSpec("huber", 1.0)
+        assert loss_of("--delta", "0.5") == LossSpec("huber", 0.5)
+        assert loss_of("--loss", "l1") == LossSpec("l1", 0.0)
+        assert loss_of("--loss", "frobenius") == LossSpec("frobenius", 0.0)
+
     def test_missing_file_reports_one_line_error(self, tmp_path, capsys):
         rc = main(["train", "--data", str(tmp_path / "nope.csv"),
                    "--model-out", str(tmp_path / "m.bin")])
@@ -251,8 +282,7 @@ class TestEveryOptionIsRead:
                       "--history-out", str(tmp_path / "h.csv"), "--iters", "5"],
             "predict": ["--model", str(model), "--data", str(dataset_csv),
                         "--output", str(tmp_path / "p.csv")],
-            "cv": ["--data", str(dataset_csv), "--folds", "2", "--iters", "5",
-                   "--curve-out", str(tmp_path / "c.csv")],
+            "cv": ["--data", str(dataset_csv), "--folds", "2", "--iters", "5"],
             "sweep-eta": ["--data", str(dataset_csv), "--etas", "1", "--folds", "2",
                           "--iters", "5", "--out", str(tmp_path / "s.csv")],
             "project": ["--input", str(matrix), "--output", str(tmp_path / "o.csv"),
@@ -286,6 +316,49 @@ class TestEveryOptionIsRead:
         assert "unrecognized arguments: --no-normalize" in capsys.readouterr().err
 
 
+# A valid non-default value for each SolverParams field (the three steps are
+# one setting) and for each solver flag of the CLI.  A field or flag without
+# an entry fails its case, so a new setting needs one that runs.
+FIELD_VALUES = {"steps": dict(tau=0.05, tau_mu=0.01, sigma=1.0), "gamma": 0.4,
+                "max_iter": 60, "record_every": 7, "variant": "accelerated",
+                "early_stop_tol": 1e-3}
+FLAG_VALUES = {"--eta": "3", "--ball": "nuclear", "--loss": "l1", "--delta": "0.5",
+               "--rho": "2", "--alpha": "0.3", "--gamma": "0.4", "--variant": "fixed-mu",
+               "--iters": "60"}
+STEP_FIELDS = ("tau", "tau_mu", "sigma")
+
+
+def _settings():
+    names = [f.name for f in fields(SolverParams) if f.name not in STEP_FIELDS]
+    parser = argparse.ArgumentParser()
+    cli._add_solver_flags(parser)
+    flags = [a.option_strings[0] for a in parser._actions if a.dest != "help"]
+    cases = [("field", "steps")] + [("field", n) for n in names] + [("flag", f) for f in flags]
+    return [pytest.param(kind, name, id=f"{kind}-{name}") for kind, name in cases]
+
+
+class TestEverySettingRuns:
+    """Each setting of ``solve`` and each solver flag of ``train`` runs when set alone."""
+
+    @pytest.mark.parametrize("kind, name", _settings())
+    def test_setting_alone_runs(self, kind, name, dataset_csv, tmp_path, capsys):
+        if kind == "field":
+            value = FIELD_VALUES[name]
+            params = SolverParams(**(value if name == "steps" else {name: value}))
+            ds = data_io.load_csv(dataset_csv)
+            Xn, _ = normalize_features(ds.X)
+            problem = ProblemTemplate(loss=LossSpec("huber", 1.0),
+                                      ball=BallSpec("l1", 2.0)).bind(Xn, one_hot(ds.labels, 2))
+            model, history = solve(problem, params)
+            assert history.records and np.isfinite(model.W).all()
+        else:
+            model_path = tmp_path / "m.bin"
+            assert main(["train", "--data", str(dataset_csv), "--model-out",
+                         str(model_path), name, FLAG_VALUES[name]]) == 0
+            capsys.readouterr()
+            assert model_path.exists()
+
+
 class TestCvAndSweep:
     def test_cv_default_four_folds(self, dataset_csv, capsys):
         rc = main(["cv", "--data", str(dataset_csv), "--eta", "10",
@@ -311,15 +384,6 @@ class TestCvAndSweep:
         lines = curve.read_text().splitlines()
         assert len(lines) == 2
         assert float(lines[1].split(",")[2]) == pytest.approx(mean, abs=5e-5)
-
-    def test_cv_curve_matches_single_point_sweep(self, dataset_csv, tmp_path, capsys):
-        cv_curve, sweep_curve = tmp_path / "cv.csv", tmp_path / "sweep.csv"
-        common = ["--data", str(dataset_csv), "--folds", "3", "--iters", "300",
-                  "--seed", "7"]
-        assert main(["cv", *common, "--eta", "5", "--curve-out", str(cv_curve)]) == 0
-        assert main(["sweep-eta", *common, "--etas", "5", "--out", str(sweep_curve)]) == 0
-        capsys.readouterr()
-        assert cv_curve.read_bytes() == sweep_curve.read_bytes()
 
     def test_sweep_deterministic_output_files(self, dataset_csv, tmp_path, capsys):
         paths = [tmp_path / "c1.csv", tmp_path / "c2.csv"]

@@ -41,8 +41,8 @@ def collect_iterates(problem, params, n):
 
 class TestDefaultSteps:
     def test_worked_example(self):
-        # m=100, k=4 balanced so the label norm is 5; rho=1, beta=1, eta=1
-        tau, tau_mu, sigma = default_steps(1.0, 5.0, 100, 4, 1.0, 1.0, 1.0)
+        # m=100, k=4 balanced so the label norm is 5; rho=1, eta=1
+        tau, tau_mu, sigma = default_steps(1.0, 5.0, 100, 4, 1.0, 1.0)
         assert tau == pytest.approx(2.0 / (2.0 * 20.0), rel=1e-15)
         assert tau_mu == pytest.approx(1.0 / 99.75, rel=1e-12)
         expect_sigma = 0.999 / (tau_mu * 25.0 / (1.0 + tau_mu / 4.0) + tau)
@@ -52,7 +52,7 @@ class TestDefaultSteps:
         assert ok and slack > 0
 
     def test_rho_zero_degenerates(self):
-        _, tau_mu, _ = default_steps(1.0, 5.0, 100, 4, 0.0, 1.0, 1.0)
+        _, tau_mu, _ = default_steps(1.0, 5.0, 100, 4, 0.0, 1.0)
         assert tau_mu == pytest.approx(1.0 / (2.0 * 10.0 * 5.0), rel=1e-15)
 
     def test_random_draws_always_strict(self):
@@ -62,16 +62,18 @@ class TestDefaultSteps:
             k = int(rng.integers(2, 12))
             Y_norm = float(np.sqrt(rng.integers(1, m + 1)))
             rho = float(rng.uniform(0, 3))
-            beta = float(rng.uniform(0.1, 2))
             eta = float(rng.uniform(0.1, 20))
-            tau, tau_mu, sigma = default_steps(1.0, Y_norm, m, k, rho, beta, eta)
+            tau, tau_mu, sigma = default_steps(1.0, Y_norm, m, k, rho, eta)
             params = SolverParams(tau=tau, tau_mu=tau_mu, sigma=sigma)
             ok, slack = check_step_condition(params, 1.0, Y_norm, rho=rho)
             assert ok and slack > 0
 
-    def test_oversized_beta_rejected(self):
-        with pytest.raises(ValueError, match="smaller beta"):
-            default_steps(1.0, 1.0, 4, 2, 100.0, 10.0, 1.0)
+    def test_oversized_rho_rejected(self):
+        # 2 sqrt(m) Y_norm = 4, so rho = 16 puts the denominator at zero
+        for rho in (16.0, 100.0):
+            with pytest.raises(ValueError, match="<= 0; choose a smaller rho"):
+                default_steps(1.0, 1.0, 4, 2, rho, 1.0)
+        assert default_steps(1.0, 1.0, 4, 2, 15.0, 1.0)[1] == 4.0
 
 
 class TestCheckStepCondition:
@@ -224,14 +226,6 @@ class TestSolveBasics:
     def test_lone_step_rejected(self, name):
         with pytest.raises(ValueError, match="tau, tau_mu and sigma must be set together"):
             SolverParams(**{name: 1e-3})
-
-    def test_beta_with_explicit_steps_rejected(self):
-        steps = dict(tau=1e-3, tau_mu=1e-3, sigma=1e-3)
-        with pytest.raises(ValueError, match="beta scales the derived steps; it cannot be set "
-                                             "with explicit tau, tau_mu and sigma"):
-            SolverParams(beta=3.0, **steps)
-        assert SolverParams(beta=1.0, **steps).beta == 1.0
-        assert SolverParams(beta=3.0).beta == 3.0
 
 
 class TestFeasibilityMaintenance:
