@@ -1,10 +1,16 @@
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pdsparse
 from pdsparse.linalg import normalize_features, one_hot, spectral_norm
 from pdsparse.losses import LossSpec
 from pdsparse.model import Problem, ProblemTemplate
@@ -21,6 +27,7 @@ from pdsparse.solver import (
 )
 
 from conftest import make_rng
+from record_solve_digests import CASES, DIGEST_PATH, environment
 
 
 def small_problem(seed=0, m=30, d=20, k=3, delta=1.0, eta=2.0, rho=1.0,
@@ -436,3 +443,22 @@ class TestNormEstimate:
         assert not hist.x_norm.converged
         assert hist.x_norm.iterations == 1000
         assert 1e-4 < 1.0 - hist.x_norm.value < 3e-4
+
+
+class TestByteIdentity:
+    """Speed-ups of the iteration leave every iterate bit for bit unchanged."""
+
+    def test_fits_match_recorded_digests(self, tmp_path):
+        recorded = json.loads(DIGEST_PATH.read_text())
+        if recorded["environment"] != environment():
+            pytest.skip(f"digests recorded under {recorded['environment']}; "
+                        f"re-record with tests/record_solve_digests.py")
+        out = tmp_path / "digests.json"
+        src = str(Path(pdsparse.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, str(Path(__file__).parent / "record_solve_digests.py"),
+                        "--out", str(out)], env=env, check=True, capture_output=True)
+        fresh = json.loads(out.read_text())["fits"]
+        assert set(fresh) == set(recorded["fits"]) == set(CASES)
+        assert [name for name in CASES if fresh[name] != recorded["fits"][name]] == []
