@@ -25,9 +25,9 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
                    help="dataset CSV field delimiter (default: ,)")
 
 
-def _load_dataset(args) -> data_io.Dataset:
+def _load_dataset(args, require_label: bool = True) -> data_io.Dataset:
     return data_io.load_csv(args.data, label_column=args.label_column,
-                            delimiter=args.delimiter)
+                            delimiter=args.delimiter, require_label=require_label)
 
 
 def _add_cv_flags(p: argparse.ArgumentParser) -> None:
@@ -125,9 +125,9 @@ def _write_history_csv(path, history) -> None:
 
 def cmd_predict(args) -> int:
     model = data_io.load_model(args.model)
-    dataset = _load_dataset(args)
+    dataset = _load_dataset(args, require_label=False)
     # the file numbers its labels by first appearance, so compare them by name
-    unknown = [name for name in dataset.label_names if name not in model.class_names]
+    unknown = [name for name in dataset.label_names or () if name not in model.class_names]
     if unknown:
         raise ValueError(f"{args.data}: label {unknown[0]!r} is not a class of the model "
                          f"(classes: {', '.join(model.class_names)})")
@@ -138,8 +138,9 @@ def cmd_predict(args) -> int:
             for i, p in enumerate(preds):
                 fh.write(f"{i},{p}\n")
         print(f"predictions written to {args.output}")
-    acc = float((preds == np.array(dataset.label_names)[dataset.labels]).mean())
-    print(f"accuracy: {acc:.4f} on {len(preds)} samples")
+    if dataset.labels is not None:
+        acc = float((preds == np.array(dataset.label_names)[dataset.labels]).mean())
+        print(f"accuracy: {acc:.4f} on {len(preds)} samples")
     return 0
 
 

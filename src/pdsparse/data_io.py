@@ -81,10 +81,13 @@ class SyntheticSpec:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix with integer labels and optional column/label names."""
+    """Feature matrix with integer labels and optional column/label names.
+
+    ``labels`` and ``label_names`` are None for an unlabelled file.
+    """
 
     X: np.ndarray
-    labels: np.ndarray
+    labels: np.ndarray | None
     feature_names: list[str] | None = None
     label_names: list[str] | None = None
 
@@ -113,13 +116,16 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     return Dataset(X=X, labels=labels)
 
 
-def load_csv(path, label_column: str = "label", delimiter: str = ",") -> Dataset:
-    """Load a labelled dataset from a delimited text file.
+def load_csv(path, label_column: str = "label", delimiter: str = ",",
+             require_label: bool = True) -> Dataset:
+    """Load a dataset from a delimited text file.
 
     The first row must be a header; ``label_column`` names the label field
     and every other column must be numeric and finite.  Labels are coded
     in order of first appearance in this file, with their names kept as
     ``label_names``; compare labels across files by name, not by code.
+    A header without ``label_column`` is refused unless ``require_label``
+    is False, which loads every column as a feature and leaves the labels None.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
@@ -127,9 +133,12 @@ def load_csv(path, label_column: str = "label", delimiter: str = ",") -> Dataset
     if not rows:
         raise ValueError(f"{path}: empty file")
     header = rows[0]
-    if label_column not in header:
+    if label_column in header:
+        label_idx = header.index(label_column)
+    elif require_label:
         raise ValueError(f"{path}: label column {label_column!r} not found in header")
-    label_idx = header.index(label_column)
+    else:
+        label_idx = None
     feature_names = [h for i, h in enumerate(header) if i != label_idx]
     data_rows = rows[1:]
     if not data_rows:
@@ -159,6 +168,8 @@ def load_csv(path, label_column: str = "label", delimiter: str = ",") -> Dataset
                     f"column {header[c]!r}")
             X[r, c_out] = val
             c_out += 1
+    if label_idx is None:
+        return Dataset(X=X, labels=None, feature_names=feature_names)
     return Dataset(X=X, labels=labels, feature_names=feature_names,
                    label_names=list(label_codes))
 

@@ -83,6 +83,11 @@ def proj_l1_vector(v, radius) -> np.ndarray:
         raise ValueError(f"expected a vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("vector contains non-finite entries")
+    return _proj_l1(v, radius)
+
+
+def _proj_l1(v: np.ndarray, radius: float) -> np.ndarray:
+    """Sort-and-scan l1 projection of a finite float64 vector; radius checked."""
     a = np.abs(v)
     if a.sum() <= radius:
         return v.copy()
@@ -97,7 +102,7 @@ def proj_l1_vector(v, radius) -> np.ndarray:
 def proj_l1_matrix(V, radius) -> np.ndarray:
     """Project a matrix onto the l1 ball of its flattened entries."""
     V = check_matrix(V, "V")
-    return proj_l1_vector(V.ravel(), radius).reshape(V.shape)
+    return _proj_l1(V.ravel(), _check_radius(radius)).reshape(V.shape)
 
 
 def clip_box(Z) -> np.ndarray:

@@ -192,6 +192,15 @@ def check_step_condition(params: SolverParams, X_norm: float, Y_norm: float,
     return lhs < 1.0, 1.0 - lhs
 
 
+def _gradient(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """X^T Z, C-contiguous, formed as the row-major product (Z^T X)^T.
+
+    OpenBLAS gives it the bits of ``X.T @ Z`` at every shape tested, and at
+    d = 20000 in about half the time; ``TestByteIdentity`` guards both.
+    """
+    return np.ascontiguousarray((np.ascontiguousarray(Z.T) @ X).T)
+
+
 def _duality_gap(primal: float, Z: np.ndarray, problem: Problem, fixed_mu: bool) -> float:
     """Primal value minus the dual value D(Z); no step size enters, so any variant.
 
@@ -205,7 +214,7 @@ def _duality_gap(primal: float, Z: np.ndarray, problem: Problem, fixed_mu: bool)
         if problem.rho == 0:
             return math.inf
         dual -= float(np.sum(YtZ * YtZ)) / (2.0 * problem.rho)
-    V = (Z.T @ problem.X).T  # cheaper than X.T @ Z when d is large
+    V = _gradient(problem.X, Z)
     if problem.alpha > 0:
         W = project_ball(V / problem.alpha, problem.ball)
         return primal - dual + float(np.sum(V * W)) - 0.5 * problem.alpha * float(np.sum(W * W))
@@ -309,7 +318,7 @@ def solve(problem: Problem, params: SolverParams,
     for n in range(1, params.max_iter + 1):
         W_old, mu_old, Z_old = W, mu, Z
 
-        G = W + tau * (X.T @ Z)
+        G = W + tau * _gradient(X, Z)
         if alpha > 0:
             G /= 1.0 + tau * alpha
         W = project_ball(G, ball)

@@ -18,24 +18,23 @@ the test skips, naming this script, under another one.
 
 from __future__ import annotations
 
+import argparse
+import hashlib
+import json
 import os
+import platform
 import sys
+from dataclasses import asdict
+from pathlib import Path
 
 if __name__ == "__main__":
     # OpenBLAS reads its thread count once, when numpy loads
-    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[_var] = "2"
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "2"
 
-import argparse  # noqa: E402
-import hashlib  # noqa: E402
-import json  # noqa: E402
-import platform  # noqa: E402
-from dataclasses import asdict  # noqa: E402
-from pathlib import Path  # noqa: E402
+import numpy as np
 
-import numpy as np  # noqa: E402
-
-from pdsparse import (BallSpec, LossSpec, Problem, SolverParams, SyntheticSpec,  # noqa: E402
+from pdsparse import (BallSpec, LossSpec, Problem, SolverParams, SyntheticSpec,
                       generate_synthetic, normalize_features, one_hot, solve)
 
 DIGEST_PATH = Path(__file__).parent / "data" / "solve_digests.json"

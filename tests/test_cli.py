@@ -136,6 +136,35 @@ class TestTrainPredict:
             f"error: {other}: label '7' is not a class of the model (classes: 0, 1)\n")
         assert not preds_path.exists()
 
+    def test_predict_scores_unlabelled_file(self, dataset_csv, tmp_path, capsys):
+        model_path = tmp_path / "m.bin"
+        assert main(["train", "--data", str(dataset_csv), "--model-out",
+                     str(model_path), "--eta", "2", "--iters", "300"]) == 0
+        # the same rows without the label column, which write_dataset_csv puts last
+        unlabelled = tmp_path / "nolabel.csv"
+        unlabelled.write_text("".join(line.rsplit(",", 1)[0] + "\n"
+                                      for line in dataset_csv.read_text().splitlines()))
+        outputs = []
+        for data, preds_path in ((dataset_csv, tmp_path / "a.csv"),
+                                 (unlabelled, tmp_path / "b.csv")):
+            capsys.readouterr()
+            assert main(["predict", "--model", str(model_path), "--data", str(data),
+                         "--output", str(preds_path)]) == 0
+            outputs.append((capsys.readouterr().out, preds_path.read_bytes()))
+        assert outputs[0][1] == outputs[1][1]
+        assert "accuracy: " in outputs[0][0]
+        assert outputs[1][0] == f"predictions written to {tmp_path / 'b.csv'}\n"
+
+    @pytest.mark.parametrize("command", ["train", "cv", "sweep-eta"])
+    def test_training_commands_refuse_unlabelled_file(self, command, tmp_path, capsys):
+        unlabelled = tmp_path / "nolabel.csv"
+        unlabelled.write_text("f0,f1\n1.0,2.0\n3.0,4.0\n")
+        extra = {"train": ["--model-out", str(tmp_path / "m.bin")], "cv": [],
+                 "sweep-eta": ["--etas", "1", "--out", str(tmp_path / "s.csv")]}
+        assert main([command, "--data", str(unlabelled), *extra[command]]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {unlabelled}: label column 'label' not found in header\n")
+
     def test_predict_reads_version_one_model(self, dataset_csv, tmp_path, capsys):
         v2, v1 = tmp_path / "v2.bin", tmp_path / "v1.bin"
         assert main(["train", "--data", str(dataset_csv), "--model-out", str(v2),

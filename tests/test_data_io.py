@@ -109,6 +109,17 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="'label' not found"):
             load_csv(path)
 
+    def test_unlabelled_file_loads_when_label_optional(self, tmp_path):
+        path = tmp_path / "nolabel.csv"
+        path.write_text("f0,f1\n1.0,2.0\n3.0,4.5\n")
+        ds = load_csv(path, require_label=False)
+        assert ds.labels is None and ds.label_names is None
+        assert ds.feature_names == ["f0", "f1"]
+        assert np.array_equal(ds.X, [[1.0, 2.0], [3.0, 4.5]])
+        labelled = tmp_path / "tiny.csv"
+        labelled.write_text("f0,label,f1\n1.0,a,2.0\n")
+        assert load_csv(labelled, require_label=False).label_names == ["a"]
+
     def test_nan_token_rejected_with_location(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("f0,f1,label\n1.0,nan,a\n")

@@ -12,7 +12,7 @@ import pytest
 
 import pdsparse
 from pdsparse.linalg import normalize_features, one_hot, spectral_norm
-from pdsparse.losses import LossSpec
+from pdsparse.losses import LossSpec, dual_prox
 from pdsparse.model import Problem, ProblemTemplate
 from pdsparse.projections import BallSpec, ball_norm
 from pdsparse.solver import (
@@ -21,6 +21,7 @@ from pdsparse.solver import (
     SolverState,
     StepConditionError,
     VARIANTS,
+    _gradient,
     check_step_condition,
     default_steps,
     solve,
@@ -448,6 +449,16 @@ class TestNormEstimate:
 class TestByteIdentity:
     """Speed-ups of the iteration leave every iterate bit for bit unchanged."""
 
+    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize("d", [1000, 4000, 20000])
+    def test_gradient_has_the_bits_of_xt_z(self, d, k):
+        rng = make_rng(d + k)
+        X = rng.standard_normal((200, d))
+        Z = dual_prox(2.0 * rng.standard_normal((200, k)), 0.5, LossSpec("huber", 1.0))
+        G, ref = _gradient(X, Z), X.T @ Z
+        assert G.flags.c_contiguous
+        assert np.array_equal(G, ref) and G.tobytes() == ref.tobytes()
+
     def test_fits_match_recorded_digests(self, tmp_path):
         recorded = json.loads(DIGEST_PATH.read_text())
         if recorded["environment"] != environment():
@@ -457,8 +468,10 @@ class TestByteIdentity:
         src = str(Path(pdsparse.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        subprocess.run([sys.executable, str(Path(__file__).parent / "record_solve_digests.py"),
-                        "--out", str(out)], env=env, check=True, capture_output=True)
+        proc = subprocess.run([sys.executable, str(Path(__file__).parent / "record_solve_digests.py"),
+                               "--out", str(out)], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
         fresh = json.loads(out.read_text())["fits"]
         assert set(fresh) == set(recorded["fits"]) == set(CASES)
-        assert [name for name in CASES if fresh[name] != recorded["fits"][name]] == []
+        changed = [name for name in CASES if fresh[name] != recorded["fits"][name]]
+        assert not changed, f"iterates of {changed} are no longer byte-identical"
