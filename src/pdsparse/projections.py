@@ -14,6 +14,7 @@ guarded Newton iteration.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,8 +140,8 @@ def proj_nuclear(V, radius) -> np.ndarray:
     """Project onto the nuclear-norm ball (sum of singular values <= radius).
 
     Thin SVD of the smaller orientation, l1 projection of the spectrum,
-    reconstruction.  Feasible inputs are returned unchanged, bypassing the
-    SVD round-trip.
+    reconstruction.  The SVD is always computed; a feasible input is returned
+    unchanged, skipping only the l1 projection and the reconstruction.
     """
     radius = _check_radius(radius)
     V = check_matrix(V, "V")
@@ -174,14 +175,21 @@ class L12NewtonState:
     iterations: int = 0
 
 
-def _l12_row_state(S: np.ndarray, lam: float):
-    """Active counts and per-row best ratios S_ip / (1 + lam p) at fixed lam."""
-    n, m = S.shape
-    p_range = np.arange(1, m + 1, dtype=np.float64)
-    ratios = S / (1.0 + lam * p_range)
-    p_idx = np.argmax(ratios, axis=1)
-    row_best = ratios[np.arange(n), p_idx]
-    return p_idx + 1, row_best
+@functools.cache
+def _merge_network(k: int) -> tuple[tuple[int, int], ...]:
+    """Compare-exchange pairs (i, j), i < j, of Batcher's odd-even merge sort of k items."""
+    pairs = []
+    p = 1
+    while p < k:
+        q = p
+        while q >= 1:
+            for j in range(q % p, k - q, 2 * q):
+                for i in range(min(q, k - j - q)):
+                    if (i + j) // (2 * p) == (i + j + q) // (2 * p):
+                        pairs.append((i + j, i + j + q))
+            q //= 2
+        p *= 2
+    return tuple(pairs)
 
 
 def proj_l12_with_state(V, radius, max_iter: int = 100) -> tuple[np.ndarray, L12NewtonState]:
@@ -193,6 +201,12 @@ def proj_l12_with_state(V, radius, max_iter: int = 100) -> tuple[np.ndarray, L12
     refreshed once per multiplier update.  Stops at relative residual
     ``L12_TOL`` and raises ``NewtonConvergenceError`` after ``max_iter``
     updates without convergence.
+
+    The sort (a sorting network on whole columns) and the Newton passes work
+    on a k x d copy, since numpy is slow on operations along the short axis
+    of a d x k array.  The row sums and the column bound stay on the d x k
+    arrays: numpy sums each of those rows pairwise and each column in
+    sequence (pairwise at k = 1), orders no k x d reduction keeps.
     """
     radius = _check_radius(radius)
     V = check_matrix(V, "V")
@@ -200,47 +214,49 @@ def proj_l12_with_state(V, radius, max_iter: int = 100) -> tuple[np.ndarray, L12
     A = np.abs(V)
     target = radius * radius
 
-    row_l1 = A.sum(axis=1)
-    if float((row_l1 * row_l1).sum()) <= target:
-        # feasible: multiplier 0, all entries active
-        srt0 = np.sort(A, axis=1)[:, ::-1]
-        state = L12NewtonState(
-            prefix_sums=np.cumsum(srt0, axis=1),
-            lam=0.0,
-            p=np.full(n, m),
-            residual=float((row_l1 * row_l1).sum()) - target,
-            lambdas=[0.0],
-        )
-        return V.copy(), state
+    # St[j] sums the j + 1 largest magnitudes of each row.  The sort moves
+    # values only, so tied magnitudes cannot change a bit.
+    rows = list(np.ascontiguousarray(A.T))
+    for i, j in _merge_network(m):
+        rows[i], rows[j] = np.maximum(rows[i], rows[j]), np.minimum(rows[i], rows[j])
+    St = np.array(rows).reshape(m, n)
+    for j in range(1, m):
+        St[j] += St[j - 1]
+    S = np.ascontiguousarray(St.T)
 
-    # stable descending sort: ties keep original column order
-    order = np.argsort(-A, axis=1, kind="stable")
-    srt = np.take_along_axis(A, order, axis=1)
-    S = np.cumsum(srt, axis=1)
+    row_l1 = A.sum(axis=1)
+    norm_sq = float((row_l1 * row_l1).sum())
+    if norm_sq <= target:
+        # feasible: multiplier 0, all entries active
+        state = L12NewtonState(prefix_sums=S, lam=0.0, p=np.full(n, m),
+                               residual=norm_sq - target, lambdas=[0.0])
+        return V.copy(), state
 
     p_range = np.arange(1, m + 1, dtype=np.float64)
     col = np.sqrt((S * S).sum(axis=0))
     lam = max(0.0, float(((col / radius - 1.0) / p_range).max()))
     lambdas = [lam]
 
-    p, row_best = _l12_row_state(S, lam)
-    val = float((row_best * row_best).sum())
-    iterations = 0
-    if val - target > L12_TOL * target:
-        for iterations in range(1, max_iter + 1):
-            deriv = 2.0 * float((p * row_best * row_best / (1.0 + lam * p)).sum())
-            lam = lam + (val - target) / deriv
-            lambdas.append(lam)
-            p, row_best = _l12_row_state(S, lam)
-            val = float((row_best * row_best).sum())
-            if val - target <= L12_TOL * target:
-                break
-        else:
+    # p is the first column of each row's best ratio S_ip / (1 + lam p), as
+    # argmax picks it: column j ranks m - j, the first maximum ranks highest
+    rank = np.arange(m, 0, -1, dtype=np.min_scalar_type(m))[:, None]
+    ratios = np.empty_like(St)
+    for iterations in range(max_iter + 1):
+        np.divide(St, (1.0 + lam * p_range)[:, None], out=ratios)
+        row_best = ratios.max(axis=0)
+        p = (m + 1.0) - (rank * (ratios == row_best)).max(axis=0)
+        val = float((row_best * row_best).sum())
+        if val - target <= L12_TOL * target:
+            break
+        if iterations == max_iter:
             raise NewtonConvergenceError(
                 f"l12 multiplier search did not converge in {max_iter} iterations "
                 f"(residual {val - target:.3e})",
                 residual=val - target,
             )
+        deriv = 2.0 * float((p * row_best * row_best / (1.0 + lam * p)).sum())
+        lam = lam + (val - target) / deriv
+        lambdas.append(lam)
 
     deltas = lam * row_best
     W = np.sign(V) * np.maximum(A - deltas[:, None], 0.0)

@@ -309,6 +309,12 @@ def solve(problem: Problem, params: SolverParams,
     fixed_mu = variant == "fixed-mu"
     accelerated = variant == "accelerated"
 
+    # the extrapolation and the coupling are overwritten every iteration;
+    # W, mu and Z are new arrays each time, as the callback and model keep them
+    W_ext = np.empty_like(W)
+    W_tmp = np.empty_like(W)
+    coupling = np.empty_like(Z)
+
     history = TrainingHistory(params=resolved, step_slack=slack, x_norm=x_norm)
     state = SolverState(W=W, mu=mu, Z=Z)
     theta = 1.0
@@ -318,7 +324,9 @@ def solve(problem: Problem, params: SolverParams,
     for n in range(1, params.max_iter + 1):
         W_old, mu_old, Z_old = W, mu, Z
 
-        G = W + tau * _gradient(X, Z)
+        G = _gradient(X, Z)
+        G *= tau
+        G += W
         if alpha > 0:
             G /= 1.0 + tau * alpha
         W = project_ball(G, ball)
@@ -327,12 +335,16 @@ def solve(problem: Problem, params: SolverParams,
 
         if accelerated:
             theta = 1.0 / math.sqrt(1.0 + delta * sigma)
-        W_ext = (1.0 + theta) * W - theta * W_old
+        np.multiply(W, 1.0 + theta, out=W_ext)
+        W_ext -= np.multiply(W_old, theta, out=W_tmp)
+        np.matmul(X, W_ext, out=coupling)
         if fixed_mu:
-            coupling = Y - X @ W_ext
+            np.subtract(Y, coupling, out=coupling)
         else:
-            coupling = Y @ ((1.0 + theta) * mu - theta * mu_old) - X @ W_ext
-        Z = dual_prox(Z + sigma * coupling, sigma, loss)
+            np.subtract(Y @ ((1.0 + theta) * mu - theta * mu_old), coupling, out=coupling)
+        coupling *= sigma
+        coupling += Z
+        Z = dual_prox(coupling, sigma, loss)
 
         if accelerated:
             sigma *= theta

@@ -6,12 +6,17 @@ sort-free pruning scan against the sort-based l1 projection,
 ``proj_l12_bisection`` a double bisection against the Newton multiplier
 search of ``proj_l12``, and ``spectral_norm_matrix_free`` the power
 iteration of ``spectral_norm`` without forming the Gram matrix.
+
+``proj_l12_with_state_reference`` is the exception: it is the l12
+projection as written before its search moved to feature-major prefix
+sums, kept verbatim so the tests can assert that the rewrite changed no bit.
 """
 
 import numpy as np
 
 from pdsparse.linalg import OperatorNormEstimate, check_matrix
-from pdsparse.projections import _check_radius
+from pdsparse.projections import (L12_TOL, L12NewtonState, NewtonConvergenceError,
+                                  _check_radius)
 
 
 def l1_threshold_bisection(v, radius, iters=200):
@@ -135,6 +140,87 @@ def proj_l12_bisection(V, radius, lam_iters: int = 100,
     lam = hi
     d = thresholds(lam)
     return np.sign(V) * np.maximum(A - d[:, None], 0.0)
+
+
+def _l12_row_state(S: np.ndarray, lam: float):
+    """Active counts and per-row best ratios S_ip / (1 + lam p) at fixed lam."""
+    n, m = S.shape
+    p_range = np.arange(1, m + 1, dtype=np.float64)
+    ratios = S / (1.0 + lam * p_range)
+    p_idx = np.argmax(ratios, axis=1)
+    row_best = ratios[np.arange(n), p_idx]
+    return p_idx + 1, row_best
+
+
+def proj_l12_with_state_reference(V, radius, max_iter: int = 100) -> tuple[np.ndarray, L12NewtonState]:
+    """Project onto the l12 ball and return the multiplier-search state.
+
+    The constraint is sum_i (sum_j |w_ij|)^2 <= radius^2.  The multiplier
+    lambda starts at a computable lower bound, so the Newton iterates
+    increase monotonically toward the root; the per-row active counts are
+    refreshed once per multiplier update.  Stops at relative residual
+    ``L12_TOL`` and raises ``NewtonConvergenceError`` after ``max_iter``
+    updates without convergence.
+    """
+    radius = _check_radius(radius)
+    V = check_matrix(V, "V")
+    n, m = V.shape
+    A = np.abs(V)
+    target = radius * radius
+
+    row_l1 = A.sum(axis=1)
+    if float((row_l1 * row_l1).sum()) <= target:
+        # feasible: multiplier 0, all entries active
+        srt0 = np.sort(A, axis=1)[:, ::-1]
+        state = L12NewtonState(
+            prefix_sums=np.cumsum(srt0, axis=1),
+            lam=0.0,
+            p=np.full(n, m),
+            residual=float((row_l1 * row_l1).sum()) - target,
+            lambdas=[0.0],
+        )
+        return V.copy(), state
+
+    # stable descending sort: ties keep original column order
+    order = np.argsort(-A, axis=1, kind="stable")
+    srt = np.take_along_axis(A, order, axis=1)
+    S = np.cumsum(srt, axis=1)
+
+    p_range = np.arange(1, m + 1, dtype=np.float64)
+    col = np.sqrt((S * S).sum(axis=0))
+    lam = max(0.0, float(((col / radius - 1.0) / p_range).max()))
+    lambdas = [lam]
+
+    p, row_best = _l12_row_state(S, lam)
+    val = float((row_best * row_best).sum())
+    iterations = 0
+    if val - target > L12_TOL * target:
+        for iterations in range(1, max_iter + 1):
+            deriv = 2.0 * float((p * row_best * row_best / (1.0 + lam * p)).sum())
+            lam = lam + (val - target) / deriv
+            lambdas.append(lam)
+            p, row_best = _l12_row_state(S, lam)
+            val = float((row_best * row_best).sum())
+            if val - target <= L12_TOL * target:
+                break
+        else:
+            raise NewtonConvergenceError(
+                f"l12 multiplier search did not converge in {max_iter} iterations "
+                f"(residual {val - target:.3e})",
+                residual=val - target,
+            )
+
+    deltas = lam * row_best
+    W = np.sign(V) * np.maximum(A - deltas[:, None], 0.0)
+    state = L12NewtonState(
+        prefix_sums=S,
+        lam=lam,
+        p=p.astype(np.int64),
+        residual=val - target,
+        lambdas=lambdas,
+        iterations=iterations,
+    )
+    return W, state
 
 
 def spectral_norm_matrix_free(A, max_iter: int = 1000) -> OperatorNormEstimate:

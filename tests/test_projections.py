@@ -1,10 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdsparse import (LossSpec, ProblemTemplate, SolverParams, SyntheticSpec, generate_synthetic,
+                      normalize_features, one_hot, projections, solve)
 from pdsparse.projections import (
     BallSpec,
+    L12NewtonState,
     NewtonConvergenceError,
     ball_norm,
     clip_box,
@@ -20,7 +25,8 @@ from pdsparse.projections import (
 )
 
 from conftest import make_rng, random_feasible
-from oracles import l1_threshold_bisection, proj_l1_vector_scan, proj_l12_bisection
+from oracles import (l1_threshold_bisection, proj_l1_vector_scan, proj_l12_bisection,
+                     proj_l12_with_state_reference)
 
 
 class TestProjL1Vector:
@@ -250,6 +256,98 @@ class TestProjL12:
         with pytest.raises(NewtonConvergenceError) as exc:
             proj_l12(V, 0.2 * ball_norm(V, "l12"), max_iter=1)
         assert exc.value.residual > 0
+
+
+def _bits(x):
+    """A value's exact bits: dtype, shape and bytes of arrays, hex of floats."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.flags.c_contiguous, x.tobytes()
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, list):
+        return [_bits(v) for v in x]
+    return x
+
+
+def assert_l12_bits_unchanged(V, radius):
+    W, state = proj_l12_with_state(V, radius)
+    W_ref, state_ref = proj_l12_with_state_reference(V, radius)
+    assert _bits(W) == _bits(W_ref)
+    for f in dataclasses.fields(L12NewtonState):
+        assert _bits(getattr(state, f.name)) == _bits(getattr(state_ref, f.name)), f.name
+
+
+class TestProjL12ByteIdentity:
+    """The feature-major search returns the bits of the d x k one it replaced."""
+
+    # numpy's pairwise sums can take a different order from a sequential one at k >= 8
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 10, 16])
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000])
+    def test_random_rows_across_radii(self, n, k):
+        rng = make_rng(1000 * n + k)
+        V = rng.standard_normal((n, k)) * np.exp(rng.uniform(-2, 2, (n, 1)))
+        norm = ball_norm(V, "l12")
+        for frac in (0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95, 1.0, 1.5):
+            assert_l12_bits_unchanged(V, frac * norm)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 10, 16])
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000])
+    def test_ties_zero_rows_and_signed_zeros(self, n, k):
+        rng = make_rng(2000 * n + k)
+        # few distinct magnitudes: tied entries within rows and tied ratios across them
+        V = rng.integers(-2, 3, (n, k)).astype(np.float64)
+        V[rng.random(n) < 0.2] = 0.0
+        V[rng.random((n, k)) < 0.1] = -0.0
+        V[0] = 1.0
+        norm = ball_norm(V, "l12")
+        for frac in (0.05, 0.3, 0.6, 0.95, 1.2):
+            assert_l12_bits_unchanged(V, frac * norm)
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 3), (0, 0)])
+    def test_empty_shapes(self, shape):
+        assert_l12_bits_unchanged(np.zeros(shape), 1.0)
+
+    def test_every_projection_of_an_l12_fit(self, monkeypatch):
+        problem = small_l12_problem()
+        calls = []
+
+        def checked(V, radius, max_iter=100):
+            assert_l12_bits_unchanged(V, radius)
+            W, state = proj_l12_with_state(V, radius, max_iter)
+            calls.append(state.iterations)
+            return W
+
+        monkeypatch.setattr(projections, "proj_l12", checked)
+        solve(problem, SolverParams(max_iter=60, record_every=30))
+        assert len(calls) == 60 and sum(calls) > 60
+
+    def test_merge_network_sorts_every_width(self):
+        rng = make_rng(57)
+        for k in range(1, 41):
+            values = rng.integers(0, 4, (k, 50)).astype(np.float64)
+            rows = list(values)
+            for i, j in projections._merge_network(k):
+                rows[i], rows[j] = np.maximum(rows[i], rows[j]), np.minimum(rows[i], rows[j])
+            assert np.array_equal(np.array(rows), -np.sort(-values, axis=0)), k
+
+    def test_nonconvergence_has_the_same_residual(self):
+        rng = make_rng(56)
+        V = rng.standard_normal((20, 6)) * np.exp(rng.uniform(-2, 2, (20, 1)))
+        radius = 0.2 * ball_norm(V, "l12")
+        residuals = []
+        for fn in (proj_l12_with_state, proj_l12_with_state_reference):
+            with pytest.raises(NewtonConvergenceError) as exc:
+                fn(V, radius, max_iter=1)
+            residuals.append(exc.value.residual.hex())
+        assert residuals[0] == residuals[1]
+
+
+def small_l12_problem():
+    ds = generate_synthetic(SyntheticSpec(m=80, d=300, k=4, s=20, separation=2.0,
+                                          noise_sd=1.0, dropout_rate=0.3, seed=3))
+    X, _ = normalize_features(ds.X)
+    return ProblemTemplate(LossSpec("huber", 1.0), BallSpec("l12", 8.0)).bind(
+        X, one_hot(ds.labels, 4))
 
 
 BALLS = ["l1", "l21", "l12", "nuclear"]

@@ -205,6 +205,23 @@ class TestSolveBasics:
         _, h_init = solve(prob, params, initial=init)
         assert h_default.records[-1].objective.total == h_init.records[-1].objective.total
 
+    @pytest.mark.parametrize("variant, gamma", [("base", 0.0), ("fixed-mu", 0.0), ("base", 0.3)])
+    def test_in_place_iteration_keeps_inputs_and_outputs_apart(self, variant, gamma):
+        prob = small_problem(seed=9)
+        d, k, m = prob.n_features, prob.n_classes, prob.n_samples
+        rng = make_rng(11)
+        init = SolverState(W=0.01 * rng.standard_normal((d, k)),
+                           mu=np.eye(k) + 0.1 * rng.standard_normal((k, k)),
+                           Z=rng.uniform(-1.0, 1.0, (m, k)))
+        before = [a.copy() for a in (init.W, init.mu, init.Z)]
+        model, hist = solve(prob, SolverParams(max_iter=40, record_every=20, variant=variant,
+                                               gamma=gamma), initial=init)
+        for a, b in zip((init.W, init.mu, init.Z), before):
+            assert a.tobytes() == b.tobytes()
+        arrays = [model.W, model.mu, hist.ergodic_W, init.W, init.mu, init.Z]
+        for a, b in itertools.combinations(arrays, 2):
+            assert not np.shares_memory(a, b)
+
     def test_early_stop_breaks_before_budget(self):
         prob = small_problem(seed=10)
         params = SolverParams(max_iter=5000, record_every=100, early_stop_tol=1e-8)
