@@ -112,7 +112,8 @@ def dual_prox(Zbar, sigma: float, spec: LossSpec) -> np.ndarray:
 
 def primal_objective(W, mu, problem: "Problem") -> ObjectiveBreakdown:
     """Evaluate the primal objective at (W, mu) for a training instance."""
-    W = np.asarray(W, dtype=np.float64)
+    # C order: ||W||^2 adds in memory order
+    W = np.ascontiguousarray(W, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
     X, Y = problem.X, problem.Y
     if W.shape != (X.shape[1], Y.shape[1]):

@@ -10,6 +10,15 @@ Implemented balls, for a matrix V with rows v_i:
 plus the l-infinity box and the Frobenius unit ball needed by the dual
 updates.  The l12 projection solves for its Lagrange multiplier with a
 guarded Newton iteration.
+
+Layout: a ball projection returns its output in the memory layout of its
+input.  A Fortran-ordered (column-major) matrix, the layout ``solve`` keeps
+W in, gives a Fortran-ordered result with the bytes of the result for the
+same values in C order; any other input is read, and answered, in C order.
+Sums whose bits depend on the order they add in (l21's row norms, l12's row
+sums) are taken from a C-ordered copy.  The l1 ball's feasibility total is
+not: it adds in memory order, which only a total tied with the radius can
+see.
 """
 
 from __future__ import annotations
@@ -40,6 +49,8 @@ __all__ = [
 
 BALL_KINDS = ("l1", "l21", "l12", "nuclear")
 L12_TOL = 1e-12
+# the l1 projection sorts this many of the largest magnitudes before any other
+L1_PREFIX = 256
 
 
 @dataclass(frozen=True)
@@ -62,6 +73,14 @@ class NewtonConvergenceError(RuntimeError):
     def __init__(self, message: str, residual: float):
         super().__init__(message)
         self.residual = residual
+
+
+def _check_ball_input(V) -> np.ndarray:
+    """``check_matrix`` that leaves a Fortran-ordered matrix Fortran-ordered."""
+    V = np.asarray(V, dtype=np.float64)
+    if V.ndim == 2 and V.flags.f_contiguous:
+        return check_matrix(V.T, "V").T
+    return check_matrix(V, "V")
 
 
 def _check_radius(radius) -> float:
@@ -87,28 +106,80 @@ def proj_l1_vector(v, radius) -> np.ndarray:
     return _proj_l1(v, radius)
 
 
+def _sorted_scan(u: np.ndarray, radius: float) -> tuple[np.ndarray, np.float64]:
+    """Sort u in place and overwrite it with css_j - r of its descending order.
+
+    Returns that view and the threshold (css_rho - r) / (rho + 1) at the
+    last index rho with u_rho (rho + 1) > css_rho - r.  Working in the
+    caller's buffer keeps n-sized temporaries few: the page faults that
+    fresh ones cost can outweigh the arithmetic.
+    """
+    u.sort()
+    u = u[::-1]
+    uj = np.arange(1.0, u.size + 1)
+    uj *= u
+    excess = np.cumsum(u, out=u)
+    excess -= radius
+    active = uj > excess
+    rho = active.size - 1 - int(np.argmax(active[::-1]))
+    return excess, excess[rho] / (rho + 1)
+
+
 def _proj_l1(v: np.ndarray, radius: float) -> np.ndarray:
-    """Sort-and-scan l1 projection of a finite float64 vector; radius checked."""
+    """Sort-and-scan l1 projection of a finite float64 array, in its layout; radius checked.
+
+    theta = (css_rho - r) / (rho + 1), where css sums the magnitudes u
+    sorted descending and rho is the last index with u_rho (rho + 1) >
+    css_rho - r.  Only entries that can be active are sorted: the L1_PREFIX
+    largest (``np.partition``) bound theta below by ``bound = max_j (css_j -
+    r) / j``, and unless the smallest of them is at most ``floor``, just
+    under that bound, every entry above ``floor`` is sorted.  If L1_PREFIX
+    times the largest magnitude is at most r, the bound is at most 0 and
+    every entry is sorted.
+
+    The bits are a full sort's.  The candidates' descending sort is a prefix
+    of the full one, and ``cumsum`` adds in sequence, so their css is a
+    prefix of the full css.  An entry u_j <= floor fails the active test in
+    floating point too: with the bound attained at i, its exact margin
+    css_j - r - u_j (j + 1) is at least (i + 1)(bound - u_j), and the gap
+    ``4 n eps (bound + total)`` exceeds the rounding of the cumsum (at most
+    n eps total / 2), of the product and of the quotient.  The index j
+    enters the product as a float, the value a full sort's int64 index was
+    converted to.
+    """
     a = np.abs(v)
-    if a.sum() <= radius:
-        return v.copy()
-    u = np.sort(a)[::-1]
-    css = np.cumsum(u)
-    j = np.arange(1, u.size + 1)
-    rho = int(np.nonzero(u * j > css - radius)[0][-1])
-    theta = (css[rho] - radius) / (rho + 1)
-    return np.sign(v) * np.maximum(a - theta, 0.0)
+    total = a.sum()
+    if total <= radius:
+        return v.copy(order="K")
+    flat = a.ravel(order="K")  # a view, in memory order
+    n = flat.size
+    if n > L1_PREFIX and L1_PREFIX * flat.max() > radius:
+        top = np.partition(flat, n - L1_PREFIX)[n - L1_PREFIX:]
+        smallest = top[0]  # at least every entry outside top
+        excess, theta = _sorted_scan(top, radius)
+        bound = (excess / np.arange(1, L1_PREFIX + 1)).max()
+        floor = bound - 4.0 * n * np.finfo(np.float64).eps * (bound + total)
+        if smallest > floor:
+            _, theta = _sorted_scan(flat[flat > floor], radius)
+    else:
+        # every entry is a candidate: sort a itself, then take |v| again
+        _, theta = _sorted_scan(flat, radius)
+        np.abs(v, out=a)
+    a -= theta
+    np.maximum(a, 0.0, out=a)
+    np.copysign(a, v, out=a)
+    a[v == 0] = 0.0  # np.sign(v) times the magnitude gave +0.0 for -0.0
+    return a
 
 
 def proj_l1_matrix(V, radius) -> np.ndarray:
     """Project a matrix onto the l1 ball of its flattened entries."""
-    V = check_matrix(V, "V")
-    return _proj_l1(V.ravel(), _check_radius(radius)).reshape(V.shape)
+    return _proj_l1(_check_ball_input(V), _check_radius(radius))
 
 
 def clip_box(Z) -> np.ndarray:
     """Clamp every entry into [-1, 1], the unit l-infinity box."""
-    return np.clip(Z, -1.0, 1.0)
+    return np.asarray(Z).clip(-1.0, 1.0)
 
 
 def proj_frobenius_unit(Z) -> np.ndarray:
@@ -128,8 +199,8 @@ def proj_l21(V, radius) -> np.ndarray:
     rows map to zero rows.
     """
     radius = _check_radius(radius)
-    V = check_matrix(V, "V")
-    norms = np.linalg.norm(V, axis=1)
+    V = _check_ball_input(V)
+    norms = np.linalg.norm(np.ascontiguousarray(V), axis=1)
     t = proj_l1_vector(norms, radius)
     denom = np.maximum(t, norms)
     scale = np.divide(t, denom, out=np.zeros_like(t), where=denom > 0)
@@ -144,7 +215,7 @@ def proj_nuclear(V, radius) -> np.ndarray:
     unchanged, skipping only the l1 projection and the reconstruction.
     """
     radius = _check_radius(radius)
-    V = check_matrix(V, "V")
+    V = _check_ball_input(V)
     transposed = V.shape[0] < V.shape[1]
     M = V.T if transposed else V
     try:
@@ -152,10 +223,12 @@ def proj_nuclear(V, radius) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"SVD failed during nuclear projection: {exc}") from exc
     if s.sum() <= radius:
-        return V.copy()
+        return V.copy(order="K")
     s_proj = proj_l1_vector(s, radius)
     out = (U * s_proj) @ Vt
-    return out.T if transposed else out
+    out = out.T if transposed else out
+    # forming the product in F order changes its bits at k >= 20: copy
+    return np.asfortranarray(out) if V.flags.f_contiguous else np.ascontiguousarray(out)
 
 
 @dataclass
@@ -203,13 +276,14 @@ def proj_l12_with_state(V, radius, max_iter: int = 100) -> tuple[np.ndarray, L12
     updates without convergence.
 
     The sort (a sorting network on whole columns) and the Newton passes work
-    on a k x d copy, since numpy is slow on operations along the short axis
-    of a d x k array.  The row sums and the column bound stay on the d x k
-    arrays: numpy sums each of those rows pairwise and each column in
-    sequence (pairwise at k = 1), orders no k x d reduction keeps.
+    on a k x d array (a view of a Fortran-ordered input, else a copy), since
+    numpy is slow on operations along the short axis of a d x k array.  The
+    row sums and the column bound stay on C-ordered d x k arrays: numpy sums
+    each of those rows pairwise and each column in sequence (pairwise at
+    k = 1), orders no k x d reduction keeps.
     """
     radius = _check_radius(radius)
-    V = check_matrix(V, "V")
+    V = _check_ball_input(V)
     n, m = V.shape
     A = np.abs(V)
     target = radius * radius
@@ -224,13 +298,13 @@ def proj_l12_with_state(V, radius, max_iter: int = 100) -> tuple[np.ndarray, L12
         St[j] += St[j - 1]
     S = np.ascontiguousarray(St.T)
 
-    row_l1 = A.sum(axis=1)
+    row_l1 = np.ascontiguousarray(A).sum(axis=1)
     norm_sq = float((row_l1 * row_l1).sum())
     if norm_sq <= target:
         # feasible: multiplier 0, all entries active
         state = L12NewtonState(prefix_sums=S, lam=0.0, p=np.full(n, m),
                                residual=norm_sq - target, lambdas=[0.0])
-        return V.copy(), state
+        return V.copy(order="K"), state
 
     p_range = np.arange(1, m + 1, dtype=np.float64)
     col = np.sqrt((S * S).sum(axis=0))

@@ -193,12 +193,13 @@ def check_step_condition(params: SolverParams, X_norm: float, Y_norm: float,
 
 
 def _gradient(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """X^T Z, C-contiguous, formed as the row-major product (Z^T X)^T.
+    """X^T Z, Fortran-ordered: the transpose of the row-major product Z^T X.
 
     OpenBLAS gives it the bits of ``X.T @ Z`` at every shape tested, and at
-    d = 20000 in about half the time; ``TestByteIdentity`` guards both.
+    d = 20000 in about a quarter of the time; ``TestByteIdentity`` guards
+    both.  The copy of Z^T is small and makes the product faster at d = 1000.
     """
-    return np.ascontiguousarray((np.ascontiguousarray(Z.T) @ X).T)
+    return (np.ascontiguousarray(Z.T) @ X).T
 
 
 def _duality_gap(primal: float, Z: np.ndarray, problem: Problem, fixed_mu: bool) -> float:
@@ -214,7 +215,8 @@ def _duality_gap(primal: float, Z: np.ndarray, problem: Problem, fixed_mu: bool)
         if problem.rho == 0:
             return math.inf
         dual -= float(np.sum(YtZ * YtZ)) / (2.0 * problem.rho)
-    V = _gradient(problem.X, Z)
+    # C order: the sums below add in memory order
+    V = np.ascontiguousarray(_gradient(problem.X, Z))
     if problem.alpha > 0:
         W = project_ball(V / problem.alpha, problem.ball)
         return primal - dual + float(np.sum(V * W)) - 0.5 * problem.alpha * float(np.sum(W * W))
@@ -292,14 +294,16 @@ def solve(problem: Problem, params: SolverParams,
             f"step sizes violate the {condition} convergence condition "
             f"(slack {slack:.3e}); reduce sigma or the primal steps")
 
+    # W and every d x k array derived from it are Fortran-ordered (k x d rows
+    # in memory), the layout of the gradient (Z^T X)^T; the projections keep it
     if initial is not None:
-        W = np.array(initial.W, dtype=np.float64)
+        W = np.array(initial.W, dtype=np.float64, order="F")
         mu = np.array(initial.mu, dtype=np.float64)
         Z = np.array(initial.Z, dtype=np.float64)
         if W.shape != (d, k) or mu.shape != (k, k) or Z.shape != (m, k):
             raise ValueError("initial state shapes do not match the problem")
     else:
-        W = np.zeros((d, k))
+        W = np.zeros((d, k), order="F")
         mu = np.eye(k)
         Z = np.zeros((m, k))
 
@@ -336,7 +340,7 @@ def solve(problem: Problem, params: SolverParams,
         if accelerated:
             theta = 1.0 / math.sqrt(1.0 + delta * sigma)
         np.multiply(W, 1.0 + theta, out=W_ext)
-        W_ext -= np.multiply(W_old, theta, out=W_tmp)
+        W_ext -= W_old if theta == 1.0 else np.multiply(W_old, theta, out=W_tmp)
         np.matmul(X, W_ext, out=coupling)
         if fixed_mu:
             np.subtract(Y, coupling, out=coupling)
@@ -389,6 +393,7 @@ def solve(problem: Problem, params: SolverParams,
             if tol is not None and gap <= tol * max(1.0, abs(objective.total)):
                 break
 
-    history.ergodic_W = sum_W / n
+    history.ergodic_W = np.ascontiguousarray(sum_W / n)
+    # TrainedModel keeps a C-ordered copy of the column-major W
     model = TrainedModel(W=state.W, mu=state.mu, ball=ball, loss=loss)
     return model, history

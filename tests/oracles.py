@@ -7,9 +7,11 @@ sort-free pruning scan against the sort-based l1 projection,
 search of ``proj_l12``, and ``spectral_norm_matrix_free`` the power
 iteration of ``spectral_norm`` without forming the Gram matrix.
 
-``proj_l12_with_state_reference`` is the exception: it is the l12
-projection as written before its search moved to feature-major prefix
-sums, kept verbatim so the tests can assert that the rewrite changed no bit.
+``proj_l12_with_state_reference`` and ``proj_l1_reference`` are the
+exceptions: they are the l12 projection as written before its search moved
+to feature-major prefix sums, and the l1 projection as written before it
+sorted only its candidates, kept verbatim so the tests can assert that the
+rewrites changed no bit.
 """
 
 import numpy as np
@@ -87,6 +89,17 @@ def proj_l1_vector_scan(v, radius) -> np.ndarray:
     return np.sign(v) * np.maximum(a - rho, 0.0)
 
 
+def proj_l1_reference(v: np.ndarray, radius: float) -> np.ndarray:
+    """Sort-and-scan l1 projection of a finite float64 vector; radius checked."""
+    a = np.abs(v)
+    if a.sum() <= radius:
+        return v.copy()
+    u = np.sort(a)[::-1]
+    css = np.cumsum(u)
+    j = np.arange(1, u.size + 1)
+    rho = int(np.nonzero(u * j > css - radius)[0][-1])
+    theta = (css[rho] - radius) / (rho + 1)
+    return np.sign(v) * np.maximum(a - theta, 0.0)
 
 
 def proj_l12_bisection(V, radius, lam_iters: int = 100,

@@ -25,8 +25,8 @@ from pdsparse.projections import (
 )
 
 from conftest import make_rng, random_feasible
-from oracles import (l1_threshold_bisection, proj_l1_vector_scan, proj_l12_bisection,
-                     proj_l12_with_state_reference)
+from oracles import (l1_threshold_bisection, proj_l1_reference, proj_l1_vector_scan,
+                     proj_l12_bisection, proj_l12_with_state_reference)
 
 
 class TestProjL1Vector:
@@ -259,9 +259,12 @@ class TestProjL12:
 
 
 def _bits(x):
-    """A value's exact bits: dtype, shape and bytes of arrays, hex of floats."""
+    """A value's exact bits: dtype, shape and C-order bytes of arrays, hex of floats.
+
+    The bytes include the sign bit of every zero.
+    """
     if isinstance(x, np.ndarray):
-        return x.dtype.str, x.shape, x.flags.c_contiguous, x.tobytes()
+        return x.dtype.str, x.shape, x.tobytes()
     if isinstance(x, float):
         return x.hex()
     if isinstance(x, list):
@@ -269,10 +272,16 @@ def _bits(x):
     return x
 
 
+def _layout(a):
+    return a.flags.c_contiguous, a.flags.f_contiguous
+
+
 def assert_l12_bits_unchanged(V, radius):
     W, state = proj_l12_with_state(V, radius)
     W_ref, state_ref = proj_l12_with_state_reference(V, radius)
     assert _bits(W) == _bits(W_ref)
+    assert _layout(W) == _layout(V)
+    assert state.prefix_sums.flags.c_contiguous
     for f in dataclasses.fields(L12NewtonState):
         assert _bits(getattr(state, f.name)) == _bits(getattr(state_ref, f.name)), f.name
 
@@ -308,7 +317,7 @@ class TestProjL12ByteIdentity:
         assert_l12_bits_unchanged(np.zeros(shape), 1.0)
 
     def test_every_projection_of_an_l12_fit(self, monkeypatch):
-        problem = small_l12_problem()
+        problem = small_fit_problem("l12")
         calls = []
 
         def checked(V, radius, max_iter=100):
@@ -342,12 +351,84 @@ class TestProjL12ByteIdentity:
         assert residuals[0] == residuals[1]
 
 
-def small_l12_problem():
+def small_fit_problem(kind):
     ds = generate_synthetic(SyntheticSpec(m=80, d=300, k=4, s=20, separation=2.0,
                                           noise_sd=1.0, dropout_rate=0.3, seed=3))
     X, _ = normalize_features(ds.X)
-    return ProblemTemplate(LossSpec("huber", 1.0), BallSpec("l12", 8.0)).bind(
+    return ProblemTemplate(LossSpec("huber", 1.0), BallSpec(kind, 8.0)).bind(
         X, one_hot(ds.labels, 4))
+
+
+def assert_l1_bits_unchanged(v, radius):
+    out = proj_l1_vector(v, radius)
+    assert _bits(out) == _bits(proj_l1_reference(v, radius))
+
+
+class TestProjL1ByteIdentity:
+    """Sorting only the candidates gives the bits of the full sort it replaced."""
+
+    RADII = (1e-3, 0.01, 0.05, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95, 0.999, 1.0, 1.5)
+
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 4000, 80000])
+    def test_random_vectors_across_radii(self, n, monkeypatch):
+        rng = make_rng(3000 + n)
+        sorts = []
+        scan = projections._sorted_scan
+        monkeypatch.setattr(projections, "_sorted_scan",
+                            lambda c, r: sorts.append(c.size) or scan(c, r))
+        dense = rng.standard_normal(n)
+        # solver-like: a few large entries over many small ones
+        spiky = rng.standard_normal(n) * np.exp(rng.uniform(-8, 2, n))
+        for v in (dense, spiky):
+            norm = float(np.abs(v).sum())
+            for frac in self.RADII:
+                assert_l1_bits_unchanged(v, frac * norm)
+        if n > projections.L1_PREFIX:
+            # both the prefix alone and a second, wider sort were exercised
+            assert projections.L1_PREFIX in sorts
+            assert any(size > projections.L1_PREFIX for size in sorts)
+
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 4000, 80000])
+    def test_ties_at_the_threshold_zeros_and_signed_zeros(self, n):
+        rng = make_rng(4000 + n)
+        levels = np.array([0.0, 0.1, 0.3, 0.7, 1.1])
+        v = rng.choice(levels, n) * rng.choice([-1.0, 1.0], n)
+        v[rng.random(n) < 0.1] = -0.0
+        v[0] = -1.1
+        norm = float(np.abs(v).sum())
+        # sum (|v| - t)^+ as the radius puts the threshold on the tied level t
+        radii = [float(np.maximum(np.abs(v) - t, 0.0).sum()) for t in levels[1:]]
+        for radius in [r for r in radii if r > 0] + [f * norm for f in self.RADII]:
+            assert_l1_bits_unchanged(v, radius)
+
+    def test_entry_past_the_prefix_active_by_a_hair(self):
+        # 257 active entries: the prefix bound sits 2e-9 below the threshold of 1.0,
+        # and the 256th and 257th largest only just above it
+        k = projections.L1_PREFIX
+        v = np.concatenate([np.full(k - 1, 2.0), [1.0 + 1e-6, 1.0 + 0.5e-6], np.full(2000, 0.5)])
+        v *= np.where(np.arange(v.size) % 3 == 0, -1.0, 1.0)
+        radius = 2.0 * (k - 1) + 2.0000015 - (k + 1)
+        out = proj_l1_vector(v, radius)
+        assert np.count_nonzero(out) == k + 1
+        assert _bits(out) == _bits(proj_l1_reference(v, radius))
+
+    @pytest.mark.parametrize("kind", ["l1", "l21"])
+    def test_every_projection_input_of_a_fit(self, kind, monkeypatch):
+        calls = []
+        new = projections._proj_l1
+
+        def checked(v, radius):
+            out = new(v, radius)
+            ref = proj_l1_reference(np.ravel(v), radius).reshape(v.shape)
+            assert _bits(out) == _bits(ref)
+            assert _layout(out) == _layout(v)
+            calls.append(v.size)
+            return out
+
+        monkeypatch.setattr(projections, "_proj_l1", checked)
+        solve(small_fit_problem(kind), SolverParams(max_iter=60, record_every=30))
+        # the l1 fit projects 300 x 4 iterates, the l21 fit 300 row norms
+        assert len(calls) >= 60 and min(calls) > projections.L1_PREFIX
 
 
 BALLS = ["l1", "l21", "l12", "nuclear"]
@@ -355,6 +436,43 @@ BALLS = ["l1", "l21", "l12", "nuclear"]
 
 def project_by_kind(V, kind, radius):
     return project_ball(V, BallSpec(kind, radius))
+
+
+LAYOUT_PROJECTIONS = [
+    ("l1", proj_l1_matrix), ("l21", proj_l21), ("l12", proj_l12), ("nuclear", proj_nuclear),
+] + [(kind, lambda V, r, kind=kind: project_by_kind(V, kind, r)) for kind in BALLS]
+
+
+class TestFortranOrderedInput:
+    """A column-major input comes back column-major, with the bytes of its C-order result."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 10, 16])
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000])
+    def test_bytes_and_layout(self, n, k):
+        rng = make_rng(1000 * n + k)
+        V = rng.standard_normal((n, k)) * np.exp(rng.uniform(-2, 2, (n, 1)))
+        for kind, project in LAYOUT_PROJECTIONS:
+            norm = ball_norm(V, kind)
+            # l1's feasibility total adds in memory order: a radius tied with it is tested below
+            fracs = (0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95, 1.5) + ((1.0,) if kind != "l1" else ())
+            for frac in fracs:
+                out_c = project(V, frac * norm)
+                out_f = project(np.asfortranarray(V), frac * norm)
+                assert out_c.flags.c_contiguous, (kind, frac)
+                assert out_f.flags.f_contiguous, (kind, frac)
+                assert _bits(out_f) == _bits(out_c), (kind, frac)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 10, 16, 32])
+    def test_l1_radius_tied_with_the_total(self, k):
+        # the F-order total may land an ulp either side of the C-order one: the
+        # result is then the input or a shrink by a threshold of that order
+        rng = make_rng(5000 + k)
+        V = rng.standard_normal((1000, k))
+        radius = ball_norm(V, "l1")
+        out = proj_l1_matrix(np.asfortranarray(V), radius)
+        assert out.flags.f_contiguous
+        assert np.abs(out - V).max() <= 1e-15 * radius
+        assert ball_norm(out, "l1") <= radius * (1 + 1e-15)
 
 
 class TestSharedProjectionProperties:

@@ -473,8 +473,19 @@ class TestByteIdentity:
         X = rng.standard_normal((200, d))
         Z = dual_prox(2.0 * rng.standard_normal((200, k)), 0.5, LossSpec("huber", 1.0))
         G, ref = _gradient(X, Z), X.T @ Z
-        assert G.flags.c_contiguous
+        # solve keeps W and the gradient column-major; tobytes() reads both in C order
+        assert G.flags.f_contiguous
         assert np.array_equal(G, ref) and G.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("kind", ["l1", "l21", "l12", "nuclear"])
+    def test_iterates_stay_column_major_and_results_are_c_ordered(self, kind):
+        prob = small_problem(seed=9, kind=kind)
+        layouts = []
+        model, hist = solve(prob, SolverParams(max_iter=10, record_every=5),
+                            callback=lambda s: layouts.append(s.W.flags.f_contiguous))
+        # every projection kept the column-major W it was given
+        assert len(layouts) == 10 and all(layouts)
+        assert model.W.flags.c_contiguous and hist.ergodic_W.flags.c_contiguous
 
     def test_fits_match_recorded_digests(self, tmp_path):
         recorded = json.loads(DIGEST_PATH.read_text())
