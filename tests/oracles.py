@@ -5,7 +5,10 @@ bisects the l1 soft threshold directly, ``proj_l1_vector_scan`` is a
 sort-free pruning scan against the sort-based l1 projection,
 ``proj_l12_bisection`` a double bisection against the Newton multiplier
 search of ``proj_l12``, and ``spectral_norm_matrix_free`` the power
-iteration of ``spectral_norm`` without forming the Gram matrix.
+iteration of ``spectral_norm`` without forming the Gram matrix, and
+``nuclear_solve_reference`` the primal-dual iteration on a nuclear ball in
+the d x k weights, with ``proj_nuclear``, where ``solve`` works in the row
+space of X once d > m.
 
 ``proj_l12_with_state_reference`` and ``proj_l1_reference`` are the
 exceptions: they are the l12 projection as written before its search moved
@@ -17,8 +20,10 @@ rewrites changed no bit.
 import numpy as np
 
 from pdsparse.linalg import OperatorNormEstimate, check_matrix
+from pdsparse.losses import dual_prox, primal_objective
 from pdsparse.projections import (L12_TOL, L12NewtonState, NewtonConvergenceError,
-                                  _check_radius)
+                                  _check_radius, proj_nuclear)
+from pdsparse.solver import _duality_gap
 
 
 def l1_threshold_bisection(v, radius, iters=200):
@@ -269,3 +274,45 @@ def spectral_norm_matrix_free(A, max_iter: int = 1000) -> OperatorNormEstimate:
             break
         lam = nw
     return OperatorNormEstimate(float(np.sqrt(lam)), its, converged)
+
+
+def nuclear_solve_reference(problem, params):
+    """``solve``'s iteration on a nuclear ball, written plainly in the d x k weights.
+
+    ``params`` carries resolved steps (a solve's ``history.params``).  Every
+    iteration forms X^T Z, projects with ``proj_nuclear`` and multiplies the
+    extrapolated W by X; W starts at 0, mu at I and Z at 0.  Returns the
+    final W and mu, the ergodic W, and for each record its objective, its
+    ergodic objective and its duality gap.
+    """
+    X, Y, loss = problem.X, problem.Y, problem.loss
+    m, d = X.shape
+    k = Y.shape[1]
+    rho, alpha, gamma = problem.rho, problem.alpha, params.gamma
+    tau, tau_mu, sigma = params.tau, params.tau_mu, params.sigma
+    fixed_mu = params.variant == "fixed-mu"
+    W, mu, Z = np.zeros((d, k)), np.eye(k), np.zeros((m, k))
+    sum_W, sum_mu = np.zeros((d, k)), np.zeros((k, k))
+    records = []
+    for n in range(1, params.max_iter + 1):
+        W_old, mu_old, Z_old = W, mu, Z
+        W = proj_nuclear((W + tau * (X.T @ Z)) / (1.0 + tau * alpha), problem.ball.radius)
+        if not fixed_mu:
+            mu = (mu + rho * tau_mu * np.eye(k) - tau_mu * (Y.T @ Z)) / (1.0 + tau_mu * rho)
+        theta = 1.0
+        if params.variant == "accelerated":
+            theta = 1.0 / np.sqrt(1.0 + loss.delta * sigma)
+        W_bar = W + theta * (W - W_old)
+        mu_bar = mu + theta * (mu - mu_old)
+        Z = dual_prox(Z + sigma * (Y @ mu_bar - X @ W_bar), sigma, loss)
+        sigma, tau, tau_mu = sigma * theta, tau / theta, tau_mu / theta
+        sum_W += W
+        sum_mu += mu
+        if n % params.record_every == 0 or n == params.max_iter:
+            objective = primal_objective(W, mu, problem)
+            records.append((objective, primal_objective(sum_W / n, sum_mu / n, problem),
+                            _duality_gap(objective.total, Z, problem, fixed_mu)))
+        if n < params.max_iter:
+            W, mu, Z = (W + gamma * (W - W_old), mu + gamma * (mu - mu_old),
+                        Z + gamma * (Z - Z_old))
+    return W, mu, sum_W / params.max_iter, records

@@ -24,10 +24,13 @@ def tracing(monkeypatch):
     return importlib.import_module("tracing")
 
 
-@pytest.mark.parametrize("ball", ["l1", "l21", "l12", "nuclear"])
-def test_traced_fit_reaches_every_layer(tracing, ball):
+@pytest.mark.parametrize("ball, d", [pytest.param(b, 16, id=b)
+                                     for b in ("l1", "l21", "l12", "nuclear")]
+                         # d > m: solve projects the nuclear ball in the row space of X
+                         + [pytest.param("nuclear", 40, id="nuclear-wide")])
+def test_traced_fit_reaches_every_layer(tracing, ball, d):
     ds = pdsparse.generate_synthetic(pdsparse.SyntheticSpec(
-        m=24, d=16, k=3, s=4, separation=2.0, noise_sd=0.2, dropout_rate=0.0, seed=5))
+        m=24, d=d, k=3, s=4, separation=2.0, noise_sd=0.2, dropout_rate=0.0, seed=5))
     template = pdsparse.ProblemTemplate(loss=pdsparse.LossSpec("huber", 1.0),
                                         ball=pdsparse.BallSpec(ball, 2.0))
     params = pdsparse.SolverParams(max_iter=20, record_every=10)

@@ -1,10 +1,11 @@
+import functools
 import itertools
 import json
 import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from pdsparse.solver import (
 )
 
 from conftest import make_rng
+from oracles import nuclear_solve_reference
 from record_solve_digests import CASES, DIGEST_PATH, environment
 
 
@@ -38,6 +40,13 @@ def small_problem(seed=0, m=30, d=20, k=3, delta=1.0, eta=2.0, rho=1.0,
     Y = one_hot(np.arange(m) % k, k)
     loss = LossSpec("huber", delta) if delta > 0 else LossSpec("l1", 0.0)
     return Problem(X=X, Y=Y, loss=loss, ball=BallSpec(kind, eta), rho=rho, alpha=alpha)
+
+
+# every ball on small_problem's 30 x 20 X, then a nuclear ball at d > m, which
+# solve iterates in the row space of X
+BALLS_AND_WIDE_NUCLEAR = ([pytest.param(kind, 20, id=kind)
+                           for kind in ("l1", "l21", "l12", "nuclear")]
+                          + [pytest.param("nuclear", 40, id="nuclear-wide")])
 
 
 def collect_iterates(problem, params, n):
@@ -254,9 +263,9 @@ class TestSolveBasics:
 
 
 class TestFeasibilityMaintenance:
-    @pytest.mark.parametrize("kind", ["l1", "l21", "l12", "nuclear"])
-    def test_primal_and_dual_feasible_every_iteration(self, kind):
-        prob = small_problem(seed=12, kind=kind, eta=1.5)
+    @pytest.mark.parametrize("kind, d", BALLS_AND_WIDE_NUCLEAR)
+    def test_primal_and_dual_feasible_every_iteration(self, kind, d):
+        prob = small_problem(seed=12, d=d, kind=kind, eta=1.5)
         params = SolverParams(max_iter=150)
         radii, duals = [], []
         solve(prob, params, callback=lambda s: (
@@ -361,6 +370,54 @@ class TestVariantReductions:
             solve(small_problem(seed=19), params)
 
 
+@functools.cache
+def row_space_data(shape):
+    """Normalised X and one-hot Y of a nuclear fit that solve runs in the row space of X."""
+    if shape == "200x2000":
+        ds = pdsparse.generate_synthetic(pdsparse.SyntheticSpec(
+            m=200, d=2000, k=4, s=20, separation=2.0, noise_sd=1.0, dropout_rate=0.3, seed=1))
+        X, labels = ds.X, ds.labels
+    elif shape == "rank-deficient":
+        # 40 rows that repeat 30 distinct ones: rank 30 < m
+        X = make_rng(40).standard_normal((30, 60))[np.arange(40) % 30]
+        labels = np.arange(40) % 3
+    else:
+        X = make_rng(41).standard_normal((30, 31))  # d = m + 1
+        labels = np.arange(30) % 3
+    X, _ = normalize_features(X)
+    return X, one_hot(labels, int(labels.max()) + 1)
+
+
+class TestRowSpaceNuclear:
+    """A nuclear fit at d > m iterates W = X^T A and follows the d-space iteration."""
+
+    @pytest.mark.parametrize("shape", ["200x2000", "rank-deficient", "d=m+1"])
+    @pytest.mark.parametrize("case", [
+        {}, {"variant": "fixed-mu"}, {"variant": "accelerated"}, {"gamma": 0.3},
+        {"alpha": 0.5}, {"loss": LossSpec("frobenius")}, {"loss": LossSpec("l1")},
+    ], ids=["base", "fixed-mu", "accelerated", "gamma", "alpha", "frobenius-loss", "l1-loss"])
+    def test_matches_d_space_iteration(self, shape, case):
+        X, Y = row_space_data(shape)
+        radius = 0.5
+        prob = Problem(X=X, Y=Y, loss=case.get("loss", LossSpec("huber", 1.0)),
+                       ball=BallSpec("nuclear", radius), alpha=case.get("alpha", 0.0))
+        params = SolverParams(max_iter=300, record_every=50,
+                              variant=case.get("variant", "base"), gamma=case.get("gamma", 0.0))
+        model, hist = solve(prob, params)
+        W, mu, ergodic_W, records = nuclear_solve_reference(prob, hist.params)
+        # the ball is active, so the projection was exercised
+        assert ball_norm(W, "nuclear") >= radius * (1 - 1e-9)
+        for got, ref in [(model.W, W), (model.mu, mu), (hist.ergodic_W, ergodic_W)]:
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert len(hist.records) == len(records)
+        for r, (objective, ergodic, gap) in zip(hist.records, records):
+            for got, ref in [(r.objective, objective), (r.ergodic_objective, ergodic)]:
+                for a, b in zip(astuple(got), astuple(ref)):
+                    assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+            # the gap cancels the objective's leading digits: scale by the objective
+            assert abs(r.gap - gap) <= 1e-12 * max(1.0, abs(objective.total))
+
+
 class TestAccelerated:
     def test_theta_schedule_shrinks_sigma_and_grows_tau(self):
         prob = small_problem(seed=20, delta=1.0)
@@ -381,11 +438,12 @@ class TestAccelerated:
 
 class TestErgodicDiagnostics:
     def test_ergodic_average_matches_callback_mean(self):
-        prob = small_problem(seed=25)
-        params = SolverParams(max_iter=80)
-        Ws = []
-        _, hist = solve(prob, params, callback=lambda s: Ws.append(s.W.copy()))
-        assert np.allclose(hist.ergodic_W, np.mean(Ws, axis=0), atol=1e-12)
+        # the second problem averages nuclear iterates in the row space of X
+        for prob in (small_problem(seed=25), small_problem(seed=25, d=40, kind="nuclear")):
+            params = SolverParams(max_iter=80)
+            Ws = []
+            _, hist = solve(prob, params, callback=lambda s: Ws.append(s.W.copy()))
+            assert np.allclose(hist.ergodic_W, np.mean(Ws, axis=0), atol=1e-12)
 
     def test_ergodic_objective_monotone_trend(self):
         for seed in range(5):
@@ -477,9 +535,9 @@ class TestByteIdentity:
         assert G.flags.f_contiguous
         assert np.array_equal(G, ref) and G.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("kind", ["l1", "l21", "l12", "nuclear"])
-    def test_iterates_stay_column_major_and_results_are_c_ordered(self, kind):
-        prob = small_problem(seed=9, kind=kind)
+    @pytest.mark.parametrize("kind, d", BALLS_AND_WIDE_NUCLEAR)
+    def test_iterates_stay_column_major_and_results_are_c_ordered(self, kind, d):
+        prob = small_problem(seed=9, d=d, kind=kind)
         layouts = []
         model, hist = solve(prob, SolverParams(max_iter=10, record_every=5),
                             callback=lambda s: layouts.append(s.W.flags.f_contiguous))
