@@ -6,9 +6,10 @@ sort-free pruning scan against the sort-based l1 projection,
 ``proj_l12_bisection`` a double bisection against the Newton multiplier
 search of ``proj_l12``, and ``spectral_norm_matrix_free`` the power
 iteration of ``spectral_norm`` without forming the Gram matrix, and
-``nuclear_solve_reference`` the primal-dual iteration on a nuclear ball in
-the d x k weights, with ``proj_nuclear``, where ``solve`` works in the row
-space of X once d > m.
+``solve_reference`` the primal-dual iteration written plainly in the d x k
+weights, multiplying by all of X, where ``solve`` works in the row space of
+X for a nuclear ball once d > m and multiplies X by the nonzero rows of a
+sparse iterate only.
 
 ``proj_l12_with_state_reference`` and ``proj_l1_reference`` are the
 exceptions: they are the l12 projection as written before its search moved
@@ -22,7 +23,7 @@ import numpy as np
 from pdsparse.linalg import OperatorNormEstimate, check_matrix
 from pdsparse.losses import dual_prox, primal_objective
 from pdsparse.projections import (L12_TOL, L12NewtonState, NewtonConvergenceError,
-                                  _check_radius, proj_nuclear)
+                                  _check_radius, project_ball)
 from pdsparse.solver import _duality_gap
 
 
@@ -276,14 +277,14 @@ def spectral_norm_matrix_free(A, max_iter: int = 1000) -> OperatorNormEstimate:
     return OperatorNormEstimate(float(np.sqrt(lam)), its, converged)
 
 
-def nuclear_solve_reference(problem, params):
-    """``solve``'s iteration on a nuclear ball, written plainly in the d x k weights.
+def solve_reference(problem, params):
+    """``solve``'s iteration written plainly in the d x k weights, for any ball.
 
     ``params`` carries resolved steps (a solve's ``history.params``).  Every
-    iteration forms X^T Z, projects with ``proj_nuclear`` and multiplies the
-    extrapolated W by X; W starts at 0, mu at I and Z at 0.  Returns the
-    final W and mu, the ergodic W, and for each record its objective, its
-    ergodic objective and its duality gap.
+    iteration forms X^T Z, projects with ``project_ball`` onto the problem's
+    ball and multiplies the extrapolated W by all of X; W starts at 0, mu at
+    I and Z at 0.  Returns the final W and mu, the ergodic W, and for each
+    record its objective, its ergodic objective and its duality gap.
     """
     X, Y, loss = problem.X, problem.Y, problem.loss
     m, d = X.shape
@@ -296,7 +297,7 @@ def nuclear_solve_reference(problem, params):
     records = []
     for n in range(1, params.max_iter + 1):
         W_old, mu_old, Z_old = W, mu, Z
-        W = proj_nuclear((W + tau * (X.T @ Z)) / (1.0 + tau * alpha), problem.ball.radius)
+        W = project_ball((W + tau * (X.T @ Z)) / (1.0 + tau * alpha), problem.ball)
         if not fixed_mu:
             mu = (mu + rho * tau_mu * np.eye(k) - tau_mu * (Y.T @ Z)) / (1.0 + tau_mu * rho)
         theta = 1.0

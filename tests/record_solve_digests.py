@@ -8,8 +8,9 @@ each, the sha256 of the final ``W``, ``mu`` and ``ergodic_W`` and the
 ``tests/data/solve_digests.json`` (or ``PATH``).  The test reruns this
 script and passes only when the iterates are byte-identical to the
 recorded ones.  Re-record only for a change that is meant to alter the
-iterates (new steps, a new iteration); a speed-up must pass against the
-digests it found.
+iterates (new steps, a new iteration) or their rounding, and then only the
+fits it was meant to move, with a tolerance test against a reference; any
+other speed-up must pass against the digests it found.
 
 The bits depend on numpy, on its BLAS build and on the BLAS thread count.
 The thread count is pinned here; the build is recorded in the file, and

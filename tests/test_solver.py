@@ -22,6 +22,7 @@ from pdsparse.solver import (
     SolverState,
     StepConditionError,
     VARIANTS,
+    _forward,
     _gradient,
     check_step_condition,
     default_steps,
@@ -29,7 +30,7 @@ from pdsparse.solver import (
 )
 
 from conftest import make_rng
-from oracles import nuclear_solve_reference
+from oracles import solve_reference
 from record_solve_digests import CASES, DIGEST_PATH, environment
 
 
@@ -195,14 +196,24 @@ class TestSolveBasics:
         grad = (mu_plus - mu_n) / tau_mu + prob.rho * (mu_plus - np.eye(k)) + prob.Y.T @ Z
         assert np.abs(grad).max() <= 1e-10
 
-    def test_nan_in_initial_state_aborts_with_iteration(self):
+    @pytest.mark.parametrize("name", ["W", "mu", "Z"])
+    def test_non_finite_initial_state_is_rejected(self, name):
         prob = small_problem(seed=7)
         d, k, m = prob.n_features, prob.n_classes, prob.n_samples
-        bad = SolverState(W=np.zeros((d, k)), mu=np.full((k, k), np.nan),
-                          Z=np.zeros((m, k)))
-        params = SolverParams(max_iter=10)
-        with pytest.raises(SolverDivergenceError) as exc:
-            solve(prob, params, initial=bad)
+        arrays = {"W": np.zeros((d, k)), "mu": np.eye(k), "Z": np.zeros((m, k))}
+        arrays[name][0, 1] = np.nan
+        with pytest.raises(ValueError, match=f"^initial.{name} contains non-finite entries$"):
+            solve(prob, SolverParams(max_iter=10), initial=SolverState(**arrays))
+
+    def test_overflowing_iterate_aborts_with_iteration(self):
+        prob = small_problem(seed=7)
+        d, k, m = prob.n_features, prob.n_classes, prob.n_samples
+        # finite, but the center extrapolation 2 mu - mu_old overflows to inf
+        huge = SolverState(W=np.zeros((d, k)), mu=np.full((k, k), 1e308),
+                           Z=np.zeros((m, k)))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(SolverDivergenceError) as exc:
+            solve(prob, SolverParams(max_iter=10), initial=huge)
         assert exc.value.iteration == 1
 
     def test_initial_state_matches_default_when_zeroed(self):
@@ -372,7 +383,7 @@ class TestVariantReductions:
 
 @functools.cache
 def row_space_data(shape):
-    """Normalised X and one-hot Y of a nuclear fit that solve runs in the row space of X."""
+    """Normalised X and one-hot Y for the fits compared with ``solve_reference``."""
     if shape == "200x2000":
         ds = pdsparse.generate_synthetic(pdsparse.SyntheticSpec(
             m=200, d=2000, k=4, s=20, separation=2.0, noise_sd=1.0, dropout_rate=0.3, seed=1))
@@ -388,34 +399,88 @@ def row_space_data(shape):
     return X, one_hot(labels, int(labels.max()) + 1)
 
 
+# one fit per departure from the base iteration, all checked against solve_reference
+REFERENCE_CASES = pytest.mark.parametrize("case", [
+    {}, {"variant": "fixed-mu"}, {"variant": "accelerated"}, {"gamma": 0.3},
+    {"alpha": 0.5}, {"loss": LossSpec("frobenius")}, {"loss": LossSpec("l1")},
+], ids=["base", "fixed-mu", "accelerated", "gamma", "alpha", "frobenius-loss", "l1-loss"])
+
+
+def assert_matches_reference(X, Y, kind, case):
+    """Fit ``case`` on a radius-0.5 ``kind`` ball and compare with the plain d-space loop."""
+    radius = 0.5
+    prob = Problem(X=X, Y=Y, loss=case.get("loss", LossSpec("huber", 1.0)),
+                   ball=BallSpec(kind, radius), alpha=case.get("alpha", 0.0))
+    params = SolverParams(max_iter=300, record_every=50,
+                          variant=case.get("variant", "base"), gamma=case.get("gamma", 0.0))
+    model, hist = solve(prob, params)
+    W, mu, ergodic_W, records = solve_reference(prob, hist.params)
+    # the ball is active, so the projection was exercised
+    assert ball_norm(W, kind) >= radius * (1 - 1e-9)
+    for got, ref in [(model.W, W), (model.mu, mu), (hist.ergodic_W, ergodic_W)]:
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert len(hist.records) == len(records)
+    for r, (objective, ergodic, gap) in zip(hist.records, records):
+        for got, ref in [(r.objective, objective), (r.ergodic_objective, ergodic)]:
+            for a, b in zip(astuple(got), astuple(ref)):
+                assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+        # the gap cancels the objective's leading digits: scale by the objective
+        assert abs(r.gap - gap) <= 1e-12 * max(1.0, abs(objective.total))
+
+
 class TestRowSpaceNuclear:
     """A nuclear fit at d > m iterates W = X^T A and follows the d-space iteration."""
 
     @pytest.mark.parametrize("shape", ["200x2000", "rank-deficient", "d=m+1"])
-    @pytest.mark.parametrize("case", [
-        {}, {"variant": "fixed-mu"}, {"variant": "accelerated"}, {"gamma": 0.3},
-        {"alpha": 0.5}, {"loss": LossSpec("frobenius")}, {"loss": LossSpec("l1")},
-    ], ids=["base", "fixed-mu", "accelerated", "gamma", "alpha", "frobenius-loss", "l1-loss"])
+    @REFERENCE_CASES
     def test_matches_d_space_iteration(self, shape, case):
         X, Y = row_space_data(shape)
-        radius = 0.5
-        prob = Problem(X=X, Y=Y, loss=case.get("loss", LossSpec("huber", 1.0)),
-                       ball=BallSpec("nuclear", radius), alpha=case.get("alpha", 0.0))
-        params = SolverParams(max_iter=300, record_every=50,
-                              variant=case.get("variant", "base"), gamma=case.get("gamma", 0.0))
-        model, hist = solve(prob, params)
-        W, mu, ergodic_W, records = nuclear_solve_reference(prob, hist.params)
-        # the ball is active, so the projection was exercised
-        assert ball_norm(W, "nuclear") >= radius * (1 - 1e-9)
-        for got, ref in [(model.W, W), (model.mu, mu), (hist.ergodic_W, ergodic_W)]:
-            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
-        assert len(hist.records) == len(records)
-        for r, (objective, ergodic, gap) in zip(hist.records, records):
-            for got, ref in [(r.objective, objective), (r.ergodic_objective, ergodic)]:
-                for a, b in zip(astuple(got), astuple(ref)):
-                    assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
-            # the gap cancels the objective's leading digits: scale by the objective
-            assert abs(r.gap - gap) <= 1e-12 * max(1.0, abs(objective.total))
+        assert_matches_reference(X, Y, "nuclear", case)
+
+
+class TestSparseForwardProduct:
+    """X W_ext comes from the nonzero rows of W_ext alone while at most one in eight is nonzero."""
+
+    @pytest.mark.parametrize("order", ["F", "C"])
+    @pytest.mark.parametrize("nonzero, restricted", [
+        (0, True), (1, True), (250, True), (251, False), (2000, False),
+    ], ids=["none", "one", "d/8", "d/8+1", "all"])
+    def test_matches_dense_product(self, nonzero, restricted, order):
+        rng = make_rng(nonzero)
+        X = rng.standard_normal((30, 2000))
+        A = np.zeros((2000, 4), order=order)
+        rows = np.sort(rng.choice(2000, nonzero, replace=False))
+        A[rows] = rng.standard_normal((nonzero, 4))
+        out = np.empty((30, 4))
+        assert _forward(X, A, out) is out
+        # the bits say which product ran
+        path = X[:, rows] @ A[rows] if restricted else X @ A
+        assert out.tobytes() == path.tobytes()
+        ref = X @ A
+        assert np.linalg.norm(out - ref) <= 1e-15 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_counts_as_nonzero(self, value):
+        X = make_rng(3).standard_normal((30, 2000))
+        A = np.zeros((2000, 4), order="F")
+        A[7, 2] = value
+        out = _forward(X, A, np.empty((30, 4)))
+        assert not np.isfinite(out[:, 2]).any()
+        assert np.array_equal(out[:, [0, 1, 3]], np.zeros((30, 3)))
+
+    @pytest.mark.parametrize("kind", ["l1", "l21"])
+    @REFERENCE_CASES
+    def test_sparse_fit_matches_dense_iteration(self, kind, case, monkeypatch):
+        restricted = []
+
+        def forward(X, A, out):
+            restricted.append(8 * np.count_nonzero(np.any(A != 0, axis=1)) <= A.shape[0])
+            return _forward(X, A, out)
+
+        monkeypatch.setattr(pdsparse.solver, "_forward", forward)
+        X, Y = row_space_data("200x2000")
+        assert_matches_reference(X, Y, kind, case)
+        assert len(restricted) == 300 and any(restricted)
 
 
 class TestAccelerated:
@@ -522,7 +587,12 @@ class TestNormEstimate:
 
 
 class TestByteIdentity:
-    """Speed-ups of the iteration leave every iterate bit for bit unchanged."""
+    """The iterates' bits, pinned by the gradient's layout and the recorded fit digests.
+
+    A speed-up re-records a digest only where it changes rounding on
+    purpose, as the sparse forward product did for the accelerated, alpha and
+    frobenius-loss fits; ``TestSparseForwardProduct`` bounds that change.
+    """
 
     @pytest.mark.parametrize("k", [2, 4])
     @pytest.mark.parametrize("d", [1000, 4000, 20000])
