@@ -84,15 +84,14 @@ def one_hot(labels, k: int) -> np.ndarray:
 def spectral_norm(A, max_iter: int = 1000) -> OperatorNormEstimate:
     """Estimate the operator (spectral) norm of *A* by power iteration.
 
-    The iteration runs on the Gram matrix of the smaller side, n = min(m, d),
-    with a random unit start drawn from ``Philox(POWER_SEED)``, and stops
-    once successive Rayleigh quotients agree to relative ``POWER_TOL``, or
-    after ``max_iter`` steps.  The first n/16 steps apply *A* and
-    its transpose, two passes over *A* each, so a run that stops within them
-    never pays for the Gram matrix.  A run still going forms the n x n Gram
-    matrix in one level-3 product (on a 2-core host, about the cost of those
-    steps) and continues at O(n^2) per step instead of O(m d).  Since
-    n^2 <= m d, the Gram matrix is never larger than *A*.
+    The iteration runs on the n x n Gram matrix of the smaller side, n =
+    min(m, d): B^T B with B = A when m >= d and B = A^T otherwise, formed
+    once in one level-3 product before the first step.  Since n^2 <= m d it
+    is never larger than *A*, and each step costs O(n^2) instead of the two
+    passes over *A* that B^T (B v) makes.  The start is a random unit vector
+    drawn from ``Philox(POWER_SEED)``; the iteration stops once successive
+    Rayleigh quotients agree to relative ``POWER_TOL``, or after
+    ``max_iter`` steps.
 
     Returns an estimate that never exceeds the true largest singular value.
     A zero matrix yields value 0, flagged converged.
@@ -102,11 +101,9 @@ def spectral_norm(A, max_iter: int = 1000) -> OperatorNormEstimate:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if not A.any():
         return OperatorNormEstimate(0.0, 0, True)
-    # Iterate v <- B^T B v on the thin side.
     B = A if A.shape[0] >= A.shape[1] else A.T
-    n = B.shape[1]
-    gram_after = max(1, n // 16)
-    G = None
+    G = B.T @ B
+    n = G.shape[0]
     rng = np.random.Generator(np.random.Philox(POWER_SEED))
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
@@ -114,9 +111,7 @@ def spectral_norm(A, max_iter: int = 1000) -> OperatorNormEstimate:
     converged = False
     its = 0
     for its in range(1, max_iter + 1):
-        if its > gram_after and G is None:
-            G = B.T @ B
-        w = B.T @ (B @ v) if G is None else G @ v
+        w = G @ v
         nw = float(np.linalg.norm(w))
         if nw == 0.0:
             # start vector landed in the null space; redraw deterministically
@@ -130,6 +125,25 @@ def spectral_norm(A, max_iter: int = 1000) -> OperatorNormEstimate:
             break
         lam = nw
     return OperatorNormEstimate(float(np.sqrt(lam)), its, converged)
+
+
+def sparse_rows_product(X: np.ndarray, A: np.ndarray, out=None) -> np.ndarray:
+    """X A, from the nonzero rows of A alone when at most one in eight is nonzero.
+
+    A row holding NaN or inf counts as nonzero.  More than k d / 8 nonzero
+    entries in the d x k A imply more than d / 8 nonzero rows, so such an A
+    takes the dense product without building the row mask.  The mask
+    reduces k rows of ``A.T``, contiguous for a column-major A.  The
+    restricted product agrees with the dense one to rounding, not bit for
+    bit; the Notes of ``solver.solve`` say why eight.
+    """
+    d, k = A.shape
+    if 8 * np.count_nonzero(A) > k * d:
+        return np.matmul(X, A, out=out)
+    rows = np.flatnonzero(np.logical_or.reduce(A.T != 0, axis=0))
+    if 8 * rows.size > d:
+        return np.matmul(X, A, out=out)
+    return np.matmul(X[:, rows], A[rows], out=out)
 
 
 def label_operator_norm(Y) -> float:

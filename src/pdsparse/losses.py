@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .linalg import sparse_rows_product
 from .projections import ball_norm, clip_box, proj_frobenius_unit
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -111,7 +112,12 @@ def dual_prox(Zbar, sigma: float, spec: LossSpec) -> np.ndarray:
 
 
 def primal_objective(W, mu, problem: "Problem") -> ObjectiveBreakdown:
-    """Evaluate the primal objective at (W, mu) for a training instance."""
+    """Evaluate the primal objective at (W, mu) for a training instance.
+
+    X W is formed from the nonzero rows of W alone when at most one in eight
+    is nonzero (``linalg.sparse_rows_product``), as a sparse ball's iterates
+    and their averages are.
+    """
     # C order: ||W||^2 adds in memory order
     W = np.ascontiguousarray(W, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
@@ -121,7 +127,7 @@ def primal_objective(W, mu, problem: "Problem") -> ObjectiveBreakdown:
     k = Y.shape[1]
     if mu.shape != (k, k):
         raise ValueError(f"mu has shape {mu.shape}, expected {(k, k)}")
-    R = Y @ mu - X @ W
+    R = Y @ mu - sparse_rows_product(X, W)
     data = loss_matrix(R, problem.loss)
     center = 0.5 * problem.rho * float(np.sum((np.eye(k) - mu) ** 2))
     elastic = 0.5 * problem.alpha * float(np.sum(W * W))

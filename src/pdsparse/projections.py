@@ -231,32 +231,6 @@ def proj_nuclear(V, radius) -> np.ndarray:
     return np.asfortranarray(out) if V.flags.f_contiguous else np.ascontiguousarray(out)
 
 
-@dataclass(frozen=True, eq=False)
-class RowSpaceBall:
-    """The nuclear ball of ``radius`` on W = X^T A, as a constraint on the m x k A.
-
-    ``gram`` is K = X X^T.  ``project_ball(A, RowSpaceBall(radius, K))``
-    returns the A' with X^T A' = ``proj_nuclear(X^T A, radius)``: W^T W =
-    A^T K A = V diag(s^2) V^T gives W's singular values s from a k x k
-    eigenproblem, and the projection is W V diag(s'/s) V^T = X^T (A C) with
-    s' the l1 projection of s.  A feasible A is returned unchanged (copied).
-    ``solve`` keeps its nuclear iterates this way when d > m.
-    """
-
-    radius: float
-    gram: np.ndarray = field(repr=False)
-    kind = "nuclear"
-
-    def project(self, A: np.ndarray) -> np.ndarray:
-        lam, V = np.linalg.eigh(A.T @ (self.gram @ A))
-        s = np.sqrt(np.maximum(lam, 0.0))
-        if s.sum() <= self.radius:
-            return A.copy()
-        ratio = np.divide(proj_l1_vector(s, self.radius), s,
-                          out=np.zeros_like(s), where=s > 0)
-        return A @ ((V * ratio) @ V.T)
-
-
 @dataclass
 class L12NewtonState:
     """Internals of the l12 multiplier search, kept for diagnostics/tests.
@@ -413,8 +387,6 @@ def project_ball(V, ball: BallSpec) -> np.ndarray:
         return proj_l21(V, ball.radius)
     if ball.kind == "l12":
         return proj_l12(V, ball.radius)
-    if isinstance(ball, RowSpaceBall):
-        return ball.project(V)
     if ball.kind == "nuclear":
         return proj_nuclear(V, ball.radius)
     raise ValueError(f"unknown ball kind {ball.kind!r}")

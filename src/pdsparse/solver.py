@@ -14,9 +14,10 @@ shrink on W when alpha > 0, or the Frobenius loss's dual prox.  Convergence
 requires a strict inequality on (tau, tau_mu, sigma); the solver refuses to
 run otherwise.
 
-A nuclear ball with d > m and no starting W runs the same iteration on the
-m x k coefficients A of W = X^T A, in the row space of X, at O(m^2 k) per
-iteration instead of O(m d k); the Notes of ``solve`` say why it is the same.
+A nuclear ball with d > m and no starting W runs the same iteration on an
+m x r factor R of X = R Q, Q with orthonormal rows, r <= m the rank of X:
+a plain fit of r x k weights B, with W = Q^T B, at O(m r k) per iteration
+instead of O(m d k); the Notes of ``solve`` say why it is the same.
 
 When at most one row in eight of the extrapolated W is nonzero, as on the
 l1 and l21 balls once they select features, X (2 W - W_old) is formed from
@@ -33,9 +34,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .linalg import OperatorNormEstimate, label_operator_norm, spectral_norm
+from .linalg import sparse_rows_product as _forward
 from .losses import ObjectiveBreakdown, dual_prox, primal_objective
 from .model import Problem, TrainedModel
-from .projections import RowSpaceBall, dual_norm, project_ball
+from .projections import dual_norm, project_ball
 
 __all__ = [
     "HistoryRecord",
@@ -211,18 +213,6 @@ def _gradient(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return (np.ascontiguousarray(Z.T) @ X).T
 
 
-def _forward(X: np.ndarray, A: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """X A into ``out``, from the nonzero rows of A alone when at most one in eight is nonzero.
-
-    A row holding NaN or inf counts as nonzero.  ``A.T`` is a C view of the
-    column-major iterate, so the row mask reduces k contiguous rows.
-    """
-    rows = np.flatnonzero(np.logical_or.reduce(A.T != 0, axis=0))
-    if 8 * rows.size > A.shape[0]:
-        return np.matmul(X, A, out=out)
-    return np.matmul(X[:, rows], A[rows], out=out)
-
-
 def _duality_gap(primal: float, Z: np.ndarray, problem: Problem, fixed_mu: bool) -> float:
     """Primal value minus the dual value D(Z); no step size enters, so any variant.
 
@@ -282,27 +272,33 @@ def solve(problem: Problem, params: SolverParams,
     only the internal recursion sees the relaxed variables.
 
     A nuclear fit with more features than samples (d > m) and no
-    ``initial`` state iterates the m x k coefficients A of W = X^T A.  The
-    nuclear norm is invariant under orthogonal maps of R^d, so from W = 0
-    every iterate stays in the row space of X (the matrix representer
-    theorem), and it is the same iteration: every update but the projection
-    is linear in W, and the nuclear projection of X^T B is X^T B C, where
-    C = V diag(s'/s) V^T comes from the eigenpairs (s^2, V) of B^T K B,
-    K = X X^T, and s' is the l1 projection of s.  W is formed, column-major,
-    only for the callback, the records, and the returned model and ergodic
+    ``initial`` state runs on a factor of X.  ``solve`` takes the eigenpairs
+    (lam, V) of K = X X^T and keeps the r with lam > lam_max m eps: the
+    others are zero up to rounding, as one is for a column-centred X of rank
+    m - 1.  R = V_r diag(lam_r)^(1/2) and T = V_r diag(lam_r)^(-1/2) give
+    X = R Q with Q = T^T X, whose rows are orthonormal, and the loop is a
+    plain fit of r x k weights B on ``replace(problem, X=R)``, with the
+    steps from the estimate of ||X||.  It is the same iteration: from W = 0
+    every update stays in the row space of X (X^T Z = Q^T R^T Z; the matrix
+    representer theorem), and W = Q^T B maps B's products with R, Frobenius
+    norm and singular values to W's with X, so the nuclear projection, the
+    objective and the duality gap are those of B.  W = X^T (T B) is formed,
+    column-major, only for the callback, the returned model and the ergodic
     average.  Results agree with the d-space iteration to rounding, not bit
     for bit.
 
-    Every other fit forms the coupling product X W_ext from the nonzero rows
+    Every fit forms the coupling product X W_ext from the nonzero rows
     of the extrapolated iterate W_ext and the matching columns of X alone
     whenever at most one row in eight is nonzero, and multiplies by all of
-    X otherwise; the choice is made every iteration from W_ext itself.
-    Eight because gathering columns of the row-major X reads one 64-byte
-    line per 8-byte entry, so at that density the gather touches as many
-    lines as the dense product streams (measured at k = 4, it stops paying
-    between one row in ten at d = 20000 and one in seven at d = 1000).  The
-    restricted product agrees with the dense one to rounding, not bit for
-    bit.
+    X otherwise; the choice is made every iteration from W_ext itself, and
+    an iterate with more than k d / 8 nonzero entries takes the dense
+    product without building the row mask.  Each record forms X W of its
+    iterate and of the ergodic average by the same rule.  Eight because
+    gathering columns of the row-major X reads one 64-byte line per 8-byte
+    entry, so at that density the gather touches as many lines as the
+    dense product streams (measured at k = 4, it stops paying between one
+    row in ten at d = 20000 and one in seven at d = 1000).  The restricted
+    product agrees with the dense one to rounding, not bit for bit.
     """
     variant = params.variant
     departures = [name for name, on in [
@@ -338,72 +334,70 @@ def solve(problem: Problem, params: SolverParams,
             f"step sizes violate the {condition} convergence condition "
             f"(slack {slack:.3e}); reduce sigma or the primal steps")
 
-    # The loop updates A: W itself, or in the row space the coefficients of
-    # W = X^T A, where the gradient X^T Z becomes Z and X W becomes K A.
-    # W and every d x k array derived from it are Fortran-ordered (k x d rows
-    # in memory), the layout of the gradient (Z^T X)^T; the projections keep
-    # it.  Only the state holds the starting W, so it is freed once replaced.
-    row_space = ball.kind == "nuclear" and d > m and initial is None
+    # A wide nuclear fit runs on the factor R of X = R Q (Notes), whose
+    # weights B give W = Q^T B = X^T (T B); W is formed only where it is seen.
+    T = None
+    if ball.kind == "nuclear" and d > m and initial is None:
+        lam, V = np.linalg.eigh(X @ X.T)
+        keep = lam > lam[-1] * m * np.finfo(np.float64).eps
+        root = np.sqrt(lam[keep])
+        T = V[:, keep] / root
+        problem = replace(problem, X=V[:, keep] * root)
+    X_full, X = X, problem.X
+
+    def weights(W):
+        return W if T is None else _gradient(X_full, T @ W)
+
+    # W and every array derived from it are Fortran-ordered (k rows in
+    # memory), the layout of the gradient (Z^T X)^T; the projections keep it.
     if initial is not None:
-        A = np.array(initial.W, dtype=np.float64, order="F")
+        W = np.array(initial.W, dtype=np.float64, order="F")
         mu = np.array(initial.mu, dtype=np.float64)
         Z = np.array(initial.Z, dtype=np.float64)
-        if A.shape != (d, k) or mu.shape != (k, k) or Z.shape != (m, k):
+        if W.shape != (d, k) or mu.shape != (k, k) or Z.shape != (m, k):
             raise ValueError("initial state shapes do not match the problem")
-        for name, a in (("W", A), ("mu", mu), ("Z", Z)):
+        for name, a in (("W", W), ("mu", mu), ("Z", Z)):
             if not np.isfinite(a).all():
                 raise ValueError(f"initial.{name} contains non-finite entries")
     else:
-        A = np.zeros((m, k)) if row_space else np.zeros((d, k), order="F")
+        W = np.zeros((X.shape[1], k), order="F")
         mu = np.eye(k)
         Z = np.zeros((m, k))
-    if row_space:
-        K = X @ X.T
-        constraint = RowSpaceBall(ball.radius, K)
-    else:
-        constraint = ball
-
-    def weights(A):
-        return _gradient(X, A) if row_space else A
 
     I_k = np.eye(k)
-    sum_A = np.zeros_like(A)
+    sum_W = np.zeros_like(W)
     sum_mu = np.zeros_like(mu)
     fixed_mu = variant == "fixed-mu"
     accelerated = variant == "accelerated"
 
     # the extrapolation and the coupling are overwritten every iteration;
-    # A, mu and Z are new arrays each time, as the callback and model keep them
-    A_ext = np.empty_like(A)
-    A_tmp = np.empty_like(A)
+    # W, mu and Z are new arrays each time, as the callback and model keep them
+    W_ext = np.empty_like(W)
+    W_tmp = np.empty_like(W)
     coupling = np.empty_like(Z)
 
     history = TrainingHistory(params=resolved, step_slack=slack, x_norm=x_norm)
-    state = SolverState(W=weights(A), mu=mu, Z=Z)
     theta = 1.0
     t0 = time.perf_counter()
 
     n = 0
     for n in range(1, params.max_iter + 1):
-        A_old, mu_old, Z_old = A, mu, Z
+        W_old, mu_old, Z_old = W, mu, Z
 
-        G = Z.copy() if row_space else _gradient(X, Z)
+        G = _gradient(X, Z)
         G *= tau
-        G += A
+        G += W
         if alpha > 0:
             G /= 1.0 + tau * alpha
-        A = project_ball(G, constraint)
+        W = project_ball(G, ball)
         if not fixed_mu:
             mu = (mu_old + (rho * tau_mu) * I_k - tau_mu * (Y.T @ Z)) / (1.0 + tau_mu * rho)
 
         if accelerated:
             theta = 1.0 / math.sqrt(1.0 + delta * sigma)
-        np.multiply(A, 1.0 + theta, out=A_ext)
-        A_ext -= A_old if theta == 1.0 else np.multiply(A_old, theta, out=A_tmp)
-        if row_space:
-            np.matmul(K, A_ext, out=coupling)
-        else:
-            _forward(X, A_ext, coupling)
+        np.multiply(W, 1.0 + theta, out=W_ext)
+        W_ext -= W_old if theta == 1.0 else np.multiply(W_old, theta, out=W_tmp)
+        _forward(X, W_ext, coupling)
         if fixed_mu:
             np.subtract(Y, coupling, out=coupling)
         else:
@@ -423,36 +417,27 @@ def solve(problem: Problem, params: SolverParams,
                     f"condition at iteration {n}")
 
         # feasible iterates drive the averages, diagnostics and the output
-        A_f, mu_f, Z_f = A, mu, Z
-        if not (np.isfinite(A_f).all() and np.isfinite(mu_f).all()
+        W_f, mu_f, Z_f = W, mu, Z
+        if not (np.isfinite(W_f).all() and np.isfinite(mu_f).all()
                 and np.isfinite(Z_f).all()):
             raise SolverDivergenceError(n)
-        sum_A += A_f
+        sum_W += W_f
         sum_mu += mu_f
 
         if gamma != 0.0:
-            A = A_f + gamma * (A_f - A_old)
+            W = W_f + gamma * (W_f - W_old)
             mu = mu_f + gamma * (mu_f - mu_old)
             Z = Z_f + gamma * (Z_f - Z_old)
 
-        record = n % params.record_every == 0 or n == params.max_iter
-        # the row space forms W only where the callback or a record sees it
-        if row_space and callback is None and not record:
-            continue
-        W_f = weights(A_f)
-        state.W, state.mu, state.Z = W_f, mu_f, Z_f
-        state.iter = n
-        state.theta = theta
-
         if callback is not None:
-            callback(state)
-        if record:
+            callback(SolverState(W=weights(W_f), mu=mu_f, Z=Z_f, iter=n, theta=theta))
+        if n % params.record_every == 0 or n == params.max_iter:
             objective = primal_objective(W_f, mu_f, problem)
             gap = _duality_gap(objective.total, Z_f, problem, fixed_mu)
             history.records.append(HistoryRecord(
                 iteration=n,
                 objective=objective,
-                ergodic_objective=primal_objective(weights(sum_A / n), sum_mu / n, problem),
+                ergodic_objective=primal_objective(sum_W / n, sum_mu / n, problem),
                 gap=gap,
                 wall_time=time.perf_counter() - t0,
             ))
@@ -460,7 +445,7 @@ def solve(problem: Problem, params: SolverParams,
             if tol is not None and gap <= tol * max(1.0, abs(objective.total)):
                 break
 
-    history.ergodic_W = np.ascontiguousarray(weights(sum_A / n))
+    history.ergodic_W = np.ascontiguousarray(weights(sum_W / n))
     # TrainedModel keeps a C-ordered copy of the column-major W
-    model = TrainedModel(W=state.W, mu=state.mu, ball=ball, loss=loss)
+    model = TrainedModel(W=weights(W_f), mu=mu_f, ball=ball, loss=loss)
     return model, history

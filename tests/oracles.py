@@ -7,8 +7,8 @@ sort-free pruning scan against the sort-based l1 projection,
 search of ``proj_l12``, and ``spectral_norm_matrix_free`` the power
 iteration of ``spectral_norm`` without forming the Gram matrix, and
 ``solve_reference`` the primal-dual iteration written plainly in the d x k
-weights, multiplying by all of X, where ``solve`` works in the row space of
-X for a nuclear ball once d > m and multiplies X by the nonzero rows of a
+weights, multiplying by all of X, where ``solve`` runs a nuclear ball on an
+m x r factor of X once d > m and multiplies X by the nonzero rows of a
 sparse iterate only.
 
 ``proj_l12_with_state_reference`` and ``proj_l1_reference`` are the

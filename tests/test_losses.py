@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pdsparse.losses
+from pdsparse.linalg import sparse_rows_product
 from pdsparse.losses import LossSpec, dual_prox, huber_value, loss_matrix, primal_objective
 from pdsparse.model import Problem
 from pdsparse.projections import BallSpec
@@ -153,6 +155,28 @@ class TestPrimalObjective:
             br.data_term + br.center_penalty + br.elastic_term, rel=1e-15)
         assert br.constraint_violation == pytest.approx(
             max(0.0, np.abs(W).sum() - 1.0), rel=1e-12)
+
+    def test_data_term_takes_the_sparse_rows_product(self, monkeypatch):
+        rng = make_rng(20)
+        X = rng.standard_normal((30, 2000))
+        Y = np.zeros((30, 3))
+        Y[np.arange(30), np.arange(30) % 3] = 1.0
+        W = np.zeros((2000, 3))
+        W[rng.choice(2000, 250, replace=False)] = 0.1 * rng.standard_normal((250, 3))
+        mu = np.eye(3) + 0.1 * rng.standard_normal((3, 3))
+        prob = self._problem(X, Y)
+        calls = []
+
+        def spy(X, A):
+            calls.append(X is prob.X)
+            return sparse_rows_product(X, A)
+
+        monkeypatch.setattr(pdsparse.losses, "sparse_rows_product", spy)
+        br = primal_objective(W, mu, prob)
+        # one product, which sparse_rows_product restricts to W's 250 nonzero rows
+        assert calls == [True]
+        dense = loss_matrix(Y @ mu - X @ W, LossSpec("huber", 1.0))
+        assert br.data_term == pytest.approx(dense, rel=1e-14)
 
     def test_shape_mismatch_rejected(self):
         rng = make_rng(21)

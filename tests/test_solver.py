@@ -15,7 +15,7 @@ import pdsparse
 from pdsparse.linalg import normalize_features, one_hot, spectral_norm
 from pdsparse.losses import LossSpec, dual_prox
 from pdsparse.model import Problem, ProblemTemplate
-from pdsparse.projections import BallSpec, ball_norm
+from pdsparse.projections import BallSpec, ball_norm, project_ball
 from pdsparse.solver import (
     SolverDivergenceError,
     SolverParams,
@@ -392,6 +392,11 @@ def row_space_data(shape):
         # 40 rows that repeat 30 distinct ones: rank 30 < m
         X = make_rng(40).standard_normal((30, 60))[np.arange(40) % 30]
         labels = np.arange(40) % 3
+    elif shape == "centred":
+        # column means removed, as for gene data: rank m - 1
+        X = make_rng(42).standard_normal((30, 60))
+        X -= X.mean(axis=0)
+        labels = np.arange(30) % 3
     else:
         X = make_rng(41).standard_normal((30, 31))  # d = m + 1
         labels = np.arange(30) % 3
@@ -429,13 +434,64 @@ def assert_matches_reference(X, Y, kind, case):
 
 
 class TestRowSpaceNuclear:
-    """A nuclear fit at d > m iterates W = X^T A and follows the d-space iteration."""
+    """A nuclear fit at d > m runs on an m x r factor of X and follows the d-space iteration."""
 
-    @pytest.mark.parametrize("shape", ["200x2000", "rank-deficient", "d=m+1"])
+    @pytest.mark.parametrize("shape", ["200x2000", "rank-deficient", "d=m+1", "centred"])
     @REFERENCE_CASES
     def test_matches_d_space_iteration(self, shape, case):
         X, Y = row_space_data(shape)
         assert_matches_reference(X, Y, "nuclear", case)
+
+    def test_column_centred_x_keeps_m_minus_1_directions(self, monkeypatch):
+        shapes = []
+        monkeypatch.setattr(pdsparse.solver, "project_ball",
+                            lambda V, ball: shapes.append(V.shape) or project_ball(V, ball))
+        X, Y = row_space_data("centred")
+        solve(Problem(X=X, Y=Y, loss=LossSpec("huber", 1.0), ball=BallSpec("nuclear", 0.5)),
+              SolverParams(max_iter=5))
+        # the centred rows span m - 1 directions; rounding puts the last
+        # eigenvalue of X X^T near zero, below the rank cut
+        assert shapes == [(29, 3)] * 5
+
+    def test_callback_sees_the_d_space_iterates(self):
+        X, Y = row_space_data("200x2000")
+        prob = Problem(X=X, Y=Y, loss=LossSpec("huber", 1.0), ball=BallSpec("nuclear", 0.5))
+        params = SolverParams(max_iter=60, record_every=20)
+        seen = collect_iterates(prob, params, 60)
+        # an initial state keeps solve in the d x k weights
+        zero = SolverState(W=np.zeros((2000, 4)), mu=np.eye(4), Z=np.zeros((200, 4)))
+        ref = []
+        solve(prob, params, initial=zero, callback=lambda s: ref.append(s.W.copy()))
+        assert len(seen) == len(ref) == 60
+        for (W, _, _), W_ref in zip(seen, ref):
+            assert np.linalg.norm(W - W_ref) <= 1e-12 * np.linalg.norm(W_ref)
+        assert np.linalg.norm(ref[-1]) > 0
+
+    @pytest.mark.parametrize("record_every", [1, 7, 60])
+    def test_full_x_only_multiplies_the_results(self, record_every, monkeypatch):
+        X, Y = row_space_data("200x2000")
+        full = []
+
+        def spy(name, x_of):
+            fn = getattr(pdsparse.solver, name)
+
+            def wrapped(*args):
+                if x_of(*args) is X:
+                    full.append(name)
+                return fn(*args)
+            return wrapped
+
+        # every solver product with a data matrix goes through one of these
+        for name, x_of in [("_gradient", lambda X, Z: X), ("_forward", lambda X, W, out: X),
+                           ("primal_objective", lambda W, mu, p: p.X),
+                           ("_duality_gap", lambda primal, Z, p, fixed: p.X)]:
+            monkeypatch.setattr(pdsparse.solver, name, spy(name, x_of))
+        prob = Problem(X=X, Y=Y, loss=LossSpec("huber", 1.0), ball=BallSpec("nuclear", 0.5))
+        assert prob.X is X
+        _, hist = solve(prob, SolverParams(max_iter=60, record_every=record_every))
+        assert len(hist.records) == math.ceil(60 / record_every)
+        # once for the returned W, once for the ergodic W
+        assert full == ["_gradient", "_gradient"]
 
 
 class TestSparseForwardProduct:
@@ -458,6 +514,30 @@ class TestSparseForwardProduct:
         assert out.tobytes() == path.tobytes()
         ref = X @ A
         assert np.linalg.norm(out - ref) <= 1e-15 * np.linalg.norm(ref)
+
+    class NoRowMask(np.ndarray):
+        """An iterate that fails when compared with 0, the row mask's first step."""
+
+        def __ne__(self, other):
+            raise AssertionError("built the row mask")
+
+    @pytest.mark.parametrize("order", ["F", "C"])
+    @pytest.mark.parametrize("entries", [1001, 8000], ids=["kd/8+1", "all"])
+    def test_dense_iterate_skips_the_row_mask(self, entries, order):
+        # more than k d / 8 nonzero entries imply more than d / 8 nonzero rows
+        rng = make_rng(entries)
+        X = rng.standard_normal((30, 2000))
+        A = np.zeros((2000, 4), order=order)
+        A.flat[rng.choice(8000, entries, replace=False)] = rng.standard_normal(entries)
+        out = np.empty((30, 4))
+        assert _forward(X, A.view(self.NoRowMask), out) is out
+        assert out.tobytes() == (X @ A).tobytes()
+
+    def test_row_mask_built_at_k_d_over_8_entries(self):
+        A = np.zeros((2000, 4))
+        A[:250] = 1.0
+        with pytest.raises(AssertionError, match="row mask"):
+            _forward(np.ones((30, 2000)), A.view(self.NoRowMask), np.empty((30, 4)))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_row_counts_as_nonzero(self, value):
@@ -591,7 +671,9 @@ class TestByteIdentity:
 
     A speed-up re-records a digest only where it changes rounding on
     purpose, as the sparse forward product did for the accelerated, alpha and
-    frobenius-loss fits; ``TestSparseForwardProduct`` bounds that change.
+    frobenius-loss fits and the Gram-first norm estimate for all ten;
+    ``TestSparseForwardProduct`` and ``TestSpectralNormMatchesMatrixFree``
+    bound those changes.
     """
 
     @pytest.mark.parametrize("k", [2, 4])
