@@ -9,7 +9,6 @@ largest weight so it survives feature rescaling.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -133,20 +132,19 @@ def evaluate(X_test, labels_test, model: TrainedModel) -> EvalReport:
     """Confusion matrix and accuracies of the model on a labelled set.
 
     Rows are scored by ``predict_rows`` (raw features; the model's scale is
-    applied) and labels are class indices in ``[0, k)``.  The feature count
-    is that of ``signature(model)`` at its default threshold.
+    applied) and labels are class indices in ``[0, k)``, checked by
+    ``one_hot``.  The feature count is that of ``signature(model)`` at its
+    default threshold.
     """
     preds = predict_rows(X_test, model)
-    labels_test = np.asarray(labels_test)
     if preds.shape[0] == 0:
         raise ValueError("empty test set")
-    if labels_test.shape[0] != preds.shape[0]:
-        raise ValueError("labels length does not match the number of rows")
     k = model.n_classes
-    if labels_test.min() < 0 or labels_test.max() >= k:
-        raise ValueError(f"test labels must lie in [0, {k})")
-    confusion = np.zeros((k, k), dtype=np.int64)
-    np.add.at(confusion, (labels_test.astype(np.int64), preds), 1)
+    Y = one_hot(labels_test, k)
+    if Y.shape[0] != preds.shape[0]:
+        raise ValueError("labels length does not match the number of rows")
+    # row i of Y^T one_hot(preds) counts the class-i rows by predicted class
+    confusion = (Y.T @ one_hot(preds, k)).astype(np.int64)
     counts = confusion.sum(axis=1)
     with np.errstate(invalid="ignore"):
         per_class = np.where(counts > 0, np.diag(confusion) / np.maximum(counts, 1), np.nan)
@@ -169,7 +167,6 @@ def train_model(X, labels, template: ProblemTemplate,
     sample; an explicit count may exceed the labels present, as in a
     cross-validation fold that misses a small class.
     """
-    X = check_matrix(X, "X")
     labels = np.asarray(labels)
     k = n_classes if n_classes is not None else int(labels.max()) + 1
     Y = one_hot(labels, k)
@@ -205,7 +202,7 @@ def stratified_folds(labels, folds: int, seed: int = 0) -> list[np.ndarray]:
     if folds > labels.shape[0]:
         raise ValueError(f"cannot make {folds} folds from {labels.shape[0]} samples")
     k = int(labels.max()) + 1
-    _require_every_class(np.bincount(labels.astype(np.int64), minlength=k))
+    _require_every_class(one_hot(labels, k).sum(axis=0))
     rng = np.random.Generator(np.random.Philox(seed))
     assignment = [[] for _ in range(folds)]
     offset = 0
@@ -219,31 +216,19 @@ def stratified_folds(labels, folds: int, seed: int = 0) -> list[np.ndarray]:
     return [np.sort(np.array(a, dtype=np.int64)) for a in assignment]
 
 
-def _fit_and_score(X, labels, train_idx, test_idx, template, params, k):
-    model, _ = train_model(X[train_idx], labels[train_idx], template,
-                           params=params, n_classes=k)
-    return evaluate(X[test_idx], labels[test_idx], model)
-
-
 def cross_validate(X, labels, folds: int, template: ProblemTemplate,
-                   params: SolverParams | None = None, seed: int = 0,
-                   jobs: int = 1) -> CVResult:
-    """Stratified k-fold cross validation, one solver run per fold on ``jobs`` threads."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+                   params: SolverParams | None = None, seed: int = 0) -> CVResult:
+    """Stratified k-fold cross validation, one solver run per fold, in fold order."""
     X = check_matrix(X, "X")
     labels = np.asarray(labels)
     k = int(labels.max()) + 1
-    fold_idx = stratified_folds(labels, folds, seed=seed)
     all_idx = np.arange(labels.shape[0])
-    tasks = []
-    for test_idx in fold_idx:
+    reports = []
+    for test_idx in stratified_folds(labels, folds, seed=seed):
         train_idx = np.setdiff1d(all_idx, test_idx)
-        tasks.append((train_idx, test_idx))
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        reports = list(pool.map(
-            lambda t: _fit_and_score(X, labels, t[0], t[1], template, params, k),
-            tasks))
+        model, _ = train_model(X[train_idx], labels[train_idx], template,
+                               params=params, n_classes=k)
+        reports.append(evaluate(X[test_idx], labels[test_idx], model))
     accs = np.array([r.global_accuracy for r in reports])
     return CVResult(reports=tuple(reports),
                     mean_accuracy=float(accs.mean()),
@@ -252,7 +237,7 @@ def cross_validate(X, labels, folds: int, template: ProblemTemplate,
 
 def eta_sweep(X, labels, etas, template: ProblemTemplate,
               params: SolverParams | None = None, folds: int = 4,
-              seed: int = 0, jobs: int = 1) -> SweepResult:
+              seed: int = 0) -> SweepResult:
     """Cross-validate over a grid of constraint radii.
 
     For each radius the accuracies come from ``cross_validate`` (the
@@ -267,7 +252,7 @@ def eta_sweep(X, labels, etas, template: ProblemTemplate,
     points = []
     for eta in etas:
         t = template.with_radius(eta)
-        cv = cross_validate(X, labels, folds, t, params=params, seed=seed, jobs=jobs)
+        cv = cross_validate(X, labels, folds, t, params=params, seed=seed)
         full_model, _ = train_model(X, labels, t, params=params)
         sel = signature(full_model).union()
         per_class = np.vstack([r.per_class_accuracy for r in cv.reports])

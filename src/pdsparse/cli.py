@@ -32,7 +32,6 @@ def _load_dataset(args, require_label: bool = True) -> data_io.Dataset:
 
 def _add_cv_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--folds", type=int, default=4, help="number of folds (default: 4)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel fold workers (default: 1)")
     p.add_argument("--seed", type=int, default=0, help="fold-assignment seed (default: 0)")
 
 
@@ -148,8 +147,7 @@ def cmd_cv(args) -> int:
     dataset = _load_dataset(args)
     template, params = _template_params(args)
     result = classify.cross_validate(dataset.X, dataset.labels, args.folds,
-                                     template, params=params, seed=args.seed,
-                                     jobs=args.jobs)
+                                     template, params=params, seed=args.seed)
     for i, rep in enumerate(result.reports):
         print(f"fold {i}: accuracy {rep.global_accuracy:.4f}")
     print(f"mean accuracy: {result.mean_accuracy:.4f} +/- {result.std_accuracy:.4f}")
@@ -161,8 +159,7 @@ def cmd_sweep_eta(args) -> int:
     template, params = _template_params(args)
     etas = [float(tok) for tok in args.etas.split(",") if tok]
     result = classify.eta_sweep(dataset.X, dataset.labels, etas, template,
-                                params=params, folds=args.folds, seed=args.seed,
-                                jobs=args.jobs)
+                                params=params, folds=args.folds, seed=args.seed)
     for p in result.points:
         print(f"eta {p.eta:g}: {p.n_features} features, accuracy {p.accuracy:.4f}")
     data_io.write_curve_csv(args.out, result.points, dataset.n_classes)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -101,8 +102,9 @@ class TrainedModel:
         k = W.shape[1]
         if mu.shape != (k, k):
             raise ValueError(f"mu has shape {mu.shape}, expected {(k, k)}")
-        if not self.feature_scale > 0:
-            raise ValueError(f"feature_scale must be positive, got {self.feature_scale}")
+        if not 0 < self.feature_scale < math.inf:
+            raise ValueError(
+                f"feature_scale must be positive and finite, got {self.feature_scale}")
         if ball_norm(W, self.ball.kind) > self.ball.radius * (1.0 + FEASIBILITY_RTOL):
             raise ValueError("W violates the model's ball constraint")
         names = tuple(map(str, range(k))) if self.class_names is None else self.class_names

@@ -14,10 +14,11 @@ shrink on W when alpha > 0, or the Frobenius loss's dual prox.  Convergence
 requires a strict inequality on (tau, tau_mu, sigma); the solver refuses to
 run otherwise.
 
-A nuclear ball with d > m and no starting W runs the same iteration on an
-m x r factor R of X = R Q, Q with orthonormal rows, r <= m the rank of X:
-a plain fit of r x k weights B, with W = Q^T B, at O(m r k) per iteration
-instead of O(m d k); the Notes of ``solve`` say why it is the same.
+Every fit starts at W = 0, mu = I, Z = 0.  A nuclear ball with d > m runs
+the same iteration on an m x r factor R of X = R Q, Q with orthonormal
+rows, r <= m the rank of X: a plain fit of r x k weights B, with
+W = Q^T B, at O(m r k) per iteration instead of O(m d k); the Notes of
+``solve`` say why it is the same.
 
 When at most one row in eight of the extrapolated W is nonzero, as on the
 l1 and l21 balls once they select features, X (2 W - W_old) is formed from
@@ -234,8 +235,7 @@ def _duality_gap(primal: float, Z: np.ndarray, problem: Problem, fixed_mu: bool)
     return primal - dual + problem.ball.radius * dual_norm(V, problem.ball.kind)
 
 
-def solve(problem: Problem, params: SolverParams,
-          initial: SolverState | None = None, callback=None
+def solve(problem: Problem, params: SolverParams, callback=None
           ) -> tuple[TrainedModel, TrainingHistory]:
     """Run the primal-dual iteration for ``params.max_iter`` iterations.
 
@@ -248,9 +248,6 @@ def solve(problem: Problem, params: SolverParams,
         Steps, variant, gamma and budget.  Missing step sizes are derived
         from the problem norms; the iteration's convergence condition is
         checked before iterating and the solver refuses to run when it fails.
-    initial : SolverState, optional
-        Starting iterates; defaults to W = 0, mu = I, Z = 0.  Ergodic
-        averaging always restarts.
     callback : callable, optional
         Called after every iteration with a live SolverState view; copy
         anything you keep.
@@ -263,6 +260,9 @@ def solve(problem: Problem, params: SolverParams,
 
     Notes
     -----
+    Every fit starts at W = 0, mu = I, Z = 0.  Under fixed centers mu
+    stays I, so the dual step's Y (2 mu - mu_old) is exactly Y.
+
     Any two departures from the base iteration (a non-base variant, a
     nonzero gamma, a positive alpha, the Frobenius loss) raise ValueError
     naming both: each is written and checked against the base alone.
@@ -271,11 +271,11 @@ def solve(problem: Problem, params: SolverParams,
     ergodic averages, the recorded diagnostics and the returned model;
     only the internal recursion sees the relaxed variables.
 
-    A nuclear fit with more features than samples (d > m) and no
-    ``initial`` state runs on a factor of X.  ``solve`` takes the eigenpairs
-    (lam, V) of K = X X^T and keeps the r with lam > lam_max m eps: the
-    others are zero up to rounding, as one is for a column-centred X of rank
-    m - 1.  R = V_r diag(lam_r)^(1/2) and T = V_r diag(lam_r)^(-1/2) give
+    A nuclear fit with more features than samples (d > m) runs on a
+    factor of X.  ``solve`` takes the eigenpairs (lam, V) of K = X X^T and
+    keeps the r with lam > lam_max m eps: the others are zero up to
+    rounding, as one is for a column-centred X of rank m - 1.
+    R = V_r diag(lam_r)^(1/2) and T = V_r diag(lam_r)^(-1/2) give
     X = R Q with Q = T^T X, whose rows are orthonormal, and the loop is a
     plain fit of r x k weights B on ``replace(problem, X=R)``, with the
     steps from the estimate of ||X||.  It is the same iteration: from W = 0
@@ -337,7 +337,7 @@ def solve(problem: Problem, params: SolverParams,
     # A wide nuclear fit runs on the factor R of X = R Q (Notes), whose
     # weights B give W = Q^T B = X^T (T B); W is formed only where it is seen.
     T = None
-    if ball.kind == "nuclear" and d > m and initial is None:
+    if ball.kind == "nuclear" and d > m:
         lam, V = np.linalg.eigh(X @ X.T)
         keep = lam > lam[-1] * m * np.finfo(np.float64).eps
         root = np.sqrt(lam[keep])
@@ -350,19 +350,9 @@ def solve(problem: Problem, params: SolverParams,
 
     # W and every array derived from it are Fortran-ordered (k rows in
     # memory), the layout of the gradient (Z^T X)^T; the projections keep it.
-    if initial is not None:
-        W = np.array(initial.W, dtype=np.float64, order="F")
-        mu = np.array(initial.mu, dtype=np.float64)
-        Z = np.array(initial.Z, dtype=np.float64)
-        if W.shape != (d, k) or mu.shape != (k, k) or Z.shape != (m, k):
-            raise ValueError("initial state shapes do not match the problem")
-        for name, a in (("W", W), ("mu", mu), ("Z", Z)):
-            if not np.isfinite(a).all():
-                raise ValueError(f"initial.{name} contains non-finite entries")
-    else:
-        W = np.zeros((X.shape[1], k), order="F")
-        mu = np.eye(k)
-        Z = np.zeros((m, k))
+    W = np.zeros((X.shape[1], k), order="F")
+    mu = np.eye(k)
+    Z = np.zeros((m, k))
 
     I_k = np.eye(k)
     sum_W = np.zeros_like(W)
@@ -398,10 +388,7 @@ def solve(problem: Problem, params: SolverParams,
         np.multiply(W, 1.0 + theta, out=W_ext)
         W_ext -= W_old if theta == 1.0 else np.multiply(W_old, theta, out=W_tmp)
         _forward(X, W_ext, coupling)
-        if fixed_mu:
-            np.subtract(Y, coupling, out=coupling)
-        else:
-            np.subtract(Y @ ((1.0 + theta) * mu - theta * mu_old), coupling, out=coupling)
+        np.subtract(Y @ ((1.0 + theta) * mu - theta * mu_old), coupling, out=coupling)
         coupling *= sigma
         coupling += Z
         Z = dual_prox(coupling, sigma, loss)

@@ -277,14 +277,15 @@ def spectral_norm_matrix_free(A, max_iter: int = 1000) -> OperatorNormEstimate:
     return OperatorNormEstimate(float(np.sqrt(lam)), its, converged)
 
 
-def solve_reference(problem, params):
+def solve_reference(problem, params, callback=None):
     """``solve``'s iteration written plainly in the d x k weights, for any ball.
 
     ``params`` carries resolved steps (a solve's ``history.params``).  Every
     iteration forms X^T Z, projects with ``project_ball`` onto the problem's
     ball and multiplies the extrapolated W by all of X; W starts at 0, mu at
-    I and Z at 0.  Returns the final W and mu, the ergodic W, and for each
-    record its objective, its ergodic objective and its duality gap.
+    I and Z at 0; ``callback``, if given, sees each iteration's W.  Returns
+    the final W and mu, the ergodic W, and for each record its objective,
+    its ergodic objective and its duality gap.
     """
     X, Y, loss = problem.X, problem.Y, problem.loss
     m, d = X.shape
@@ -309,6 +310,8 @@ def solve_reference(problem, params):
         sigma, tau, tau_mu = sigma * theta, tau / theta, tau_mu / theta
         sum_W += W
         sum_mu += mu
+        if callback is not None:
+            callback(W)
         if n % params.record_every == 0 or n == params.max_iter:
             objective = primal_objective(W, mu, problem)
             records.append((objective, primal_objective(sum_W / n, sum_mu / n, problem),

@@ -147,6 +147,11 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="rows must have length 2, got 3"):
             evaluate(np.zeros((4, 3)), [0, 1, 0, 1], model)
 
+    def test_fractional_labels_rejected(self):
+        model = toy_model(np.eye(2), np.eye(2))
+        with pytest.raises(ValueError, match="^labels must be integers$"):
+            evaluate(np.eye(2), np.array([0.5, 1.5]), model)
+
     def test_feature_scale_applied(self):
         # model trained on X/2 must see queries divided by 2
         model = toy_model(np.eye(2), np.eye(2), scale=2.0)
@@ -181,6 +186,11 @@ class TestStratifiedFolds:
         with pytest.raises(ValueError, match="class 1"):
             stratified_folds(np.array([0, 0, 2, 2]), 2)
 
+    def test_fractional_labels_rejected(self):
+        labels = np.arange(12) % 3 + 0.5
+        with pytest.raises(ValueError, match="^labels must be integers$"):
+            stratified_folds(labels, 3)
+
 
 SEPARABLE = SyntheticSpec(m=48, d=12, k=2, s=3, separation=2.0, noise_sd=0.1,
                           dropout_rate=0.0, seed=3)
@@ -201,20 +211,6 @@ class TestCrossValidate:
         b = cross_validate(ds.X, ds.labels, 3, TPL, params=FAST, seed=2)
         assert a.mean_accuracy == b.mean_accuracy
         assert a.std_accuracy == b.std_accuracy
-
-    def test_jobs_do_not_change_results(self):
-        ds = generate_synthetic(SEPARABLE)
-        a = cross_validate(ds.X, ds.labels, 4, TPL, params=FAST, seed=2)
-        b = cross_validate(ds.X, ds.labels, 4, TPL, params=FAST, seed=2, jobs=4)
-        assert a.mean_accuracy == b.mean_accuracy
-
-    @pytest.mark.parametrize("jobs", [0, -2])
-    def test_jobs_below_one_rejected(self, jobs):
-        ds = generate_synthetic(SEPARABLE)
-        with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
-            cross_validate(ds.X, ds.labels, 4, TPL, params=FAST, jobs=jobs)
-        with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
-            eta_sweep(ds.X, ds.labels, [5.0], TPL, params=FAST, jobs=jobs)
 
     def test_leave_one_out_runs_one_fit_per_sample(self):
         spec = SyntheticSpec(m=8, d=6, k=2, s=2, separation=2.0, noise_sd=0.05,
@@ -313,3 +309,36 @@ class TestTrainModel:
         ds = generate_synthetic(SEPARABLE)
         model, _ = train_model(ds.X, ds.labels, TPL, params=FAST, n_classes=3)
         assert model.n_classes == 3
+
+
+INPUT_CHECKS = [
+    pytest.param(lambda: predict([np.nan, 0.0], toy_model(np.eye(2), np.eye(2))),
+                 "query contains non-finite entries", id="predict-non-finite"),
+    pytest.param(lambda: evaluate(np.eye(2), [0], toy_model(np.eye(2), np.eye(2))),
+                 "labels length does not match the number of rows", id="evaluate-label-count"),
+    pytest.param(lambda: evaluate(np.eye(2), [0, 2], toy_model(np.eye(2), np.eye(2))),
+                 "label 2 at index 1 outside [0, 2)", id="evaluate-label-range"),
+    pytest.param(lambda: stratified_folds([0, 1, 0, 1], 1),
+                 "need at least 2 folds, got 1", id="folds-below-2"),
+    pytest.param(lambda: stratified_folds([0, 1, 0, 1], 5),
+                 "cannot make 5 folds from 4 samples", id="folds-above-m"),
+    pytest.param(lambda: eta_sweep(np.eye(4), [0, 1, 0, 1], [], TPL),
+                 "need at least one radius", id="sweep-no-radius"),
+    pytest.param(lambda: toy_model(np.eye(2), np.eye(3)),
+                 "mu has shape (3, 3), expected (2, 2)", id="model-mu-shape"),
+    pytest.param(lambda: toy_model(np.eye(2), np.eye(2), radius=1.0),
+                 "W violates the model's ball constraint", id="model-outside-ball"),
+] + [
+    pytest.param(lambda scale=scale: toy_model(np.eye(2), np.eye(2), scale=scale),
+                 f"feature_scale must be positive and finite, got {scale}",
+                 id=f"model-scale-{scale}")
+    for scale in (0.0, -1.0, np.inf, np.nan)
+]
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call, message", INPUT_CHECKS)
+    def test_refused_with_message(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message

@@ -1,6 +1,5 @@
 import argparse
 from dataclasses import fields
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from pdsparse.model import ProblemTemplate
 from pdsparse.projections import BallSpec
 from pdsparse.solver import SolverParams, solve
 
-SNAPSHOT_DIR = Path(__file__).parent / "data" / "help"
+from record_help_snapshots import NAMES, SNAPSHOT_DIR, help_text
 
 
 @pytest.fixture
@@ -27,16 +26,12 @@ def dataset_csv(tmp_path):
 
 
 class TestHelpSnapshots:
-    @pytest.mark.parametrize("name", ["main", "gen-synthetic", "train", "predict",
-                                      "cv", "sweep-eta", "project", "bench-proj"])
+    @pytest.mark.parametrize("name", NAMES)
     def test_help_matches_snapshot(self, name, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
-        parser = build_parser()
-        if name == "main":
-            text = parser.format_help()
-        else:
-            text = parser._subparsers._group_actions[0].choices[name].format_help()
-        assert text == (SNAPSHOT_DIR / f"{name}.txt").read_text()
+        assert help_text(name) == (SNAPSHOT_DIR / f"{name}.txt").read_text(), (
+            f"help of {name!r} differs from its snapshot; if the change is meant, "
+            f"re-record with tests/record_help_snapshots.py and check the diff")
 
 
 class TestGenSynthetic:
@@ -424,23 +419,15 @@ class TestCvAndSweep:
         capsys.readouterr()
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_jobs_flag_gives_same_curve(self, dataset_csv, tmp_path, capsys):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        for p, jobs in ((a, "1"), (b, "3")):
-            rc = main(["sweep-eta", "--data", str(dataset_csv), "--etas", "4",
-                       "--out", str(p), "--folds", "3", "--iters", "300",
-                       "--jobs", jobs])
-            assert rc == 0
-        capsys.readouterr()
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_jobs_below_one_rejected(self, dataset_csv, tmp_path, capsys):
-        curve = tmp_path / "c.csv"
-        for cmd in (["cv"], ["sweep-eta", "--etas", "4", "--out", str(curve)]):
-            for jobs in ("0", "-2"):
-                assert main([*cmd, "--data", str(dataset_csv), "--jobs", jobs]) == 1
-                assert capsys.readouterr().err == f"error: jobs must be at least 1, got {jobs}\n"
-        assert not curve.exists()
+    def test_sweep_names_its_knee(self, dataset_csv, tmp_path, capsys):
+        curve = tmp_path / "curve.csv"
+        rc = main(["sweep-eta", "--data", str(dataset_csv), "--etas", "1,4,16",
+                   "--out", str(curve), "--folds", "3", "--iters", "300"])
+        assert rc == 0
+        # three points have one interior point, the knee
+        n_features = curve.read_text().splitlines()[2].split(",")[1]
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"knee (heuristic, largest second difference): eta 4 with {n_features} features")
 
 
 class TestProject:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pdsparse.data_io import (
+    _HEADER,
     Dataset,
     SyntheticSpec,
     generate_synthetic,
@@ -149,7 +150,8 @@ class TestCsvRoundTrip:
 
 
 class TestModelRoundTrip:
-    def _model(self):
+    @staticmethod
+    def _model():
         rng = make_rng(13)
         W = rng.standard_normal((6, 3)) * 0.1
         return TrainedModel(W=W, mu=rng.standard_normal((3, 3)),
@@ -221,6 +223,11 @@ class TestModelRoundTrip:
         with pytest.raises(ValueError, match="not a model file"):
             load_model(path)
 
+    def test_infinite_feature_scale_rejected(self, tmp_path):
+        path = _model_file(tmp_path / "model.bin", scale=np.inf)
+        with pytest.raises(ValueError, match="^feature_scale must be positive and finite, got inf$"):
+            load_model(path)
+
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "model.bin"
         save_model(path, self._model())
@@ -229,6 +236,18 @@ class TestModelRoundTrip:
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="version 99"):
             load_model(path)
+
+
+def _model_file(path, cut=None, **header):
+    """A saved model file with some header fields replaced, cut to ``cut`` bytes."""
+    save_model(path, TestModelRoundTrip._model())
+    blob = bytearray(path.read_bytes())
+    names = ("magic", "version", "ball", "loss", "radius", "delta", "scale", "d", "k")
+    fields = dict(zip(names, _HEADER.unpack_from(blob)))
+    fields.update(header)
+    _HEADER.pack_into(blob, 0, *fields.values())
+    path.write_bytes(bytes(blob[:cut]))
+    return path
 
 
 def _points(k=2):
@@ -276,3 +295,42 @@ class TestMatrixCsv:
         path.write_text("1.0,2.0\n3.0\n")
         with pytest.raises(ValueError, match="row 2"):
             load_matrix_csv(path)
+
+
+def _written(path, data: bytes):
+    path.write_bytes(data)
+    return path
+
+
+INPUT_CHECKS = [
+    pytest.param(lambda path: SyntheticSpec(m=4, d=10, k=1, s=2),
+                 "need at least 2 classes, got 1", id="spec-k"),
+    pytest.param(lambda path: SyntheticSpec(m=4, d=10, k=2, s=0),
+                 "need at least one informative feature, got s=0", id="spec-s"),
+    pytest.param(lambda path: SyntheticSpec(m=4, d=10, k=2, s=2, separation=0.0),
+                 "separation must be positive, got 0.0", id="spec-separation"),
+    pytest.param(lambda path: SyntheticSpec(m=4, d=10, k=2, s=2, noise_sd=-1.0),
+                 "noise_sd must be nonnegative, got -1.0", id="spec-noise"),
+    pytest.param(lambda path: write_dataset_csv(path, Dataset(
+                     X=np.zeros((2, 3)), labels=np.array([0, 1]), feature_names=["a", "b"])),
+                 "feature_names length does not match the matrix", id="feature-name-count"),
+    pytest.param(lambda path: load_model(_written(path, b"PDSM")),
+                 "{path}: truncated model file", id="model-truncated-header"),
+    pytest.param(lambda path: load_model(_model_file(path, ball=9)),
+                 "{path}: corrupt model file (unknown ball/loss code)", id="model-unknown-code"),
+    pytest.param(lambda path: load_model(_model_file(path, cut=_HEADER.size + 8)),
+                 "{path}: truncated model file", id="model-truncated-payload"),
+    pytest.param(lambda path: load_matrix_csv(_written(path, b"")),
+                 "{path}: empty file", id="matrix-empty"),
+    pytest.param(lambda path: load_matrix_csv(_written(path, b"1.0,x\n")),
+                 "{path}: non-numeric value 'x' at row 1, column 2", id="matrix-non-numeric"),
+]
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call, message", INPUT_CHECKS)
+    def test_refused_with_message(self, call, message, tmp_path):
+        path = tmp_path / "file"
+        with pytest.raises(ValueError) as exc:
+            call(path)
+        assert str(exc.value) == message.format(path=path)

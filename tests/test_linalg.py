@@ -178,3 +178,17 @@ class TestCheckMatrix:
     def test_rejects_vector(self):
         with pytest.raises(ValueError, match="2-D"):
             check_matrix(np.ones(3))
+
+
+INPUT_CHECKS = [
+    pytest.param(lambda: one_hot([[0, 1]], 2),
+                 "labels must be 1-D, got shape (1, 2)", id="one-hot-2d-labels"),
+]
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call, message", INPUT_CHECKS)
+    def test_refused_with_message(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message

@@ -188,3 +188,17 @@ class TestPrimalObjective:
             primal_objective(np.zeros((3, 2)), np.eye(2), prob)
         with pytest.raises(ValueError):
             primal_objective(np.zeros((4, 2)), np.eye(3), prob)
+
+
+INPUT_CHECKS = [
+    pytest.param(lambda: LossSpec("huber", -1.0),
+                 "delta must be nonnegative, got -1.0", id="loss-negative-delta"),
+]
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call, message", INPUT_CHECKS)
+    def test_refused_with_message(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message

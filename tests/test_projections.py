@@ -593,3 +593,21 @@ class TestBallSpec:
         assert ball_norm(V, "l21") == 5.0
         assert ball_norm(V, "l12") == 7.0
         assert ball_norm(V, "nuclear") == pytest.approx(5.0, rel=1e-12)
+
+
+INPUT_CHECKS = [
+    pytest.param(lambda: proj_l1_vector(np.ones((2, 2)), 1.0),
+                 "expected a vector, got shape (2, 2)", id="l1-vector-matrix"),
+    pytest.param(lambda: proj_l1_vector([1.0, np.nan], 1.0),
+                 "vector contains non-finite entries", id="l1-vector-non-finite"),
+    pytest.param(lambda: ball_norm(np.eye(2), "l3"),
+                 "unknown ball kind 'l3'", id="ball-norm-kind"),
+]
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call, message", INPUT_CHECKS)
+    def test_refused_with_message(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message

@@ -19,7 +19,6 @@ from pdsparse.projections import BallSpec, ball_norm, project_ball
 from pdsparse.solver import (
     SolverDivergenceError,
     SolverParams,
-    SolverState,
     StepConditionError,
     VARIANTS,
     _forward,
@@ -196,50 +195,29 @@ class TestSolveBasics:
         grad = (mu_plus - mu_n) / tau_mu + prob.rho * (mu_plus - np.eye(k)) + prob.Y.T @ Z
         assert np.abs(grad).max() <= 1e-10
 
-    @pytest.mark.parametrize("name", ["W", "mu", "Z"])
-    def test_non_finite_initial_state_is_rejected(self, name):
+    def test_overflowing_iterate_aborts_with_iteration(self, monkeypatch):
         prob = small_problem(seed=7)
-        d, k, m = prob.n_features, prob.n_classes, prob.n_samples
-        arrays = {"W": np.zeros((d, k)), "mu": np.eye(k), "Z": np.zeros((m, k))}
-        arrays[name][0, 1] = np.nan
-        with pytest.raises(ValueError, match=f"^initial.{name} contains non-finite entries$"):
-            solve(prob, SolverParams(max_iter=10), initial=SolverState(**arrays))
-
-    def test_overflowing_iterate_aborts_with_iteration(self):
-        prob = small_problem(seed=7)
-        d, k, m = prob.n_features, prob.n_classes, prob.n_samples
-        # finite, but the center extrapolation 2 mu - mu_old overflows to inf
-        huge = SolverState(W=np.zeros((d, k)), mu=np.full((k, k), 1e308),
-                           Z=np.zeros((m, k)))
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(SolverDivergenceError) as exc:
-            solve(prob, SolverParams(max_iter=10), initial=huge)
+        monkeypatch.setattr(pdsparse.solver, "dual_prox",
+                            lambda V, sigma, loss: np.full_like(V, np.nan))
+        with pytest.raises(SolverDivergenceError) as exc:
+            solve(prob, SolverParams(max_iter=10))
         assert exc.value.iteration == 1
-
-    def test_initial_state_matches_default_when_zeroed(self):
-        prob = small_problem(seed=9)
-        d, k, m = prob.n_features, prob.n_classes, prob.n_samples
-        init = SolverState(W=np.zeros((d, k)), mu=np.eye(k), Z=np.zeros((m, k)))
-        params = SolverParams(max_iter=100, record_every=100)
-        _, h_default = solve(prob, params)
-        _, h_init = solve(prob, params, initial=init)
-        assert h_default.records[-1].objective.total == h_init.records[-1].objective.total
 
     @pytest.mark.parametrize("variant, gamma", [("base", 0.0), ("fixed-mu", 0.0), ("base", 0.3)])
     def test_in_place_iteration_keeps_inputs_and_outputs_apart(self, variant, gamma):
         prob = small_problem(seed=9)
-        d, k, m = prob.n_features, prob.n_classes, prob.n_samples
-        rng = make_rng(11)
-        init = SolverState(W=0.01 * rng.standard_normal((d, k)),
-                           mu=np.eye(k) + 0.1 * rng.standard_normal((k, k)),
-                           Z=rng.uniform(-1.0, 1.0, (m, k)))
-        before = [a.copy() for a in (init.W, init.mu, init.Z)]
+        before = [a.copy() for a in (prob.X, prob.Y)]
+        states = []
         model, hist = solve(prob, SolverParams(max_iter=40, record_every=20, variant=variant,
-                                               gamma=gamma), initial=init)
-        for a, b in zip((init.W, init.mu, init.Z), before):
+                                               gamma=gamma), callback=states.append)
+        for a, b in zip((prob.X, prob.Y), before):
             assert a.tobytes() == b.tobytes()
-        arrays = [model.W, model.mu, hist.ergodic_W, init.W, init.mu, init.Z]
+        arrays = [model.W, model.mu, hist.ergodic_W, prob.X, prob.Y]
         for a, b in itertools.combinations(arrays, 2):
+            assert not np.shares_memory(a, b)
+        # each iteration hands the callback a new W and Z, never a reused buffer
+        prev, last = states[-2], states[-1]
+        for a, b in itertools.combinations([prev.W, prev.Z, last.W, last.Z], 2):
             assert not np.shares_memory(a, b)
 
     def test_early_stop_breaks_before_budget(self):
@@ -458,10 +436,9 @@ class TestRowSpaceNuclear:
         prob = Problem(X=X, Y=Y, loss=LossSpec("huber", 1.0), ball=BallSpec("nuclear", 0.5))
         params = SolverParams(max_iter=60, record_every=20)
         seen = collect_iterates(prob, params, 60)
-        # an initial state keeps solve in the d x k weights
-        zero = SolverState(W=np.zeros((2000, 4)), mu=np.eye(4), Z=np.zeros((200, 4)))
+        _, hist = solve(prob, params)
         ref = []
-        solve(prob, params, initial=zero, callback=lambda s: ref.append(s.W.copy()))
+        solve_reference(prob, hist.params, callback=lambda W: ref.append(W.copy()))
         assert len(seen) == len(ref) == 60
         for (W, _, _), W_ref in zip(seen, ref):
             assert np.linalg.norm(W - W_ref) <= 1e-12 * np.linalg.norm(W_ref)
@@ -713,3 +690,45 @@ class TestByteIdentity:
         assert set(fresh) == set(recorded["fits"]) == set(CASES)
         changed = [name for name in CASES if fresh[name] != recorded["fits"][name]]
         assert not changed, f"iterates of {changed} are no longer byte-identical"
+
+
+def _problem(Y, rows=4, **weights):
+    return Problem(X=np.ones((rows, 3)), Y=Y, loss=LossSpec("huber", 1.0),
+                   ball=BallSpec("l1", 1.0), **weights)
+
+
+Y_2 = one_hot([0, 1, 0, 1], 2)
+INPUT_CHECKS = [
+    pytest.param(lambda: SolverParams(gamma=1.0),
+                 "gamma must lie in (-1, 1), got 1.0", id="gamma-1"),
+    pytest.param(lambda: SolverParams(gamma=-1.0),
+                 "gamma must lie in (-1, 1), got -1.0", id="gamma-minus-1"),
+    pytest.param(lambda: SolverParams(max_iter=0),
+                 "max_iter must be at least 1, got 0", id="max-iter"),
+    pytest.param(lambda: SolverParams(record_every=0),
+                 "record_every must be at least 1, got 0", id="record-every"),
+    pytest.param(lambda: default_steps(0.0, 1.0, 4, 2, 1.0, 1.0),
+                 "data norms must be positive", id="steps-x-norm"),
+    pytest.param(lambda: default_steps(1.0, 0.0, 4, 2, 1.0, 1.0),
+                 "data norms must be positive", id="steps-y-norm"),
+    pytest.param(lambda: default_steps(1.0, 1.0, 4, 2, 1.0, 0.0),
+                 "eta must be positive, got 0.0", id="steps-eta"),
+    pytest.param(lambda: _problem(Y_2, rows=3),
+                 "X has 3 rows but Y has 4", id="problem-rows"),
+    pytest.param(lambda: _problem(np.ones((4, 1))),
+                 "Y must have at least 2 classes", id="problem-one-class"),
+    pytest.param(lambda: _problem(np.ones((4, 2))),
+                 "Y must be one-hot: binary entries, one 1 per row", id="problem-not-one-hot"),
+    pytest.param(lambda: _problem(Y_2, rho=-1.0),
+                 "rho must be nonnegative, got -1.0", id="problem-rho"),
+    pytest.param(lambda: _problem(Y_2, alpha=-1.0),
+                 "alpha must be nonnegative, got -1.0", id="problem-alpha"),
+]
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call, message", INPUT_CHECKS)
+    def test_refused_with_message(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
