@@ -24,6 +24,25 @@ When at most one row in eight of the extrapolated W is nonzero, as on the
 l1 and l21 balls once they select features, X (2 W - W_old) is formed from
 those rows and the matching columns of X alone; the Notes of ``solve`` say
 why eight.  It agrees with the dense product to rounding, not bit for bit.
+
+On the l1 and l21 balls the gradient step forms X^T Z only on the rows of
+G = (W + tau X^T Z) / (1 + tau alpha) that can clear the projection's
+threshold.  Row i's magnitude mag(G_i) (its largest entry on l1, its 2-norm
+on l21) is bounded without touching X, from the last full product
+C = X^T Z_ref:
+
+    mag(G_i) <= u_i = (mag(W_i) + tau (mag(C_i) + ||x_i|| Delta)) / (1 + tau alpha)
+
+by Cauchy-Schwarz, with x_i the i-th column of X and Delta = max_j
+||Z_j - Z_ref,j|| on l1 (columns Z_j) and ||Z - Z_ref||_F on l21.  With t a
+fixed fraction (SCREEN_FRACTION) of the previous iteration's threshold, the
+candidates S are the rows with u_i >= t and the nonzero rows of W.  If
+sum_S max(mag(G) - t, 0) >= r (over entries on l1, rows on l21), the ball's
+threshold theta, the root of sum max(mag(G) - theta, 0) = r over all of G,
+is at least t: every row outside S lies below it and projects to zero, and
+theta is the root over S alone.  So P_ball(G) is P_ball(G_S) scattered into
+zero rows.  The Notes of ``solve`` give the rounding margin and the rule for
+taking the full product.
 """
 
 from __future__ import annotations
@@ -57,6 +76,10 @@ VARIANTS = ("base", "fixed-mu", "accelerated")
 
 # default_steps picks sigma strictly inside the admissible region
 STEP_STRICTNESS = 0.999
+# a screened gradient step's candidate rows can clear this fraction of the
+# previous iteration's threshold
+SCREEN_FRACTION = 0.7
+EPS = float(np.finfo(np.float64).eps)
 
 
 class StepConditionError(ValueError):
@@ -142,6 +165,9 @@ class TrainingHistory:
     ``early_stop_tol`` ends a run at the first record whose gap is at most
     ``early_stop_tol * max(1, |objective|)``; that record is always written, so
     ``iterations()[-1] < params.max_iter`` identifies a stop on the gap.
+    ``full_gradients`` counts the iterations that formed X^T Z over every
+    feature rather than over a screened step's candidates (every iteration
+    on the l12 and nuclear balls).
     """
 
     records: list[HistoryRecord] = field(default_factory=list)
@@ -149,6 +175,7 @@ class TrainingHistory:
     params: SolverParams | None = None
     step_slack: float | None = None
     x_norm: OperatorNormEstimate | None = None
+    full_gradients: int = 0
 
     def iterations(self) -> list[int]:
         return [r.iteration for r in self.records]
@@ -212,6 +239,121 @@ def _gradient(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     both.  The copy of Z^T is small and makes the product faster at d = 1000.
     """
     return (np.ascontiguousarray(Z.T) @ X).T
+
+
+def _shift(C: np.ndarray, W: np.ndarray, tau: float, alpha: float) -> np.ndarray:
+    """(W + tau C) / (1 + tau alpha), in C's buffer: the input of the W step."""
+    C *= tau
+    C += W
+    if alpha > 0:
+        C /= 1.0 + tau * alpha
+    return C
+
+
+def _extrapolate(W, W_old, theta, out=None, tmp=None) -> np.ndarray:
+    """W + theta (W - W_old), as (1 + theta) W - theta W_old, into ``out`` if given."""
+    W_ext = np.multiply(W, 1.0 + theta, out=out)
+    W_ext -= W_old if theta == 1.0 else np.multiply(W_old, theta, out=tmp)
+    return W_ext
+
+
+class _PrimalStep:
+    """The W step P_ball((W + tau X^T Z) / (1 + tau alpha)) and the coupling X W_ext.
+
+    On the l1 and l21 balls the W step is screened (the Notes of ``solve``):
+    it keeps Z_ref and the row magnitudes of the last full product X^T Z_ref
+    and the threshold theta of the last projection, and forms X^T Z from the
+    columns of X on the candidate rows when they certify.  The candidates
+    hold every nonzero row of the W they step from, so the new W, and its
+    extrapolation, are zero outside them: ``rows`` and ``columns`` keep them
+    and X[:, rows] for the coupling product, and are None after a full step.
+    ``full`` counts the steps that formed all of X^T Z.
+    """
+
+    def __init__(self, X: np.ndarray, ball, k: int):
+        m, d = X.shape
+        self.X, self.ball = X, ball
+        self.screens = ball.kind in ("l1", "l21")
+        self.full = 0
+        self.theta = 0.0
+        self.rows = self.columns = None
+        # overwritten by every coupling product after a full step
+        self.W_ext = np.empty((d, k), order="F")
+        self.W_tmp = np.empty_like(self.W_ext)
+        if self.screens:
+            self.col_norms = np.sqrt(np.einsum("ij,ij->j", X, X))
+            self.slack = ((d + 2) * k + m + 20) * EPS
+
+    def _terms(self, A: np.ndarray) -> np.ndarray:
+        """The magnitudes the threshold is taken over: entries on l1, row 2-norms on l21."""
+        return np.abs(A) if self.ball.kind == "l1" else np.sqrt(np.einsum("ij,ij->i", A, A))
+
+    def _size(self, Z: np.ndarray) -> float:
+        """max_j ||Z_j|| over columns on l1, ||Z||_F on l21: the bound's factor of ||x_i||."""
+        squares = np.einsum("ij,ij->j", Z, Z)
+        return math.sqrt(squares.max() if self.ball.kind == "l1" else squares.sum())
+
+    def __call__(self, W, Z, tau, alpha):
+        if self.theta > 0.0:
+            W_new = self._candidate_step(W, Z, tau, alpha)
+            if W_new is not None:
+                return W_new
+        self.full += 1
+        self.rows = self.columns = None
+        C = _gradient(self.X, Z)
+        if self.screens:
+            self.Z_ref, self.ref_size = Z.copy(), self._size(Z)
+            self.ref_magnitudes = (np.abs(C).max(axis=1) if self.ball.kind == "l1"
+                                   else self._terms(C))
+        G = _shift(C, W, tau, alpha)
+        W_new = project_ball(G, self.ball)
+        if self.screens:
+            self.theta = float((self._terms(G) - self._terms(W_new)).max())
+        return W_new
+
+    def _candidate_step(self, W, Z, tau, alpha):
+        """The step from the rows that can clear t.
+
+        Returns None when more than d / 8 rows can, or when they fail to certify.
+        """
+        X, r = self.X, self.ball.radius
+        m, d = X.shape
+        z_size = self._size(Z)
+        drift = self._size(Z - self.Z_ref) + m * EPS * (z_size + self.ref_size)
+        # u_i (1 + tau alpha) / tau on the zero rows of W; the others are candidates
+        bound = self.col_norms * drift
+        bound += self.ref_magnitudes
+        if self.rows is None:
+            bound[np.logical_or.reduce(W.T != 0, axis=0)] = np.inf
+        else:
+            bound[self.rows[np.logical_or.reduce(W[self.rows].T != 0, axis=0)]] = np.inf
+        shrink = 1.0 + tau * alpha
+        t = SCREEN_FRACTION * self.theta
+        rows = np.flatnonzero(bound >= ((t * (1.0 - self.slack) - EPS * r) * shrink) / tau)
+        if 8 * rows.size > d:
+            return None
+        columns = X[:, rows]
+        G = _shift(_gradient(columns, Z), W[rows], tau, alpha)
+        terms = self._terms(G)
+        n = terms.size
+        x_max = float(self.col_norms[rows].max(initial=0.0))
+        # rounding of both products, the shift and the norms (Notes)
+        beta = EPS * (2 * m * (tau / shrink) * x_max * z_size
+                      + (G.shape[1] + 4) * terms.max(initial=0.0))
+        if np.maximum(terms - t, 0.0).sum() < (r + n * beta) * (1.0 + (n + 2) * EPS):
+            return None
+        P = project_ball(G, self.ball)
+        self.theta = float((terms - self._terms(P)).max())
+        self.rows, self.columns = rows, columns
+        W_new = np.zeros_like(W)
+        W_new[rows] = P
+        return W_new
+
+    def forward(self, W, W_old, theta, out):
+        """X W_ext, W_ext = W + theta (W - W_old), into ``out``; over ``columns`` when kept."""
+        if self.rows is None:
+            return _forward(self.X, _extrapolate(W, W_old, theta, self.W_ext, self.W_tmp), out)
+        return _forward(self.columns, _extrapolate(W[self.rows], W_old[self.rows], theta), out)
 
 
 def _duality_gap(primal: float, Z: np.ndarray, problem: Problem, fixed_mu: bool) -> float:
@@ -287,10 +429,12 @@ def solve(problem: Problem, params: SolverParams, callback=None
     average.  Results agree with the d-space iteration to rounding, not bit
     for bit.
 
-    Every fit forms the coupling product X W_ext from the nonzero rows
-    of the extrapolated iterate W_ext and the matching columns of X alone
-    whenever at most one row in eight is nonzero, and multiplies by all of
-    X otherwise; the choice is made every iteration from W_ext itself, and
+    After a full W step, every fit forms the coupling product X W_ext from
+    the nonzero rows of the extrapolated iterate W_ext and the matching
+    columns of X alone whenever at most one row in eight is nonzero, and
+    multiplies by all of X otherwise; the choice is made every iteration
+    from W_ext itself (after a screened step, below, from the candidate
+    rows' block of W_ext and the columns the step gathered), and
     an iterate with more than k d / 8 nonzero entries takes the dense
     product without building the row mask.  Each record forms X W of its
     iterate and of the ergodic average by the same rule.  Eight because
@@ -299,6 +443,42 @@ def solve(problem: Problem, params: SolverParams, callback=None
     dense product streams (measured at k = 4, it stops paying between one
     row in ten at d = 20000 and one in seven at d = 1000).  The restricted
     product agrees with the dense one to rounding, not bit for bit.
+
+    On the l1 and l21 balls the W step is screened (module docstring).
+    Each full product C = X^T Z_ref is kept as Z_ref and its row magnitudes
+    mag(C_i), and the column norms ||x_i|| are formed once per fit.  While
+    the previous projection's threshold theta is positive, a step bounds
+    every row by u_i and takes the candidates S, t = SCREEN_FRACTION theta;
+    S also holds every nonzero row of the W it steps from, so that the new W
+    and W_ext are zero outside S and the coupling product can use X[:, S]
+    too.  When 8 |S| <= d (the one-in-eight rule above) it forms G_S from
+    X[:, S] and, if sum_S max(mag(G_S) - t, 0) reaches r, projects G_S and
+    scatters it into a zero W.  Otherwise, and while theta = 0 (the first
+    step, or a ball the step's input lies inside), it forms all of X^T Z,
+    projects it and keeps it as the new reference.  Either path projects
+    once per step.
+    ``history.full_gradients`` counts the steps that formed all of X^T Z;
+    on the l12 and nuclear balls that is every step.  theta is read back off
+    the projection as max(mag(G) - mag(P_ball(G))), which is the threshold
+    on the terms it shrinks and at most it on the ones it zeroes.
+
+    Rounding.  A computed dot product of x_i with a column z, in any order
+    of summation, lies within m eps ||x_i|| ||z|| of the exact one, so Delta
+    carries m eps (||Z|| + ||Z_ref||) (the largest column norms on l1, the
+    Frobenius norms on l21), and u_i bounds row i of the exact G and of every
+    computed one, up to the rounding of u_i itself and of the norms, at most
+    (m + 2k + 18) eps relative.  The threshold a projection computes lies
+    within eps (r + (n + 2) theta) of the exact one, n <= d k the number of
+    terms.  So the candidates are the rows with u_i >= t (1 - slack) - eps r,
+    slack = ((d + 2) k + m + 20) eps.  The certificate asks the computed sum
+    of the n terms to reach (r + n beta)(1 + (n + 2) eps), where beta = eps
+    (2 m tau' max_S ||x_i|| ||Z|| + (k + 4) max mag(G_S)), tau' = tau / (1 +
+    tau alpha), bounds how far a term of G_S lies from the full product's.
+    Then the full G's exact threshold is at least t, its computed threshold
+    is above every excluded row, and the excluded rows are zero in P_ball of
+    the full G as well.  The product over X[:, S] and the projection of the
+    shorter G_S round differently from the full ones, so screened fits agree
+    with the unscreened iteration to rounding, not bit for bit.
     """
     variant = params.variant
     departures = [name for name, on in [
@@ -360,12 +540,11 @@ def solve(problem: Problem, params: SolverParams, callback=None
     fixed_mu = variant == "fixed-mu"
     accelerated = variant == "accelerated"
 
-    # the extrapolation and the coupling are overwritten every iteration;
-    # W, mu and Z are new arrays each time, as the callback and model keep them
-    W_ext = np.empty_like(W)
-    W_tmp = np.empty_like(W)
+    # the coupling is overwritten every iteration; W, mu and Z are new
+    # arrays each time, as the callback and model keep them
     coupling = np.empty_like(Z)
 
+    step = _PrimalStep(X, ball, k)
     history = TrainingHistory(params=resolved, step_slack=slack, x_norm=x_norm)
     theta = 1.0
     t0 = time.perf_counter()
@@ -374,20 +553,13 @@ def solve(problem: Problem, params: SolverParams, callback=None
     for n in range(1, params.max_iter + 1):
         W_old, mu_old, Z_old = W, mu, Z
 
-        G = _gradient(X, Z)
-        G *= tau
-        G += W
-        if alpha > 0:
-            G /= 1.0 + tau * alpha
-        W = project_ball(G, ball)
+        W = step(W, Z, tau, alpha)
         if not fixed_mu:
             mu = (mu_old + (rho * tau_mu) * I_k - tau_mu * (Y.T @ Z)) / (1.0 + tau_mu * rho)
 
         if accelerated:
             theta = 1.0 / math.sqrt(1.0 + delta * sigma)
-        np.multiply(W, 1.0 + theta, out=W_ext)
-        W_ext -= W_old if theta == 1.0 else np.multiply(W_old, theta, out=W_tmp)
-        _forward(X, W_ext, coupling)
+        step.forward(W, W_old, theta, coupling)
         np.subtract(Y @ ((1.0 + theta) * mu - theta * mu_old), coupling, out=coupling)
         coupling *= sigma
         coupling += Z
@@ -432,6 +604,7 @@ def solve(problem: Problem, params: SolverParams, callback=None
             if tol is not None and gap <= tol * max(1.0, abs(objective.total)):
                 break
 
+    history.full_gradients = step.full
     history.ergodic_W = np.ascontiguousarray(weights(sum_W / n))
     # TrainedModel keeps a C-ordered copy of the column-major W
     model = TrainedModel(W=weights(W_f), mu=mu_f, ball=ball, loss=loss)

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import pdsparse
 from pdsparse.linalg import normalize_features, one_hot, spectral_norm
@@ -21,8 +23,10 @@ from pdsparse.solver import (
     SolverParams,
     StepConditionError,
     VARIANTS,
+    _PrimalStep,
     _forward,
     _gradient,
+    _shift,
     check_step_condition,
     default_steps,
     solve,
@@ -30,7 +34,13 @@ from pdsparse.solver import (
 
 from conftest import make_rng
 from oracles import solve_reference
-from record_solve_digests import CASES, DIGEST_PATH, environment
+from record_solve_digests import CASES, DIGEST_PATH, ITERS, RECORD_EVERY, environment
+
+# iterations of each digest fit that formed X^T Z over every feature: all of
+# them on the l12 and nuclear balls, which are not screened
+FULL_GRADIENTS = {"l1": 12, "l21": 19, "l12": ITERS, "nuclear": ITERS, "fixed-mu": 3,
+                  "accelerated": 15, "gamma": 12, "alpha": 149, "frobenius-loss": 95,
+                  "l1-loss": ITERS}
 
 
 def small_problem(seed=0, m=30, d=20, k=3, delta=1.0, eta=2.0, rho=1.0,
@@ -409,6 +419,7 @@ def assert_matches_reference(X, Y, kind, case):
                 assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
         # the gap cancels the objective's leading digits: scale by the objective
         assert abs(r.gap - gap) <= 1e-12 * max(1.0, abs(objective.total))
+    return hist
 
 
 class TestRowSpaceNuclear:
@@ -536,8 +547,72 @@ class TestSparseForwardProduct:
 
         monkeypatch.setattr(pdsparse.solver, "_forward", forward)
         X, Y = row_space_data("200x2000")
-        assert_matches_reference(X, Y, kind, case)
+        hist = assert_matches_reference(X, Y, kind, case)
         assert len(restricted) == 300 and any(restricted)
+        # the screened W step took both paths: some steps formed all of
+        # X^T Z, the others only the candidates' rows (TestScreenedGradient)
+        assert 0 < hist.full_gradients < 300
+
+
+def planted_step_inputs(seed, kind, planted=True):
+    """A 20 x 400 X whose first 10 columns dominate, and a step that took its first full product."""
+    rng = make_rng(seed)
+    X = rng.standard_normal((20, 400))
+    if planted:
+        X[:, 10:] *= 0.05
+    X, _ = normalize_features(X)
+    step = _PrimalStep(X, BallSpec(kind, 0.5), 3)
+    Z_ref = rng.uniform(-1.0, 1.0, (20, 3))
+    W = step(np.zeros((400, 3), order="F"), Z_ref, 1.0, 0.0)
+    return rng, X, step, Z_ref, W
+
+
+class TestScreenedGradient:
+    """On the l1 and l21 balls X^T Z is formed on the candidate rows when they certify.
+
+    ``TestSparseForwardProduct.test_sparse_fit_matches_dense_iteration``
+    compares screened fits with ``solve_reference``.
+    """
+
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["l1", "l21"]),
+           drift=st.floats(0.0, 1.0), tau=st.floats(0.25, 4.0),
+           alpha=st.sampled_from([0.0, 0.5]))
+    @settings(max_examples=150, deadline=None)
+    def test_excluded_rows_are_zero_in_the_full_projection(self, seed, kind, drift, tau, alpha):
+        rng, X, step, Z_ref, W = planted_step_inputs(seed, kind)
+        Z = np.clip(Z_ref + drift * rng.standard_normal(Z_ref.shape), -1.0, 1.0)
+        W_new = step(W, Z, tau, alpha)
+        assume(step.full == 1)  # the candidates certified
+        full = project_ball(_shift(_gradient(X, Z), W, tau, alpha), step.ball)
+        excluded = np.setdiff1d(np.arange(X.shape[1]), step.rows)
+        assert excluded.size >= 7 * X.shape[1] // 8
+        assert not full[excluded].any()
+        assert np.linalg.norm(W_new - full) <= 1e-12 * np.linalg.norm(full)
+
+    @pytest.mark.parametrize("kind", ["l1", "l21"])
+    @pytest.mark.parametrize("planted, scale", [(True, 0.0), (False, 1.0)],
+                             ids=["uncertified", "too-many-candidates"])
+    def test_otherwise_the_full_product(self, kind, planted, scale):
+        # at Z = 0 the step projects W, which is inside the ball, so the
+        # candidates cannot certify; without planted columns more than d / 8
+        # rows clear t
+        _, X, step, Z_ref, W = planted_step_inputs(3, kind, planted)
+        Z = scale * Z_ref[::-1]
+        W_new = step(W, Z, 1.0, 0.0)
+        assert step.full == 2 and step.rows is None
+        full = project_ball(_shift(_gradient(X, Z), W, 1.0, 0.0), step.ball)
+        assert W_new.tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_full_gradient_counts_on_the_digest_instance(self, name):
+        X, Y = row_space_data("200x2000")
+        case = CASES[name]
+        problem = Problem(X=X, Y=Y, loss=case.get("loss", LossSpec("huber", 1.0)),
+                          ball=BallSpec(case["ball"], 8.0), alpha=case.get("alpha", 0.0))
+        params = SolverParams(max_iter=ITERS, record_every=RECORD_EVERY,
+                              variant=case.get("variant", "base"), gamma=case.get("gamma", 0.0))
+        _, hist = solve(problem, params)
+        assert hist.full_gradients == FULL_GRADIENTS[name]
 
 
 class TestAccelerated:
@@ -648,9 +723,10 @@ class TestByteIdentity:
 
     A speed-up re-records a digest only where it changes rounding on
     purpose, as the sparse forward product did for the accelerated, alpha and
-    frobenius-loss fits and the Gram-first norm estimate for all ten;
-    ``TestSparseForwardProduct`` and ``TestSpectralNormMatchesMatrixFree``
-    bound those changes.
+    frobenius-loss fits, the Gram-first norm estimate for all ten and the
+    screened gradient for the seven on the l1 and l21 balls;
+    ``TestSparseForwardProduct``, ``TestSpectralNormMatchesMatrixFree`` and
+    ``TestScreenedGradient`` bound those changes.
     """
 
     @pytest.mark.parametrize("k", [2, 4])
