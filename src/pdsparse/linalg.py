@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "NormalizedFeatures",
     "OperatorNormEstimate",
     "check_matrix",
     "one_hot",
@@ -45,6 +46,26 @@ class OperatorNormEstimate:
     value: float
     iterations: int
     converged: bool
+
+
+@dataclass(frozen=True)
+class NormalizedFeatures:
+    """``normalize_features``' result; it unpacks as ``(X, scale)``.
+
+    ``x_norm`` is the estimate of ||X|| for the scaled X: 1.0, with the
+    iteration count and ``converged`` flag of the power loop on the raw
+    matrix, since the loop's iterates do not depend on scale.  ``gram`` is
+    X X^T of the scaled X when it has more columns than rows, else None.
+    ``classify.train_model`` hands both to ``solve``.
+    """
+
+    X: np.ndarray
+    scale: float
+    x_norm: OperatorNormEstimate
+    gram: np.ndarray | None
+
+    def __iter__(self):
+        return iter((self.X, self.scale))
 
 
 def one_hot(labels, k: int) -> np.ndarray:
@@ -81,7 +102,7 @@ def one_hot(labels, k: int) -> np.ndarray:
     return mat
 
 
-def spectral_norm(A, max_iter: int = 1000) -> OperatorNormEstimate:
+def spectral_norm(A, max_iter: int = 1000, *, _gram=None) -> OperatorNormEstimate:
     """Estimate the operator (spectral) norm of *A* by power iteration.
 
     The iteration runs on the n x n Gram matrix of the smaller side, n =
@@ -94,15 +115,16 @@ def spectral_norm(A, max_iter: int = 1000) -> OperatorNormEstimate:
     ``max_iter`` steps.
 
     Returns an estimate that never exceeds the true largest singular value.
-    A zero matrix yields value 0, flagged converged.
+    A zero matrix, or one whose Gram matrix underflows to zero, yields value
+    0, flagged converged.
     """
-    A = check_matrix(A, "A")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    if not A.any():
+    # ``normalize_features`` passes the Gram matrix of an A it has already
+    # validated, so the estimate neither scans A again nor forms the product
+    G = _thin_gram(check_matrix(A, "A")) if _gram is None else _gram
+    if not G.any():
         return OperatorNormEstimate(0.0, 0, True)
-    B = A if A.shape[0] >= A.shape[1] else A.T
-    G = B.T @ B
     n = G.shape[0]
     rng = np.random.Generator(np.random.Philox(POWER_SEED))
     v = rng.standard_normal(n)
@@ -125,6 +147,12 @@ def spectral_norm(A, max_iter: int = 1000) -> OperatorNormEstimate:
             break
         lam = nw
     return OperatorNormEstimate(float(np.sqrt(lam)), its, converged)
+
+
+def _thin_gram(A: np.ndarray) -> np.ndarray:
+    """B^T B on the thin side of A: B = A when m >= d, else A^T (so A A^T)."""
+    B = A if A.shape[0] >= A.shape[1] else A.T
+    return B.T @ B
 
 
 def sparse_rows_product(X: np.ndarray, A: np.ndarray, out=None) -> np.ndarray:
@@ -156,14 +184,23 @@ def label_operator_norm(Y) -> float:
     return float(np.sqrt(Y.sum(axis=0).max()))
 
 
-def normalize_features(X) -> tuple[np.ndarray, float]:
+def normalize_features(X) -> NormalizedFeatures:
     """Rescale *X* to unit operator norm.
 
-    Returns the scaled matrix and the scale (the divisor applied).  Raises
-    on an all-zero matrix, which cannot be normalized.
+    X is validated once and its norm estimated by one ``spectral_norm``
+    power loop, on the Gram matrix of the raw X.  Returns the scaled matrix
+    and the scale (the divisor applied), as a record that unpacks as that
+    pair and also carries what a fit on the scaled matrix would otherwise
+    compute again (``NormalizedFeatures``).  Raises on an all-zero matrix,
+    which cannot be normalized.
     """
     X = check_matrix(X, "X")
-    est = spectral_norm(X)
+    G = _thin_gram(X)
+    est = spectral_norm(X, _gram=G)
     if est.value == 0.0:
         raise ValueError("cannot normalize a zero matrix")
-    return X / est.value, est.value
+    s = est.value
+    return NormalizedFeatures(
+        X=X / s, scale=s,
+        x_norm=OperatorNormEstimate(1.0, est.iterations, est.converged),
+        gram=G / (s * s) if X.shape[1] > X.shape[0] else None)

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import check_matrix
+from .linalg import OperatorNormEstimate, check_matrix
 from .losses import LossSpec
 from .projections import BallSpec, ball_norm
 
@@ -31,6 +31,12 @@ class Problem:
     ball: BallSpec
     rho: float = 1.0
     alpha: float = 0.0
+    # Set by ``classify.train_model`` from ``normalize_features``: the estimate
+    # of ||X|| and, on a nuclear ball with d > m, X X^T, which ``solve`` then
+    # takes instead of forming its own.  Any other Problem carries None.
+    _x_norm: OperatorNormEstimate | None = field(
+        default=None, init=False, repr=False, compare=False)
+    _gram: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         X = check_matrix(self.X, "X")

@@ -405,6 +405,15 @@ def solve(problem: Problem, params: SolverParams, callback=None
     Every fit starts at W = 0, mu = I, Z = 0.  Under fixed centers mu
     stays I, so the dual step's Y (2 mu - mu_old) is exactly Y.
 
+    The estimate of ||X|| behind the derived steps, the step condition and
+    ``history.x_norm`` is ``spectral_norm(X)``, and a wide nuclear fit
+    (below) factors X from ``eigh(X @ X.T)``.  A problem built by
+    ``classify.train_model`` carries both from ``normalize_features``
+    instead (1.0 with the raw estimate's iteration count and ``converged``
+    flag, and the raw Gram matrix over the squared scale), so a fit forms
+    the Gram matrix and runs the power loop once.  These differ from what
+    ``solve`` would form on the scaled X only by rounding.
+
     Any two departures from the base iteration (a non-base variant, a
     nonzero gamma, a positive alpha, the Frobenius loss) raise ValueError
     naming both: each is written and checked against the base alone.
@@ -494,7 +503,7 @@ def solve(problem: Problem, params: SolverParams, callback=None
     k = Y.shape[1]
     rho, delta, alpha, gamma = problem.rho, loss.delta, problem.alpha, params.gamma
 
-    x_norm = spectral_norm(X)
+    x_norm = problem._x_norm if problem._x_norm is not None else spectral_norm(X)
     X_norm = x_norm.value
     Y_norm = label_operator_norm(Y)
     if params.tau is not None:
@@ -518,7 +527,7 @@ def solve(problem: Problem, params: SolverParams, callback=None
     # weights B give W = Q^T B = X^T (T B); W is formed only where it is seen.
     T = None
     if ball.kind == "nuclear" and d > m:
-        lam, V = np.linalg.eigh(X @ X.T)
+        lam, V = np.linalg.eigh(problem._gram if problem._gram is not None else X @ X.T)
         keep = lam > lam[-1] * m * np.finfo(np.float64).eps
         root = np.sqrt(lam[keep])
         T = V[:, keep] / root

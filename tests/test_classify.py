@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pdsparse import classify, linalg, model as model_module, solver
 from pdsparse.classify import (
     cross_validate,
     detect_knee,
@@ -12,10 +13,11 @@ from pdsparse.classify import (
     train_model,
 )
 from pdsparse.data_io import SyntheticSpec, generate_synthetic
+from pdsparse.linalg import OperatorNormEstimate, normalize_features, one_hot, spectral_norm
 from pdsparse.losses import LossSpec
 from pdsparse.model import ProblemTemplate, TrainedModel
 from pdsparse.projections import BallSpec
-from pdsparse.solver import SolverParams
+from pdsparse.solver import SolverParams, solve
 
 from conftest import make_rng
 
@@ -309,6 +311,98 @@ class TestTrainModel:
         ds = generate_synthetic(SEPARABLE)
         model, _ = train_model(ds.X, ds.labels, TPL, params=FAST, n_classes=3)
         assert model.n_classes == 3
+
+
+def stalled_matrix():
+    """Singular values spread evenly over [0.99, 1], times 3.7.
+
+    Power iteration stalls at its 1000-step budget on it, as on the matrix
+    of ``TestNormEstimate::test_unconverged_estimate_is_reported``.
+    """
+    X = np.zeros((30, 20))
+    X[:20] = np.diag(np.linspace(1.0, 0.99, 20))
+    return 3.7 * X
+
+
+def hand_off_template(kind):
+    return ProblemTemplate(loss=LossSpec("huber", 1.0), ball=BallSpec(kind, 2.0))
+
+
+class TestNormHandOff:
+    """A fit takes its norm estimate and Gram matrix from ``normalize_features``."""
+
+    @pytest.mark.parametrize("X, converged", [
+        (3.7 * make_rng(30).standard_normal((30, 40)), True), (stalled_matrix(), False)],
+        ids=["converged", "stalled"])
+    def test_history_keeps_the_raw_estimate_at_unit_scale(self, X, converged):
+        raw = spectral_norm(X)
+        assert raw.converged == converged
+        model, hist = train_model(X, np.arange(30) % 3, hand_off_template("l1"),
+                                  params=SolverParams(max_iter=5))
+        assert hist.x_norm == OperatorNormEstimate(1.0, raw.iterations, raw.converged)
+        assert model.feature_scale == raw.value
+
+    # nuclear-wide factors X from the handed-over Gram matrix (d > m); nuclear
+    # at d < m has no Gram matrix to take
+    @pytest.mark.parametrize("kind, d", [("l1", 60), ("l12", 60), ("nuclear", 60),
+                                         ("nuclear", 20)],
+                             ids=["l1", "l12", "nuclear-wide", "nuclear-tall"])
+    def test_fit_matches_solve_on_the_scaled_matrix(self, kind, d):
+        X = make_rng(31).standard_normal((30, d))
+        labels = np.arange(30) % 3
+        params = SolverParams(max_iter=300, record_every=20)
+        template = hand_off_template(kind)
+        model, hist = train_model(X, labels, template, params=params)
+        Xn, _ = normalize_features(X)
+        direct, direct_hist = solve(template.bind(Xn, one_hot(labels, 3)), params)
+        got = [r.objective.total for r in hist.records]
+        want = [r.objective.total for r in direct_hist.records]
+        assert got == pytest.approx(want, rel=1e-12)
+        assert np.abs(model.W - direct.W).max() <= 1e-12 * np.abs(direct.W).max()
+
+    @pytest.mark.parametrize("kind, d", [("l1", 60), ("nuclear", 60), ("nuclear", 20)],
+                             ids=["l1", "nuclear-wide", "nuclear-tall"])
+    def test_one_gram_product_and_one_estimate(self, monkeypatch, kind, d):
+        X = make_rng(32).standard_normal((30, d))
+        calls = {"gram": 0, "estimate": 0, "scans": 0}
+        eigh_inputs, handed = [], []
+
+        def spy(key, fn):
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        check, normalize, factor = linalg.check_matrix, linalg.normalize_features, np.linalg.eigh
+
+        def check_matrix(a, name="matrix"):
+            calls["scans"] += np.shape(a) == X.shape
+            return check(a, name)
+
+        def normalize_features(A):
+            handed.append(normalize(A))
+            return handed[-1]
+
+        def eigh(a):
+            eigh_inputs.append(a)
+            return factor(a)
+
+        monkeypatch.setattr(linalg, "_thin_gram", spy("gram", linalg._thin_gram))
+        estimate = spy("estimate", linalg.spectral_norm)
+        monkeypatch.setattr(linalg, "spectral_norm", estimate)
+        monkeypatch.setattr(solver, "spectral_norm", estimate)
+        for module in (linalg, model_module, classify):
+            monkeypatch.setattr(module, "check_matrix", check_matrix)
+        monkeypatch.setattr(classify, "normalize_features", normalize_features)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        train_model(X, np.arange(30) % 3, hand_off_template(kind),
+                    params=SolverParams(max_iter=5))
+        # the raw X in normalize_features and the scaled one in Problem
+        assert calls == {"gram": 1, "estimate": 1, "scans": 2}
+        wide_nuclear = kind == "nuclear" and d > 30
+        assert len(eigh_inputs) == wide_nuclear
+        if wide_nuclear:
+            assert eigh_inputs[0] is handed[0].gram
 
 
 INPUT_CHECKS = [

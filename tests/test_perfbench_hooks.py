@@ -49,8 +49,8 @@ def test_traced_fit_reaches_every_layer(tracing, ball, d):
     assert metrics["linalg.normalize_features.s"] > 0
     assert metrics["solver.solve.calls"] == 1
     assert metrics["solver.solve.iters"] == 20
-    # one estimate in normalize_features, one in solve
-    assert metrics["linalg.spectral_norm.calls"] == 2
+    # one estimate, in normalize_features: solve takes it from the problem
+    assert metrics["linalg.spectral_norm.calls"] == 1
     assert metrics["linalg.spectral_norm.iters"] > 0
     assert metrics[f"projections.{ball}.calls"] == 20
     assert metrics["losses.dual_prox.calls"] == 20
