@@ -58,10 +58,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _template_params(args) -> tuple[ProblemTemplate, solver.SolverParams]:
-    delta = args.delta
-    if delta is None:
-        delta = 1.0 if args.loss == "huber" else 0.0
-    template = ProblemTemplate(loss=LossSpec(args.loss, delta),
+    template = ProblemTemplate(loss=LossSpec(args.loss, args.delta),
                                ball=BallSpec(args.ball, args.eta),
                                rho=args.rho, alpha=args.alpha)
     params = solver.SolverParams(gamma=args.gamma, max_iter=args.iters,

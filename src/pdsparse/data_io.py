@@ -177,19 +177,23 @@ def load_csv(path, label_column: str = "label", delimiter: str = ",",
 def write_dataset_csv(path, dataset: Dataset, delimiter: str = ",") -> None:
     """Write a dataset as delimited text, the ``label`` column last.
 
-    Floats are written with ``repr`` so a load round-trips them exactly.
+    Floats are written with ``repr`` so a load round-trips them exactly.  A
+    dataset without labels is written without the label column.
     """
     X = check_matrix(dataset.X, "X")
     names = dataset.feature_names or [f"f{i}" for i in range(X.shape[1])]
     if len(names) != X.shape[1]:
         raise ValueError("feature_names length does not match the matrix")
+    labels = dataset.labels
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, delimiter=delimiter)
-        writer.writerow([*names, "label"])
+        writer.writerow(names if labels is None else [*names, "label"])
         for i in range(X.shape[0]):
-            lab = int(dataset.labels[i])
-            name = dataset.label_names[lab] if dataset.label_names else str(lab)
-            writer.writerow([*(repr(float(v)) for v in X[i]), name])
+            row = [repr(float(v)) for v in X[i]]
+            if labels is not None:
+                lab = int(labels[i])
+                row.append(dataset.label_names[lab] if dataset.label_names else str(lab))
+            writer.writerow(row)
 
 
 def save_model(path, model: TrainedModel) -> None:

@@ -39,14 +39,16 @@ LOSS_KINDS = ("huber", "l1", "frobenius")
 
 @dataclass(frozen=True)
 class LossSpec:
-    """Loss descriptor; ``delta`` is meaningful only for the huber kind."""
+    """Loss descriptor; ``delta``, the huber knee, is 1.0 if missing and 0.0 for other kinds."""
 
     kind: str
-    delta: float = 0.0
+    delta: float | None = None
 
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}, expected one of {LOSS_KINDS}")
+        if self.delta is None:
+            object.__setattr__(self, "delta", 1.0 if self.kind == "huber" else 0.0)
         if self.delta < 0:
             raise ValueError(f"delta must be nonnegative, got {self.delta}")
         if self.kind != "huber" and self.delta != 0.0:

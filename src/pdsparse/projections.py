@@ -8,8 +8,10 @@ Implemented balls, for a matrix V with rows v_i:
 * nuclear:  sum of singular values <= r     (low-rank weights)
 
 plus the l-infinity box and the Frobenius unit ball needed by the dual
-updates.  The l12 projection solves for its Lagrange multiplier with a
-guarded Newton iteration.
+updates.  The l1 ball, and through it the l21 ball (on the row norms) and
+the nuclear ball (on the singular values), is one full sort-and-scan.  The
+l12 projection solves for its Lagrange multiplier with a guarded Newton
+iteration.
 
 Layout: a ball projection returns its output in the memory layout of its
 input.  A Fortran-ordered (column-major) matrix, the layout ``solve`` keeps
@@ -49,8 +51,6 @@ __all__ = [
 
 BALL_KINDS = ("l1", "l21", "l12", "nuclear")
 L12_TOL = 1e-12
-# the l1 projection sorts this many of the largest magnitudes before any other
-L1_PREFIX = 256
 
 
 @dataclass(frozen=True)
@@ -106,14 +106,20 @@ def proj_l1_vector(v, radius) -> np.ndarray:
     return _proj_l1(v, radius)
 
 
-def _sorted_scan(u: np.ndarray, radius: float) -> tuple[np.ndarray, np.float64]:
-    """Sort u in place and overwrite it with css_j - r of its descending order.
+def _proj_l1(v: np.ndarray, radius: float) -> np.ndarray:
+    """Sort-and-scan l1 projection of a finite float64 array, in its layout; radius checked.
 
-    Returns that view and the threshold (css_rho - r) / (rho + 1) at the
-    last index rho with u_rho (rho + 1) > css_rho - r.  Working in the
-    caller's buffer keeps n-sized temporaries few: the page faults that
-    fresh ones cost can outweigh the arithmetic.
+    theta = (css_rho - r) / (rho + 1), where css sums the magnitudes u
+    sorted descending and rho is the last index with u_rho (rho + 1) >
+    css_rho - r (Duchi, Shalev-Shwartz, Singer & Chandra 2008).  The sort
+    and the scan work in the buffer of |v|, which is then taken again: the
+    page faults that fresh n-sized temporaries cost can outweigh the
+    arithmetic.
     """
+    a = np.abs(v)
+    if a.sum() <= radius:
+        return v.copy(order="K")
+    u = a.ravel(order="K")  # a view, in memory order
     u.sort()
     u = u[::-1]
     uj = np.arange(1.0, u.size + 1)
@@ -122,49 +128,8 @@ def _sorted_scan(u: np.ndarray, radius: float) -> tuple[np.ndarray, np.float64]:
     excess -= radius
     active = uj > excess
     rho = active.size - 1 - int(np.argmax(active[::-1]))
-    return excess, excess[rho] / (rho + 1)
-
-
-def _proj_l1(v: np.ndarray, radius: float) -> np.ndarray:
-    """Sort-and-scan l1 projection of a finite float64 array, in its layout; radius checked.
-
-    theta = (css_rho - r) / (rho + 1), where css sums the magnitudes u
-    sorted descending and rho is the last index with u_rho (rho + 1) >
-    css_rho - r.  Only entries that can be active are sorted: the L1_PREFIX
-    largest (``np.partition``) bound theta below by ``bound = max_j (css_j -
-    r) / j``, and unless the smallest of them is at most ``floor``, just
-    under that bound, every entry above ``floor`` is sorted.  If L1_PREFIX
-    times the largest magnitude is at most r, the bound is at most 0 and
-    every entry is sorted.
-
-    The bits are a full sort's.  The candidates' descending sort is a prefix
-    of the full one, and ``cumsum`` adds in sequence, so their css is a
-    prefix of the full css.  An entry u_j <= floor fails the active test in
-    floating point too: with the bound attained at i, its exact margin
-    css_j - r - u_j (j + 1) is at least (i + 1)(bound - u_j), and the gap
-    ``4 n eps (bound + total)`` exceeds the rounding of the cumsum (at most
-    n eps total / 2), of the product and of the quotient.  The index j
-    enters the product as a float, the value a full sort's int64 index was
-    converted to.
-    """
-    a = np.abs(v)
-    total = a.sum()
-    if total <= radius:
-        return v.copy(order="K")
-    flat = a.ravel(order="K")  # a view, in memory order
-    n = flat.size
-    if n > L1_PREFIX and L1_PREFIX * flat.max() > radius:
-        top = np.partition(flat, n - L1_PREFIX)[n - L1_PREFIX:]
-        smallest = top[0]  # at least every entry outside top
-        excess, theta = _sorted_scan(top, radius)
-        bound = (excess / np.arange(1, L1_PREFIX + 1)).max()
-        floor = bound - 4.0 * n * np.finfo(np.float64).eps * (bound + total)
-        if smallest > floor:
-            _, theta = _sorted_scan(flat[flat > floor], radius)
-    else:
-        # every entry is a candidate: sort a itself, then take |v| again
-        _, theta = _sorted_scan(flat, radius)
-        np.abs(v, out=a)
+    theta = excess[rho] / (rho + 1)
+    np.abs(v, out=a)
     a -= theta
     np.maximum(a, 0.0, out=a)
     np.copysign(a, v, out=a)

@@ -528,7 +528,7 @@ def solve(problem: Problem, params: SolverParams, callback=None
     T = None
     if ball.kind == "nuclear" and d > m:
         lam, V = np.linalg.eigh(problem._gram if problem._gram is not None else X @ X.T)
-        keep = lam > lam[-1] * m * np.finfo(np.float64).eps
+        keep = lam > lam[-1] * m * EPS
         root = np.sqrt(lam[keep])
         T = V[:, keep] / root
         problem = replace(problem, X=V[:, keep] * root)

@@ -121,6 +121,18 @@ class TestCsvRoundTrip:
         labelled.write_text("f0,label,f1\n1.0,a,2.0\n")
         assert load_csv(labelled, require_label=False).label_names == ["a"]
 
+    def test_unlabelled_dataset_round_trips(self, tmp_path):
+        # as load_csv(require_label=False) returns an unlabelled file
+        ds = Dataset(X=make_rng(12).standard_normal((5, 3)) * np.e, labels=None,
+                     feature_names=["a", "b", "c"])
+        out = tmp_path / "written.csv"
+        write_dataset_csv(out, ds, delimiter=";")
+        assert out.read_text().splitlines()[0] == "a;b;c"
+        back = load_csv(out, delimiter=";", require_label=False)
+        assert back.labels is None
+        assert back.feature_names == ds.feature_names
+        assert back.X.tobytes() == ds.X.tobytes()
+
     def test_nan_token_rejected_with_location(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("f0,f1,label\n1.0,nan,a\n")

@@ -55,6 +55,12 @@ class TestLossSpec:
         with pytest.raises(ValueError):
             LossSpec("hinge")
 
+    def test_delta_defaults_by_kind(self):
+        assert LossSpec("huber").delta == 1.0
+        assert LossSpec("l1").delta == 0.0
+        assert LossSpec("frobenius").delta == 0.0
+        assert LossSpec("huber", 0.0).delta == 0.0
+
 
 class TestLossMatrix:
     def test_l1(self):

@@ -351,8 +351,8 @@ class TestProjL12ByteIdentity:
         assert residuals[0] == residuals[1]
 
 
-def small_fit_problem(kind):
-    ds = generate_synthetic(SyntheticSpec(m=80, d=300, k=4, s=20, separation=2.0,
+def small_fit_problem(kind, d=300):
+    ds = generate_synthetic(SyntheticSpec(m=80, d=d, k=4, s=20, separation=2.0,
                                           noise_sd=1.0, dropout_rate=0.3, seed=3))
     X, _ = normalize_features(ds.X)
     return ProblemTemplate(LossSpec("huber", 1.0), BallSpec(kind, 8.0)).bind(
@@ -365,17 +365,13 @@ def assert_l1_bits_unchanged(v, radius):
 
 
 class TestProjL1ByteIdentity:
-    """Sorting only the candidates gives the bits of the full sort it replaced."""
+    """The in-buffer sort-and-scan gives the bits of the plain full sort in ``oracles``."""
 
     RADII = (1e-3, 0.01, 0.05, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95, 0.999, 1.0, 1.5)
 
     @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 4000, 80000])
-    def test_random_vectors_across_radii(self, n, monkeypatch):
+    def test_random_vectors_across_radii(self, n):
         rng = make_rng(3000 + n)
-        sorts = []
-        scan = projections._sorted_scan
-        monkeypatch.setattr(projections, "_sorted_scan",
-                            lambda c, r: sorts.append(c.size) or scan(c, r))
         dense = rng.standard_normal(n)
         # solver-like: a few large entries over many small ones
         spiky = rng.standard_normal(n) * np.exp(rng.uniform(-8, 2, n))
@@ -383,10 +379,6 @@ class TestProjL1ByteIdentity:
             norm = float(np.abs(v).sum())
             for frac in self.RADII:
                 assert_l1_bits_unchanged(v, frac * norm)
-        if n > projections.L1_PREFIX:
-            # both the prefix alone and a second, wider sort were exercised
-            assert projections.L1_PREFIX in sorts
-            assert any(size > projections.L1_PREFIX for size in sorts)
 
     @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 4000, 80000])
     def test_ties_at_the_threshold_zeros_and_signed_zeros(self, n):
@@ -401,10 +393,10 @@ class TestProjL1ByteIdentity:
         for radius in [r for r in radii if r > 0] + [f * norm for f in self.RADII]:
             assert_l1_bits_unchanged(v, radius)
 
-    def test_entry_past_the_prefix_active_by_a_hair(self):
-        # 257 active entries: the prefix bound sits 2e-9 below the threshold of 1.0,
-        # and the 256th and 257th largest only just above it
-        k = projections.L1_PREFIX
+    def test_entries_active_by_a_hair(self):
+        # 257 active entries: the 256th and 257th largest sit only just above
+        # the threshold of 1.0
+        k = 256
         v = np.concatenate([np.full(k - 1, 2.0), [1.0 + 1e-6, 1.0 + 0.5e-6], np.full(2000, 0.5)])
         v *= np.where(np.arange(v.size) % 3 == 0, -1.0, 1.0)
         radius = 2.0 * (k - 1) + 2.0000015 - (k + 1)
@@ -426,9 +418,12 @@ class TestProjL1ByteIdentity:
             return out
 
         monkeypatch.setattr(projections, "_proj_l1", checked)
-        solve(small_fit_problem(kind), SolverParams(max_iter=60, record_every=30))
-        # the l1 fit projects 300 x 4 iterates, the l21 fit 300 row norms
-        assert len(calls) >= 60 and min(calls) > projections.L1_PREFIX
+        solve(small_fit_problem(kind, d=1000), SolverParams(max_iter=100, record_every=30))
+        # a full step projects 1000 x 4 iterates (l1) or 1000 row norms (l21),
+        # a screened step the block of at most 1000 / 8 candidate rows
+        full = 4000 if kind == "l1" else 1000
+        assert len(calls) == 100 and 0 < calls.count(full) < 100
+        assert min(calls) <= full // 8
 
 
 BALLS = ["l1", "l21", "l12", "nuclear"]
