@@ -89,28 +89,30 @@ class SweepResult:
     points: tuple[SweepPoint, ...]
 
 
-def _scores(Xp: np.ndarray, model: TrainedModel) -> np.ndarray:
-    """l1 distances from each projected sample to each center row."""
-    proj = Xp @ model.W
-    return np.abs(proj[:, None, :] - model.mu[None, :, :]).sum(axis=2)
+def _scores(proj: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """l1 distances from projections (k on the last axis) to each center row."""
+    return np.abs(proj[..., None, :] - mu).sum(axis=-1)
 
 
 def predict_rows(X, model: TrainedModel) -> np.ndarray:
-    """Class of every row of X (raw features; the model's scale is applied)."""
+    """Class of every row of X (raw features; the scale divides X W, not X).
+
+    Agrees with ``predict(x / feature_scale)`` except at ties within rounding.
+    """
     X = check_matrix(X, "X")
     if X.shape[1] != model.n_features:
         raise ValueError(f"rows must have length {model.n_features}, got {X.shape[1]}")
-    return np.argmin(_scores(X / model.feature_scale, model), axis=1)
+    return _scores((X @ model.W) / model.feature_scale, model.mu).argmin(axis=1)
 
 
 def predict(x, model: TrainedModel) -> int:
-    """Class of a single query (already divided by ``model.feature_scale``)."""
+    """Class of one query, already divided by ``model.feature_scale`` (unlike ``predict_rows``)."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != model.n_features:
         raise ValueError(f"query must be a vector of length {model.n_features}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("query contains non-finite entries")
-    return int(np.argmin(_scores(x[None, :], model)[0]))
+    return int(_scores(x @ model.W, model.mu).argmin())
 
 
 def signature(model: TrainedModel, epsilon: float | None = None) -> Signature:
@@ -146,8 +148,7 @@ def evaluate(X_test, labels_test, model: TrainedModel) -> EvalReport:
     # row i of Y^T one_hot(preds) counts the class-i rows by predicted class
     confusion = (Y.T @ one_hot(preds, k)).astype(np.int64)
     counts = confusion.sum(axis=1)
-    with np.errstate(invalid="ignore"):
-        per_class = np.where(counts > 0, np.diag(confusion) / np.maximum(counts, 1), np.nan)
+    per_class = np.where(counts > 0, np.diag(confusion) / np.maximum(counts, 1), np.nan)
     return EvalReport(
         global_accuracy=float(np.trace(confusion) / preds.shape[0]),
         per_class_accuracy=per_class,
@@ -263,11 +264,9 @@ def eta_sweep(X, labels, etas, template: ProblemTemplate,
         full_model, _ = train_model(X, labels, t, params=params)
         sel = signature(full_model).union()
         per_class = np.vstack([r.per_class_accuracy for r in cv.reports])
-        with np.errstate(invalid="ignore"):
-            per_class_mean = np.nanmean(per_class, axis=0)
         points.append(SweepPoint(eta=eta, n_features=int(sel.size),
                                  accuracy=cv.mean_accuracy,
-                                 per_class_accuracy=per_class_mean,
+                                 per_class_accuracy=np.nanmean(per_class, axis=0),
                                  cv=cv, selected_features=sel))
     return SweepResult(points=tuple(points))
 

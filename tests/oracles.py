@@ -15,7 +15,10 @@ sparse iterate only.
 exceptions: they are the l12 projection as written before its search moved
 to feature-major prefix sums, and the l1 projection as written before it
 sorted only its candidates, kept verbatim so the tests can assert that the
-rewrites changed no bit.
+rewrites changed no bit.  ``scores_reference`` is the nearest-center scoring
+in its old order, dividing the n x d rows by the feature scale before
+projecting them, so the tests can bound how far scaling the n x k
+projection instead rounds.
 """
 
 import numpy as np
@@ -320,3 +323,9 @@ def solve_reference(problem, params, callback=None):
             W, mu, Z = (W + gamma * (W - W_old), mu + gamma * (mu - mu_old),
                         Z + gamma * (Z - Z_old))
     return W, mu, sum_W / params.max_iter, records
+
+
+def scores_reference(X, model) -> np.ndarray:
+    """l1 distances of each raw row's projection to each center, scaling X first."""
+    W, mu, s = model.W, model.mu, model.feature_scale
+    return np.abs(((X / s) @ W)[:, None, :] - mu[None]).sum(axis=2)

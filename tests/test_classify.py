@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from pdsparse.classify import (
     eta_sweep,
     evaluate,
     predict,
+    predict_rows,
     signature,
     stratified_folds,
     train_model,
@@ -20,6 +24,7 @@ from pdsparse.projections import BallSpec
 from pdsparse.solver import SolverParams, solve
 
 from conftest import make_rng
+from oracles import scores_reference
 
 
 def toy_model(W, mu, radius=None, scale=1.0):
@@ -159,6 +164,52 @@ class TestEvaluate:
         model = toy_model(np.eye(2), np.eye(2), scale=2.0)
         rep = evaluate(np.array([[2.0, 0.0], [0.0, 2.0]]), [0, 1], model)
         assert rep.global_accuracy == 1.0
+
+
+PAPER_SHAPE = SyntheticSpec(m=200, d=1000, k=4, s=20, separation=2.0,
+                            noise_sd=1.0, dropout_rate=0.3, seed=0)
+
+
+@pytest.fixture(scope="module")
+def paper_l1_model():
+    """An l1 model fitted on ``paper``-shape data, as the scoring benchmark fits it."""
+    ds = generate_synthetic(PAPER_SHAPE)
+    tpl = ProblemTemplate(loss=LossSpec("huber", 1.0), ball=BallSpec("l1", 8.0), rho=1.0)
+    model, _ = train_model(ds.X, ds.labels, tpl, params=SolverParams(max_iter=1500))
+    assert model.feature_scale != 1.0
+    return model
+
+
+class TestScoringRoutes:
+    """``predict`` on scaled queries and ``predict_rows`` on raw rows share one kernel."""
+
+    def test_routes_agree_with_the_scale_first_oracle(self, paper_l1_model):
+        model = paper_l1_model
+        X = generate_synthetic(replace(PAPER_SHAPE, m=2048, seed=1000)).X
+        reference = scores_reference(X, model)
+        expected = reference.argmin(axis=1)
+        one_per_call = np.array([predict(x / model.feature_scale, model) for x in X])
+        assert np.array_equal(one_per_call, expected)
+        assert np.array_equal(predict_rows(X, model), expected)
+        assert evaluate(X, expected, model).global_accuracy == 1.0
+        rows = classify._scores((X @ model.W) / model.feature_scale, model.mu)
+        queries = np.array([classify._scores((x / model.feature_scale) @ model.W, model.mu)
+                            for x in X])
+        np.testing.assert_allclose(rows, reference, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(queries, reference, rtol=1e-12, atol=0)
+
+    def test_predict_rows_makes_no_scaled_copy(self, paper_l1_model):
+        X = make_rng(9).standard_normal((4096, paper_l1_model.n_features))
+        assert X.flags.c_contiguous
+        tracemalloc.start()
+        try:
+            predict_rows(X, paper_l1_model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the finiteness check's n x d mask is X.nbytes / 8; a scaled copy
+        # of X would add X.nbytes
+        assert peak < X.nbytes / 4
 
 
 class TestStratifiedFolds:
@@ -408,6 +459,14 @@ class TestNormHandOff:
 INPUT_CHECKS = [
     pytest.param(lambda: predict([np.nan, 0.0], toy_model(np.eye(2), np.eye(2))),
                  "query contains non-finite entries", id="predict-non-finite"),
+    pytest.param(lambda: predict([np.inf, 0.0], toy_model(np.eye(2), np.eye(2))),
+                 "query contains non-finite entries", id="predict-inf"),
+    pytest.param(lambda: predict(np.eye(2), toy_model(np.eye(2), np.eye(2))),
+                 "query must be a vector of length 2", id="predict-2d-query"),
+    pytest.param(lambda: predict([1.0, 0.0, 0.0], toy_model(np.eye(2), np.eye(2))),
+                 "query must be a vector of length 2", id="predict-wrong-length"),
+    pytest.param(lambda: predict_rows([[np.nan, 0.0]], toy_model(np.eye(2), np.eye(2))),
+                 "X contains non-finite entries", id="predict-rows-non-finite"),
     pytest.param(lambda: evaluate(np.eye(2), [0], toy_model(np.eye(2), np.eye(2))),
                  "labels length does not match the number of rows", id="evaluate-label-count"),
     pytest.param(lambda: evaluate(np.eye(2), [0, 2], toy_model(np.eye(2), np.eye(2))),
