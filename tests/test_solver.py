@@ -595,11 +595,12 @@ class TestScreenedGradient:
     def test_otherwise_the_full_product(self, kind, planted, scale):
         # at Z = 0 the step projects W, which is inside the ball, so the
         # candidates cannot certify; without planted columns more than d / 8
-        # rows clear t
+        # rows clear t, and the rows of the exact G certify instead
+        # (TestCertifiedFullStep)
         _, X, step, Z_ref, W = planted_step_inputs(3, kind, planted)
         Z = scale * Z_ref[::-1]
         W_new = step(W, Z, 1.0, 0.0)
-        assert step.full == 2 and step.rows is None
+        assert step.full == 2 and (step.rows is None) == planted
         full = project_ball(_shift(_gradient(X, Z), W, 1.0, 0.0), step.ball)
         assert W_new.tobytes() == full.tobytes()
 
@@ -613,6 +614,154 @@ class TestScreenedGradient:
                               variant=case.get("variant", "base"), gamma=case.get("gamma", 0.0))
         _, hist = solve(problem, params)
         assert hist.full_gradients == FULL_GRADIENTS[name]
+
+
+def full_step_inputs(seed, kind, planted_rows=0):
+    """``planted_step_inputs`` with a step whose screened attempt fails, so it forms all of X^T Z.
+
+    ``planted_rows`` rows outside the first 10 of W get tiny nonzero
+    entries, which no threshold would keep.
+    """
+    rng, X, step, Z_ref, W = planted_step_inputs(seed, kind)
+    step._candidate_step = lambda *args: None
+    if planted_rows:
+        W = W.copy(order="F")
+        W[10 + rng.choice(390, planted_rows, replace=False)] = 1e-9
+    return rng, X, step, Z_ref, W
+
+
+class TestCertifiedFullStep:
+    """A full step with a previous threshold projects only the exact G's candidate rows."""
+
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["l1", "l21"]),
+           drift=st.floats(0.0, 1.0), tau=st.floats(0.25, 4.0),
+           alpha=st.sampled_from([0.0, 0.5]), planted_rows=st.sampled_from([0, 3]))
+    @settings(max_examples=150, deadline=None)
+    def test_certified_block_is_the_full_projection(self, seed, kind, drift, tau, alpha,
+                                                    planted_rows):
+        rng, X, step, Z_ref, W = full_step_inputs(seed, kind, planted_rows)
+        Z = np.clip(Z_ref + drift * rng.standard_normal(Z_ref.shape), -1.0, 1.0)
+        W_new = step(W, Z, tau, alpha)
+        assert step.full == 2
+        assume(step.rows is not None)  # the candidates certified
+        full = project_ball(_shift(_gradient(X, Z), W, tau, alpha), step.ball)
+        # the signed zeros of the excluded rows included
+        assert W_new.tobytes() == full.tobytes() and W_new.flags.f_contiguous
+        assert step.block.tobytes() == full[step.rows].tobytes()
+        excluded = np.setdiff1d(np.arange(X.shape[1]), step.rows)
+        assert excluded.size and not W_new[excluded].any()
+        # every nonzero row of the input W is a candidate, so W and W_ext
+        # are zero outside step.rows
+        assert np.isin(np.flatnonzero(W.any(axis=1)), step.rows).all()
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @pytest.mark.parametrize("kind", ["l1", "l21"])
+    def test_uncertified_takes_the_full_projection(self, kind, alpha):
+        # at Z = 0, G = W / (1 + tau alpha) lies inside the ball
+        _, X, step, Z_ref, W = full_step_inputs(5, kind)
+        W_new = step(W, np.zeros_like(Z_ref), 1.0, alpha)
+        assert step.full == 2 and step.rows is None and step.block is None
+        full = project_ball(_shift(_gradient(X, np.zeros_like(Z_ref)), W, 1.0, alpha), step.ball)
+        assert W_new.tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @pytest.mark.parametrize("kind", ["l1", "l21"])
+    def test_rows_hold_the_input_support(self, kind, alpha):
+        _, X, step, Z_ref, W = full_step_inputs(7, kind, planted_rows=5)
+        W_new = step(W, Z_ref, 1.0, alpha)
+        assert step.full == 2 and step.rows is not None
+        support = np.flatnonzero(W.any(axis=1))
+        assert support.size >= 5 and np.isin(support, step.rows).all()
+        full = project_ball(_shift(_gradient(X, Z_ref), W, 1.0, alpha), step.ball)
+        assert W_new.tobytes() == full.tobytes()
+
+
+def screened_fit(kind="l1", gamma=0.0, callback=None, iters=150):
+    X, Y = row_space_data("200x2000")
+    problem = Problem(X=X, Y=Y, loss=LossSpec("huber", 1.0), ball=BallSpec(kind, 8.0))
+    return solve(problem, SolverParams(max_iter=iters, record_every=50, gamma=gamma),
+                 callback=callback)
+
+
+class TestBlockPath:
+    """While a step holds a block, the divergence check and the ergodic sum run on it."""
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.3])
+    def test_ergodic_w_is_the_in_order_sum(self, gamma):
+        Ws = []
+        _, hist = screened_fit(gamma=gamma, callback=lambda s: Ws.append(s.W.copy()))
+        total = np.zeros_like(Ws[0])
+        for W in Ws:
+            total += W
+        assert 0 < hist.full_gradients < len(Ws)
+        assert hist.ergodic_W.tobytes() == np.ascontiguousarray(total / len(Ws)).tobytes()
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.3])
+    def test_non_finite_block_aborts_at_its_iteration(self, gamma, monkeypatch):
+        calls, screened, poisoned = [], [], []
+        candidate_step = _PrimalStep._candidate_step
+
+        def in_screened_step(self, *args):
+            screened.append(True)
+            try:
+                return candidate_step(self, *args)
+            finally:
+                screened.pop()
+
+        def project(V, ball):
+            # one projection per iteration, so the call count is the iteration
+            calls.append(True)
+            P = project_ball(V, ball)
+            if screened and len(calls) >= 40 and not poisoned:
+                poisoned.append(len(calls))
+                P[0, 0] = np.nan
+            return P
+
+        monkeypatch.setattr(_PrimalStep, "_candidate_step", in_screened_step)
+        monkeypatch.setattr(pdsparse.solver, "project_ball", project)
+        with pytest.raises(SolverDivergenceError) as exc:
+            screened_fit(gamma=gamma)
+        assert exc.value.iteration == poisoned[0] == len(calls)
+
+    class CountingGathers(np.ndarray):
+        """An X that counts the column gathers X[:, rows] taken of it."""
+
+        gathers = 0
+
+        def __getitem__(self, key):
+            if isinstance(key, tuple) and any(isinstance(i, np.ndarray) for i in key):
+                TestBlockPath.CountingGathers.gathers += 1
+            return super().__getitem__(key)
+
+    @pytest.mark.parametrize("kind", ["l1", "l21"])
+    def test_columns_gathered_only_when_the_rows_change(self, kind, monkeypatch):
+        counter = self.CountingGathers
+        counter.gathers = 0
+        kept, stepped, changed, certified = None, 0, 0, 0
+
+        class Step(_PrimalStep):
+            def __init__(self, X, ball, k):
+                super().__init__(X.view(counter), ball, k)
+
+            def __call__(self, W, Z, tau, alpha):
+                nonlocal kept, stepped, changed, certified
+                full, gathers = self.full, counter.gathers
+                W_new = super().__call__(W, Z, tau, alpha)
+                # the coupling product's own gathers fall outside the step
+                stepped += counter.gathers - gathers
+                if self.full > full:
+                    assert counter.gathers == gathers
+                else:
+                    certified += 1
+                    new_rows = kept is None or not np.array_equal(self.rows, kept)
+                    assert counter.gathers - gathers == new_rows
+                    changed += new_rows
+                    kept = self.rows
+                return W_new
+
+        monkeypatch.setattr(pdsparse.solver, "_PrimalStep", Step)
+        screened_fit(kind)
+        assert stepped == changed and 0 < changed < certified
 
 
 class TestAccelerated:
