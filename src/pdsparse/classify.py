@@ -162,31 +162,21 @@ def train_model(X, labels, template: ProblemTemplate,
                 normalize: bool = True) -> tuple[TrainedModel, TrainingHistory]:
     """Normalize features, build the problem and run the solver.
 
-    The feature scale used for normalization is stored on the returned
-    model so queries can be scaled consistently, and ``solve`` reuses the
-    norm estimate of ``normalize_features`` and, on a nuclear ball, its
-    Gram matrix.  Without ``n_classes`` the class count is
-    ``max(labels) + 1`` and every class must have a sample; an explicit
-    count may exceed the labels present, as in a cross-validation fold that
-    misses a small class.
+    The problem is bound to ``normalize_features``' record (to X, at scale
+    1.0, without ``normalize``): ``solve`` reads its norm estimate and Gram
+    matrix, and the returned model keeps its scale for scaling queries.
+    Without ``n_classes`` the class count is ``max(labels) + 1`` and every
+    class must have a sample; an explicit count may exceed the labels
+    present, as in a cross-validation fold that misses a small class.
     """
     labels = np.asarray(labels)
     k = n_classes if n_classes is not None else int(labels.max()) + 1
     Y = one_hot(labels, k)
     if n_classes is None:
         _require_every_class(Y.sum(axis=0))
-    if normalize:
-        norm = normalize_features(X)
-        problem, scale = template.bind(norm.X, Y), norm.scale
-        # solve takes the estimate and, on a nuclear ball, the Gram matrix of
-        # the scaled X from here rather than forming them again (its Notes)
-        object.__setattr__(problem, "_x_norm", norm.x_norm)
-        if template.ball.kind == "nuclear":
-            object.__setattr__(problem, "_gram", norm.gram)
-    else:
-        problem, scale = template.bind(X, Y), 1.0
+    problem = template.bind(normalize_features(X) if normalize else X, Y)
     model, history = solve(problem, params if params is not None else SolverParams())
-    return replace(model, feature_scale=scale), history
+    return replace(model, feature_scale=problem.features.scale), history
 
 
 def _require_every_class(class_counts: np.ndarray) -> None:

@@ -7,12 +7,12 @@ the dominant failure mode when sample, feature and class counts all vary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 __all__ = [
-    "NormalizedFeatures",
+    "Features",
     "OperatorNormEstimate",
     "check_matrix",
     "one_hot",
@@ -22,7 +22,10 @@ __all__ = [
 ]
 
 POWER_TOL = 1e-9
+POWER_MAX_ITER = 1000
 POWER_SEED = 0
+# entries per finiteness test in ``check_matrix``: a 64 KB mask, not one of n x d
+FINITE_BLOCK = 65536
 
 
 def check_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -30,16 +33,19 @@ def check_matrix(a, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return np.ascontiguousarray(arr)
+    arr = np.ascontiguousarray(arr)
+    flat = arr.reshape(-1)
+    for start in range(0, flat.size, FINITE_BLOCK):
+        if not np.isfinite(flat[start:start + FINITE_BLOCK]).all():
+            raise ValueError(f"{name} contains non-finite entries")
+    return arr
 
 
 @dataclass(frozen=True)
 class OperatorNormEstimate:
     """Largest-singular-value estimate from power iteration.
 
-    ``converged`` is False when the iteration hit ``max_iter`` before the
+    ``converged`` is False when the iteration hit ``POWER_MAX_ITER`` before the
     Rayleigh-quotient residual dropped below ``POWER_TOL``.
     """
 
@@ -49,23 +55,19 @@ class OperatorNormEstimate:
 
 
 @dataclass(frozen=True)
-class NormalizedFeatures:
-    """``normalize_features``' result; it unpacks as ``(X, scale)``.
+class Features:
+    """A validated data matrix and the facts about it that a fit reads.
 
-    ``x_norm`` is the estimate of ||X|| for the scaled X: 1.0, with the
-    iteration count and ``converged`` flag of the power loop on the raw
-    matrix, since the loop's iterates do not depend on scale.  ``gram`` is
-    X X^T of the scaled X when it has more columns than rows, else None.
-    ``classify.train_model`` hands both to ``solve``.
+    ``scale`` is the divisor applied to the raw matrix (1.0 when unscaled),
+    ``x_norm`` the estimate of ||X|| and ``gram`` X X^T when X has more
+    columns than rows, else None.  ``normalize_features`` returns one, and
+    ``model.Problem`` holds the one it was bound to or builds its own.
     """
 
     X: np.ndarray
     scale: float
     x_norm: OperatorNormEstimate
     gram: np.ndarray | None
-
-    def __iter__(self):
-        return iter((self.X, self.scale))
 
 
 def one_hot(labels, k: int) -> np.ndarray:
@@ -102,7 +104,7 @@ def one_hot(labels, k: int) -> np.ndarray:
     return mat
 
 
-def spectral_norm(A, max_iter: int = 1000, *, _gram=None) -> OperatorNormEstimate:
+def spectral_norm(A, *, _gram=None) -> OperatorNormEstimate:
     """Estimate the operator (spectral) norm of *A* by power iteration.
 
     The iteration runs on the n x n Gram matrix of the smaller side, n =
@@ -112,16 +114,14 @@ def spectral_norm(A, max_iter: int = 1000, *, _gram=None) -> OperatorNormEstimat
     passes over *A* that B^T (B v) makes.  The start is a random unit vector
     drawn from ``Philox(POWER_SEED)``; the iteration stops once successive
     Rayleigh quotients agree to relative ``POWER_TOL``, or after
-    ``max_iter`` steps.
+    ``POWER_MAX_ITER`` steps.
 
     Returns an estimate that never exceeds the true largest singular value.
     A zero matrix, or one whose Gram matrix underflows to zero, yields value
     0, flagged converged.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    # ``normalize_features`` passes the Gram matrix of an A it has already
-    # validated, so the estimate neither scans A again nor forms the product
+    # ``_features`` passes the Gram matrix of an A it has already validated,
+    # so the estimate neither scans A again nor forms the product
     G = _thin_gram(check_matrix(A, "A")) if _gram is None else _gram
     if not G.any():
         return OperatorNormEstimate(0.0, 0, True)
@@ -132,7 +132,7 @@ def spectral_norm(A, max_iter: int = 1000, *, _gram=None) -> OperatorNormEstimat
     lam = 0.0
     converged = False
     its = 0
-    for its in range(1, max_iter + 1):
+    for its in range(1, POWER_MAX_ITER + 1):
         w = G @ v
         nw = float(np.linalg.norm(w))
         if nw == 0.0:
@@ -184,23 +184,26 @@ def label_operator_norm(Y) -> float:
     return float(np.sqrt(Y.sum(axis=0).max()))
 
 
-def normalize_features(X) -> NormalizedFeatures:
+def _features(X: np.ndarray) -> Features:
+    """Unscaled record of a checked X: one thin-side Gram matrix and ||X|| from it."""
+    G = _thin_gram(X)
+    return Features(X=X, scale=1.0, x_norm=spectral_norm(X, _gram=G),
+                    gram=G if X.shape[1] > X.shape[0] else None)
+
+
+def normalize_features(X) -> Features:
     """Rescale *X* to unit operator norm.
 
     X is validated once and its norm estimated by one ``spectral_norm``
-    power loop, on the Gram matrix of the raw X.  Returns the scaled matrix
-    and the scale (the divisor applied), as a record that unpacks as that
-    pair and also carries what a fit on the scaled matrix would otherwise
-    compute again (``NormalizedFeatures``).  Raises on an all-zero matrix,
-    which cannot be normalized.
+    power loop, on the Gram matrix of the raw X.  Returns the scaled X's
+    record: the divisor applied, 1.0 with the raw estimate's iteration count
+    and ``converged`` flag (the loop's iterates do not depend on scale), and
+    the raw Gram matrix over the squared scale.  Raises on an all-zero
+    matrix, which cannot be normalized.
     """
-    X = check_matrix(X, "X")
-    G = _thin_gram(X)
-    est = spectral_norm(X, _gram=G)
-    if est.value == 0.0:
+    raw = _features(check_matrix(X, "X"))
+    s = raw.x_norm.value
+    if s == 0.0:
         raise ValueError("cannot normalize a zero matrix")
-    s = est.value
-    return NormalizedFeatures(
-        X=X / s, scale=s,
-        x_norm=OperatorNormEstimate(1.0, est.iterations, est.converged),
-        gram=G / (s * s) if X.shape[1] > X.shape[0] else None)
+    return replace(raw, X=raw.X / s, scale=s, x_norm=replace(raw.x_norm, value=1.0),
+                   gram=None if raw.gram is None else raw.gram / (s * s))

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .linalg import OperatorNormEstimate, check_matrix
+from .linalg import Features, _features, check_matrix
 from .losses import LossSpec
 from .projections import BallSpec, ball_norm
 
@@ -22,7 +23,8 @@ class Problem:
 
     ``rho`` weighs the center-anchoring penalty (rho/2)||I - mu||_F^2 and
     ``alpha`` the optional elastic term (alpha/2)||W||_F^2, which the
-    solver minimises with a shrink on W before each projection.
+    solver minimises with a shrink on W before each projection.  ``X`` may
+    be given as a ``linalg.Features`` record; ``X`` then holds its matrix.
     """
 
     X: np.ndarray
@@ -31,14 +33,11 @@ class Problem:
     ball: BallSpec
     rho: float = 1.0
     alpha: float = 0.0
-    # Set by ``classify.train_model`` from ``normalize_features``: the estimate
-    # of ||X|| and, on a nuclear ball with d > m, X X^T, which ``solve`` then
-    # takes instead of forming its own.  Any other Problem carries None.
-    _x_norm: OperatorNormEstimate | None = field(
-        default=None, init=False, repr=False, compare=False)
-    _gram: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if isinstance(self.X, Features):
+            object.__setattr__(self, "features", self.X)
+            object.__setattr__(self, "X", self.X.X)
         X = check_matrix(self.X, "X")
         Y = check_matrix(self.Y, "Y")
         if X.shape[0] != Y.shape[0]:
@@ -55,16 +54,13 @@ class Problem:
         object.__setattr__(self, "Y", Y)
 
     @property
-    def n_samples(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.X.shape[1]
-
-    @property
     def n_classes(self) -> int:
         return self.Y.shape[1]
+
+    @cached_property
+    def features(self) -> Features:
+        """The record ``X`` was given as, or one built from ``X`` on first use."""
+        return _features(self.X)
 
 
 @dataclass(frozen=True)

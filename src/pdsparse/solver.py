@@ -54,7 +54,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import OperatorNormEstimate, label_operator_norm, spectral_norm
+# spectral_norm is unused here: perfbench's tracer patches it at this name too
+from .linalg import OperatorNormEstimate, label_operator_norm, spectral_norm  # noqa: F401
 from .linalg import sparse_rows_product as _forward
 from .losses import ObjectiveBreakdown, dual_prox, primal_objective
 from .model import Problem, TrainedModel
@@ -433,13 +434,12 @@ def solve(problem: Problem, params: SolverParams, callback=None
     stays I, so the dual step's Y (2 mu - mu_old) is exactly Y.
 
     The estimate of ||X|| behind the derived steps, the step condition and
-    ``history.x_norm`` is ``spectral_norm(X)``, and a wide nuclear fit
-    (below) factors X from ``eigh(X @ X.T)``.  A problem built by
-    ``classify.train_model`` carries both from ``normalize_features``
-    instead (1.0 with the raw estimate's iteration count and ``converged``
-    flag, and the raw Gram matrix over the squared scale), so a fit forms
-    the Gram matrix and runs the power loop once.  These differ from what
-    ``solve`` would form on the scaled X only by rounding.
+    ``history.x_norm``, and the X X^T a wide nuclear fit (below) factors,
+    come from ``problem.features`` alone, so solves of one Problem form
+    them once.  Bound to ``normalize_features``' record, as in
+    ``classify.train_model``, a Problem carries 1.0 with the raw estimate's
+    iteration count and ``converged`` flag, and the raw Gram matrix over the
+    squared scale: binding its bare array estimates again, to rounding.
 
     Any two departures from the base iteration (a non-base variant, a
     nonzero gamma, a positive alpha, the Frobenius loss) raise ValueError
@@ -540,7 +540,7 @@ def solve(problem: Problem, params: SolverParams, callback=None
     k = Y.shape[1]
     rho, delta, alpha, gamma = problem.rho, loss.delta, problem.alpha, params.gamma
 
-    x_norm = problem._x_norm if problem._x_norm is not None else spectral_norm(X)
+    x_norm = problem.features.x_norm
     X_norm = x_norm.value
     Y_norm = label_operator_norm(Y)
     if params.tau is not None:
@@ -564,7 +564,7 @@ def solve(problem: Problem, params: SolverParams, callback=None
     # weights B give W = Q^T B = X^T (T B); W is formed only where it is seen.
     T = None
     if ball.kind == "nuclear" and d > m:
-        lam, V = np.linalg.eigh(problem._gram if problem._gram is not None else X @ X.T)
+        lam, V = np.linalg.eigh(problem.features.gram)
         keep = lam > lam[-1] * m * EPS
         root = np.sqrt(lam[keep])
         T = V[:, keep] / root

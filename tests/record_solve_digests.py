@@ -95,7 +95,7 @@ def main(argv=None) -> int:
     # a 200 x 2000, 4-class instance from the synthetic generator, normalised
     ds = generate_synthetic(SyntheticSpec(m=200, d=2000, k=4, s=20, separation=2.0,
                                           noise_sd=1.0, dropout_rate=0.3, seed=1))
-    X, _ = normalize_features(ds.X)
+    X = normalize_features(ds.X).X
     Y = one_hot(ds.labels, 4)
     fits = {name: fit_digests(X, Y, case) for name, case in CASES.items()}
     args.out.write_text(json.dumps({"environment": environment(), "fits": fits},

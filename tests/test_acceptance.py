@@ -160,7 +160,7 @@ def test_criterion_03_l12_newton_monotone_and_convergent():
 def _rate_instance():
     rng = make_rng(42)
     m, d, k = 100, 200, 4
-    X, _ = normalize_features(rng.standard_normal((m, d)))
+    X = normalize_features(rng.standard_normal((m, d))).X
     Y = one_hot(np.arange(m) % k, k)
     return Problem(X=X, Y=Y, loss=LossSpec("huber", 1.0),
                    ball=BallSpec("l1", 2.0), rho=1.0)
@@ -219,7 +219,7 @@ def test_criterion_05_step_condition_enforcement():
 def test_criterion_06_variant_reduction_identities():
     rng = make_rng(1006)
     m, d, k = 30, 20, 3
-    X, _ = normalize_features(rng.standard_normal((m, d)))
+    X = normalize_features(rng.standard_normal((m, d))).X
     Y = one_hot(np.arange(m) % k, k)
     prob = Problem(X=X, Y=Y, loss=LossSpec("l1"), ball=BallSpec("l1", 2.0),
                    rho=1.0, alpha=0.0)
@@ -243,7 +243,7 @@ def test_criterion_07_huber_smoothing():
         ds = generate_synthetic(SyntheticSpec(
             m=60, d=40, k=3, s=5, separation=1.5, noise_sd=1.0,
             dropout_rate=0.2, seed=seed))
-        X, _ = normalize_features(ds.X)
+        X = normalize_features(ds.X).X
         Y = one_hot(ds.labels, 3)
         osc = {}
         for delta in (0.0, 1.0):

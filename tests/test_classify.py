@@ -379,8 +379,16 @@ def hand_off_template(kind):
     return ProblemTemplate(loss=LossSpec("huber", 1.0), ball=BallSpec(kind, 2.0))
 
 
+def counting(calls, key, fn):
+    """*fn*, adding one to ``calls[key]`` per call."""
+    def counted(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+    return counted
+
+
 class TestNormHandOff:
-    """A fit takes its norm estimate and Gram matrix from ``normalize_features``."""
+    """A fit reads ||X|| and the Gram matrix off ``problem.features`` alone."""
 
     @pytest.mark.parametrize("X, converged", [
         (3.7 * make_rng(30).standard_normal((30, 40)), True), (stalled_matrix(), False)],
@@ -393,7 +401,7 @@ class TestNormHandOff:
         assert hist.x_norm == OperatorNormEstimate(1.0, raw.iterations, raw.converged)
         assert model.feature_scale == raw.value
 
-    # nuclear-wide factors X from the handed-over Gram matrix (d > m); nuclear
+    # nuclear-wide factors X from the record's Gram matrix (d > m); nuclear
     # at d < m has no Gram matrix to take
     @pytest.mark.parametrize("kind, d", [("l1", 60), ("l12", 60), ("nuclear", 60),
                                          ("nuclear", 20)],
@@ -404,12 +412,19 @@ class TestNormHandOff:
         params = SolverParams(max_iter=300, record_every=20)
         template = hand_off_template(kind)
         model, hist = train_model(X, labels, template, params=params)
-        Xn, _ = normalize_features(X)
-        direct, direct_hist = solve(template.bind(Xn, one_hot(labels, 3)), params)
+        norm = normalize_features(X)
+        # bound to the record, solve is train_model's fit bit for bit
+        direct, direct_hist = solve(template.bind(norm, one_hot(labels, 3)), params)
+        assert np.array_equal(model.W, direct.W) and np.array_equal(model.mu, direct.mu)
+        assert np.array_equal(hist.ergodic_W, direct_hist.ergodic_W)
+        untimed = [[replace(r, wall_time=0.0) for r in h.records] for h in (hist, direct_hist)]
+        assert untimed[0] == untimed[1]
+        # bound to the bare scaled array, it estimates ||X|| again: to rounding
+        bare, bare_hist = solve(template.bind(norm.X, one_hot(labels, 3)), params)
         got = [r.objective.total for r in hist.records]
-        want = [r.objective.total for r in direct_hist.records]
+        want = [r.objective.total for r in bare_hist.records]
         assert got == pytest.approx(want, rel=1e-12)
-        assert np.abs(model.W - direct.W).max() <= 1e-12 * np.abs(direct.W).max()
+        assert np.abs(model.W - bare.W).max() <= 1e-12 * np.abs(bare.W).max()
 
     @pytest.mark.parametrize("kind, d", [("l1", 60), ("nuclear", 60), ("nuclear", 20)],
                              ids=["l1", "nuclear-wide", "nuclear-tall"])
@@ -417,13 +432,6 @@ class TestNormHandOff:
         X = make_rng(32).standard_normal((30, d))
         calls = {"gram": 0, "estimate": 0, "scans": 0}
         eigh_inputs, handed = [], []
-
-        def spy(key, fn):
-            def counted(*args, **kwargs):
-                calls[key] += 1
-                return fn(*args, **kwargs)
-            return counted
-
         check, normalize, factor = linalg.check_matrix, linalg.normalize_features, np.linalg.eigh
 
         def check_matrix(a, name="matrix"):
@@ -438,8 +446,8 @@ class TestNormHandOff:
             eigh_inputs.append(a)
             return factor(a)
 
-        monkeypatch.setattr(linalg, "_thin_gram", spy("gram", linalg._thin_gram))
-        estimate = spy("estimate", linalg.spectral_norm)
+        monkeypatch.setattr(linalg, "_thin_gram", counting(calls, "gram", linalg._thin_gram))
+        estimate = counting(calls, "estimate", linalg.spectral_norm)
         monkeypatch.setattr(linalg, "spectral_norm", estimate)
         monkeypatch.setattr(solver, "spectral_norm", estimate)
         for module in (linalg, model_module, classify):
@@ -454,6 +462,31 @@ class TestNormHandOff:
         assert len(eigh_inputs) == wide_nuclear
         if wide_nuclear:
             assert eigh_inputs[0] is handed[0].gram
+
+    @pytest.mark.parametrize("kind, d", [("l1", 60), ("nuclear", 60)],
+                             ids=["l1", "nuclear-wide"])
+    def test_solves_of_one_problem_estimate_once(self, monkeypatch, kind, d):
+        problem = hand_off_template(kind).bind(make_rng(33).standard_normal((30, d)),
+                                               one_hot(np.arange(30) % 3, 3))
+        calls = {"gram": 0, "estimate": 0}
+        eigh_inputs, factor = [], np.linalg.eigh
+
+        def eigh(a):
+            eigh_inputs.append(a)
+            return factor(a)
+
+        monkeypatch.setattr(linalg, "_thin_gram", counting(calls, "gram", linalg._thin_gram))
+        monkeypatch.setattr(linalg, "spectral_norm",
+                            counting(calls, "estimate", linalg.spectral_norm))
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        params = SolverParams(max_iter=5)
+        (first, first_hist), (second, _) = solve(problem, params), solve(problem, params)
+        assert calls == {"gram": 1, "estimate": 1}
+        assert first_hist.x_norm is problem.features.x_norm
+        assert np.array_equal(first.W, second.W)
+        # each wide nuclear fit factors the record's Gram matrix and forms no other
+        assert len(eigh_inputs) == (2 if kind == "nuclear" else 0)
+        assert all(a is problem.features.gram for a in eigh_inputs)
 
 
 INPUT_CHECKS = [

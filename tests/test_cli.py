@@ -370,7 +370,7 @@ class TestEverySettingRuns:
             value = FIELD_VALUES[name]
             params = SolverParams(**(value if name == "steps" else {name: value}))
             ds = data_io.load_csv(dataset_csv)
-            Xn, _ = normalize_features(ds.X)
+            Xn = normalize_features(ds.X).X
             problem = ProblemTemplate(loss=LossSpec("huber", 1.0),
                                       ball=BallSpec("l1", 2.0)).bind(Xn, one_hot(ds.labels, 2))
             model, history = solve(problem, params)

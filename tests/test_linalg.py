@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from pdsparse import linalg
 from pdsparse.linalg import (
     check_matrix,
     label_operator_norm,
@@ -89,18 +92,13 @@ class TestSpectralNorm:
             A = rng.standard_normal((12, 9))
             assert spectral_norm(A).value <= np.linalg.norm(A) * (1 + 1e-12)
 
-    def test_empty_iteration_budget_rejected(self):
-        A = make_rng(310).standard_normal((5, 4))
-        with pytest.raises(ValueError, match="max_iter must be at least 1, got 0"):
-            spectral_norm(A, max_iter=0)
-
 
 class TestSpectralNormMatchesMatrixFree:
     """Iterating on the Gram matrix reproduces the matrix-free run step for step."""
 
     @staticmethod
     def _assert_same(A, **kw):
-        got = spectral_norm(A, **kw)
+        got = spectral_norm(A)
         want = spectral_norm_matrix_free(A, **kw)
         assert got.value == pytest.approx(want.value, rel=1e-12)
         assert got.iterations == want.iterations
@@ -126,8 +124,9 @@ class TestSpectralNormMatchesMatrixFree:
         assert est.value == pytest.approx(np.linalg.norm(A), rel=1e-12)
 
     @pytest.mark.parametrize("max_iter", [3, 20], ids=["3-steps", "20-steps"])
-    def test_stopped_at_max_iter(self, max_iter):
+    def test_stopped_at_max_iter(self, monkeypatch, max_iter):
         # a budget far below convergence, ending at step 3 or step 20
+        monkeypatch.setattr(linalg, "POWER_MAX_ITER", max_iter)
         A = make_rng(420).standard_normal((50, 70))
         est = self._assert_same(A, max_iter=max_iter)
         assert est.iterations == max_iter and not est.converged
@@ -146,24 +145,24 @@ class TestLabelOperatorNorm:
 
 class TestNormalizeFeatures:
     def test_uniform_diagonal(self):
-        Xn, scale = normalize_features(np.diag([2.0, 2.0]))
-        assert scale == pytest.approx(2.0, rel=1e-9)
-        assert np.allclose(Xn, np.eye(2))
+        norm = normalize_features(np.diag([2.0, 2.0]))
+        assert norm.scale == pytest.approx(2.0, rel=1e-9)
+        assert np.allclose(norm.X, np.eye(2))
 
     def test_already_unit_norm_unchanged(self):
         # identity and permutation matrices have exactly unit operator norm
         for X in (np.eye(3), np.eye(4)[[2, 0, 3, 1]]):
-            Xn, scale = normalize_features(X)
-            assert scale == 1.0
-            assert np.array_equal(Xn, X)
+            norm = normalize_features(X)
+            assert norm.scale == 1.0
+            assert np.array_equal(norm.X, X)
 
     def test_random_matrix_lands_on_unit_norm(self):
         rng = make_rng(13)
         X = rng.standard_normal((30, 40)) * 3.7
-        Xn, scale = normalize_features(X)
-        renorm = spectral_norm(Xn).value
+        norm = normalize_features(X)
+        renorm = spectral_norm(norm.X).value
         assert 1 - 1e-6 <= renorm <= 1 + 1e-6
-        assert scale == pytest.approx(np.linalg.svd(X, compute_uv=False)[0], rel=1e-6)
+        assert norm.scale == pytest.approx(np.linalg.svd(X, compute_uv=False)[0], rel=1e-6)
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError, match="zero matrix"):
@@ -178,6 +177,29 @@ class TestCheckMatrix:
     def test_rejects_vector(self):
         with pytest.raises(ValueError, match="2-D"):
             check_matrix(np.ones(3))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("at", [0, 65535, 65536, -1], ids=["first", "block-end",
+                                                              "block-start", "last"])
+    def test_rejects_non_finite_in_any_block(self, at, order):
+        X = np.ones((300, 500), order=order)
+        X.flat[at] = np.inf
+        with pytest.raises(ValueError, match="X contains non-finite entries"):
+            check_matrix(X, "X")
+
+    def test_empty_matrix_passes(self):
+        assert check_matrix(np.zeros((0, 2))).shape == (0, 2)
+
+    def test_checks_finiteness_without_a_full_mask(self):
+        X = make_rng(12).standard_normal((4096, 1000))
+        tracemalloc.start()
+        try:
+            assert check_matrix(X) is X
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # an n x d boolean mask would be X.nbytes / 8
+        assert peak < X.nbytes / 64
 
 
 INPUT_CHECKS = [

@@ -354,7 +354,7 @@ class TestProjL12ByteIdentity:
 def small_fit_problem(kind, d=300):
     ds = generate_synthetic(SyntheticSpec(m=80, d=d, k=4, s=20, separation=2.0,
                                           noise_sd=1.0, dropout_rate=0.3, seed=3))
-    X, _ = normalize_features(ds.X)
+    X = normalize_features(ds.X).X
     return ProblemTemplate(LossSpec("huber", 1.0), BallSpec(kind, 8.0)).bind(
         X, one_hot(ds.labels, 4))
 

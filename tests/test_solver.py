@@ -46,7 +46,7 @@ FULL_GRADIENTS = {"l1": 12, "l21": 19, "l12": ITERS, "nuclear": ITERS, "fixed-mu
 def small_problem(seed=0, m=30, d=20, k=3, delta=1.0, eta=2.0, rho=1.0,
                   alpha=0.0, kind="l1"):
     rng = make_rng(seed)
-    X, _ = normalize_features(rng.standard_normal((m, d)))
+    X = normalize_features(rng.standard_normal((m, d))).X
     Y = one_hot(np.arange(m) % k, k)
     loss = LossSpec("huber", delta) if delta > 0 else LossSpec("l1", 0.0)
     return Problem(X=X, Y=Y, loss=loss, ball=BallSpec(kind, eta), rho=rho, alpha=alpha)
@@ -388,7 +388,7 @@ def row_space_data(shape):
     else:
         X = make_rng(41).standard_normal((30, 31))  # d = m + 1
         labels = np.arange(30) % 3
-    X, _ = normalize_features(X)
+    X = normalize_features(X).X
     return X, one_hot(labels, int(labels.max()) + 1)
 
 
@@ -560,7 +560,7 @@ def planted_step_inputs(seed, kind, planted=True):
     X = rng.standard_normal((20, 400))
     if planted:
         X[:, 10:] *= 0.05
-    X, _ = normalize_features(X)
+    X = normalize_features(X).X
     step = _PrimalStep(X, BallSpec(kind, 0.5), 3)
     Z_ref = rng.uniform(-1.0, 1.0, (20, 3))
     W = step(np.zeros((400, 3), order="F"), Z_ref, 1.0, 0.0)
