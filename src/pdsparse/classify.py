@@ -9,11 +9,11 @@ largest weight so it survives feature rescaling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import check_matrix, normalize_features, one_hot
+from .linalg import _check_scalar, check_matrix, normalize_features, one_hot
 from .model import ProblemTemplate, TrainedModel
 from .solver import SolverParams, TrainingHistory, solve
 
@@ -124,8 +124,7 @@ def signature(model: TrainedModel, epsilon: float | None = None) -> Signature:
     W = model.W
     if epsilon is None:
         epsilon = DEFAULT_EPSILON_SCALE * float(np.abs(W).max())
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+    _check_scalar(epsilon, "epsilon", "nonnegative")
     sel = tuple(np.nonzero(np.abs(W[:, j]) > epsilon)[0] for j in range(W.shape[1]))
     return Signature(selected=sel)
 
@@ -164,7 +163,7 @@ def train_model(X, labels, template: ProblemTemplate,
 
     The problem is bound to ``normalize_features``' record (to X, at scale
     1.0, without ``normalize``): ``solve`` reads its norm estimate and Gram
-    matrix, and the returned model keeps its scale for scaling queries.
+    matrix, and the model it returns keeps its scale for scaling queries.
     Without ``n_classes`` the class count is ``max(labels) + 1`` and every
     class must have a sample; an explicit count may exceed the labels
     present, as in a cross-validation fold that misses a small class.
@@ -175,8 +174,7 @@ def train_model(X, labels, template: ProblemTemplate,
     if n_classes is None:
         _require_every_class(Y.sum(axis=0))
     problem = template.bind(normalize_features(X) if normalize else X, Y)
-    model, history = solve(problem, params if params is not None else SolverParams())
-    return replace(model, feature_scale=problem.features.scale), history
+    return solve(problem, params if params is not None else SolverParams())
 
 
 def _require_every_class(class_counts: np.ndarray) -> None:

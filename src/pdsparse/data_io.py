@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import check_matrix
+from .linalg import _check_scalar, check_matrix
 from .losses import LossSpec
 from .model import TrainedModel
 from .projections import BallSpec
@@ -71,10 +71,8 @@ class SyntheticSpec:
         if self.s * self.k > self.d:
             raise ValueError(
                 f"informative blocks do not fit: s*k={self.s * self.k} > d={self.d}")
-        if not self.separation > 0:
-            raise ValueError(f"separation must be positive, got {self.separation}")
-        if self.noise_sd < 0:
-            raise ValueError(f"noise_sd must be nonnegative, got {self.noise_sd}")
+        _check_scalar(self.separation, "separation", "positive")
+        _check_scalar(self.noise_sd, "noise_sd", "nonnegative")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
 

@@ -41,6 +41,17 @@ def check_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+_SCALAR_RULES = {"nonnegative": lambda v: v >= 0, "positive": lambda v: v > 0,
+                 "positive and finite": lambda v: 0 < v < np.inf}
+
+
+def _check_scalar(value, name: str, rule: str):
+    """*value*, if it meets *rule*, a key of ``_SCALAR_RULES``; NaN, unordered, meets none."""
+    if not _SCALAR_RULES[rule](value):
+        raise ValueError(f"{name} must be {rule}, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class OperatorNormEstimate:
     """Largest-singular-value estimate from power iteration.

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .linalg import sparse_rows_product
+from .linalg import _check_scalar, sparse_rows_product
 from .projections import ball_norm, clip_box, proj_frobenius_unit
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -49,8 +49,7 @@ class LossSpec:
             raise ValueError(f"unknown loss kind {self.kind!r}, expected one of {LOSS_KINDS}")
         if self.delta is None:
             object.__setattr__(self, "delta", 1.0 if self.kind == "huber" else 0.0)
-        if self.delta < 0:
-            raise ValueError(f"delta must be nonnegative, got {self.delta}")
+        _check_scalar(self.delta, "delta", "nonnegative")
         if self.kind != "huber" and self.delta != 0.0:
             raise ValueError(f"delta is only meaningful for the huber loss, got {self.delta}")
 
@@ -76,8 +75,7 @@ def huber_value(t, delta: float):
     ``delta = 0`` gives |t| exactly.  Accepts scalars or arrays; scalar in,
     float out.
     """
-    if delta < 0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
+    _check_scalar(delta, "delta", "nonnegative")
     arr = np.asarray(t, dtype=np.float64)
     a = np.abs(arr)
     if delta == 0.0:
@@ -106,8 +104,7 @@ def dual_prox(Zbar, sigma: float, spec: LossSpec) -> np.ndarray:
     (pure clipping when delta = 0); frobenius: radial projection onto the
     Frobenius unit ball.
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    _check_scalar(sigma, "sigma", "positive")
     if spec.kind == "frobenius":
         return proj_frobenius_unit(Zbar)
     return clip_box(np.asarray(Zbar, dtype=np.float64) / (1.0 + sigma * spec.delta))

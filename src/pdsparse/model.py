@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .linalg import Features, _features, check_matrix
+from .linalg import Features, _check_scalar, _features, check_matrix
 from .losses import LossSpec
 from .projections import BallSpec, ball_norm
 
@@ -46,10 +45,8 @@ class Problem:
             raise ValueError("Y must have at least 2 classes")
         if not np.all((Y == 0.0) | (Y == 1.0)) or not np.all(Y.sum(axis=1) == 1.0):
             raise ValueError("Y must be one-hot: binary entries, one 1 per row")
-        if self.rho < 0:
-            raise ValueError(f"rho must be nonnegative, got {self.rho}")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
+        _check_scalar(self.rho, "rho", "nonnegative")
+        _check_scalar(self.alpha, "alpha", "nonnegative")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
 
@@ -101,12 +98,12 @@ class TrainedModel:
     def __post_init__(self):
         W = check_matrix(self.W, "W")
         mu = check_matrix(self.mu, "mu")
-        k = W.shape[1]
+        d, k = W.shape
+        if d < 1 or k < 2:
+            raise ValueError(f"W must have a row and at least 2 classes, got shape {W.shape}")
         if mu.shape != (k, k):
             raise ValueError(f"mu has shape {mu.shape}, expected {(k, k)}")
-        if not 0 < self.feature_scale < math.inf:
-            raise ValueError(
-                f"feature_scale must be positive and finite, got {self.feature_scale}")
+        _check_scalar(self.feature_scale, "feature_scale", "positive and finite")
         if ball_norm(W, self.ball.kind) > self.ball.radius * (1.0 + FEASIBILITY_RTOL):
             raise ValueError("W violates the model's ball constraint")
         names = tuple(map(str, range(k))) if self.class_names is None else self.class_names

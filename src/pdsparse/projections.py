@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import check_matrix
+from .linalg import _check_scalar, check_matrix
 
 __all__ = [
     "BallSpec",
@@ -51,6 +51,7 @@ __all__ = [
 
 BALL_KINDS = ("l1", "l21", "l12", "nuclear")
 L12_TOL = 1e-12
+L12_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -63,8 +64,7 @@ class BallSpec:
     def __post_init__(self):
         if self.kind not in BALL_KINDS:
             raise ValueError(f"unknown ball kind {self.kind!r}, expected one of {BALL_KINDS}")
-        if not self.radius > 0:
-            raise ValueError(f"ball radius must be positive, got {self.radius}")
+        _check_scalar(self.radius, "ball radius", "positive")
 
 
 class NewtonConvergenceError(RuntimeError):
@@ -84,10 +84,7 @@ def _check_ball_input(V) -> np.ndarray:
 
 
 def _check_radius(radius) -> float:
-    radius = float(radius)
-    if not radius > 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    return radius
+    return _check_scalar(float(radius), "radius", "positive")
 
 
 def proj_l1_vector(v, radius) -> np.ndarray:
@@ -230,14 +227,14 @@ def _merge_network(k: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def proj_l12_with_state(V, radius, max_iter: int = 100) -> tuple[np.ndarray, L12NewtonState]:
+def proj_l12_with_state(V, radius) -> tuple[np.ndarray, L12NewtonState]:
     """Project onto the l12 ball and return the multiplier-search state.
 
     The constraint is sum_i (sum_j |w_ij|)^2 <= radius^2.  The multiplier
     lambda starts at a computable lower bound, so the Newton iterates
     increase monotonically toward the root; the per-row active counts are
     refreshed once per multiplier update.  Stops at relative residual
-    ``L12_TOL`` and raises ``NewtonConvergenceError`` after ``max_iter``
+    ``L12_TOL`` and raises ``NewtonConvergenceError`` after ``L12_MAX_ITER``
     updates without convergence.
 
     The sort (a sorting network on whole columns) and the Newton passes work
@@ -280,16 +277,16 @@ def proj_l12_with_state(V, radius, max_iter: int = 100) -> tuple[np.ndarray, L12
     # argmax picks it: column j ranks m - j, the first maximum ranks highest
     rank = np.arange(m, 0, -1, dtype=np.min_scalar_type(m))[:, None]
     ratios = np.empty_like(St)
-    for iterations in range(max_iter + 1):
+    for iterations in range(L12_MAX_ITER + 1):
         np.divide(St, (1.0 + lam * p_range)[:, None], out=ratios)
         row_best = ratios.max(axis=0)
         p = (m + 1.0) - (rank * (ratios == row_best)).max(axis=0)
         val = float((row_best * row_best).sum())
         if val - target <= L12_TOL * target:
             break
-        if iterations == max_iter:
+        if iterations == L12_MAX_ITER:
             raise NewtonConvergenceError(
-                f"l12 multiplier search did not converge in {max_iter} iterations "
+                f"l12 multiplier search did not converge in {L12_MAX_ITER} iterations "
                 f"(residual {val - target:.3e})",
                 residual=val - target,
             )
@@ -310,9 +307,9 @@ def proj_l12_with_state(V, radius, max_iter: int = 100) -> tuple[np.ndarray, L12
     return W, state
 
 
-def proj_l12(V, radius, max_iter: int = 100) -> np.ndarray:
+def proj_l12(V, radius) -> np.ndarray:
     """Project onto the l12 ball: sum_i (sum_j |w_ij|)^2 <= radius^2."""
-    W, _ = proj_l12_with_state(V, radius, max_iter=max_iter)
+    W, _ = proj_l12_with_state(V, radius)
     return W
 
 

@@ -56,7 +56,7 @@ import numpy as np
 
 # spectral_norm is unused here: perfbench's tracer patches it at this name too
 from .linalg import OperatorNormEstimate, label_operator_norm, spectral_norm  # noqa: F401
-from .linalg import sparse_rows_product as _forward
+from .linalg import _check_scalar, sparse_rows_product as _forward
 from .losses import ObjectiveBreakdown, dual_prox, primal_objective
 from .model import Problem, TrainedModel
 from .projections import dual_norm, project_ball
@@ -128,9 +128,8 @@ class SolverParams:
         if self.record_every < 1:
             raise ValueError(f"record_every must be at least 1, got {self.record_every}")
         for name in ("tau", "tau_mu", "sigma", "early_stop_tol"):
-            v = getattr(self, name)
-            if v is not None and not 0 < v < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {v}")
+            if getattr(self, name) is not None:
+                _check_scalar(getattr(self, name), name, "positive and finite")
         if len({self.tau is None, self.tau_mu is None, self.sigma is None}) > 1:
             raise ValueError("tau, tau_mu and sigma must be set together")
 
@@ -192,10 +191,10 @@ def default_steps(X_norm: float, Y_norm: float, m: int, k: int,
     rho/4); sigma is then set just inside the convergence boundary.
     Raises when rho is too large for the center step's denominator.
     """
-    if X_norm <= 0 or Y_norm <= 0:
-        raise ValueError("data norms must be positive")
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    _check_scalar(X_norm, "X_norm", "positive and finite")
+    _check_scalar(Y_norm, "Y_norm", "positive and finite")
+    _check_scalar(rho, "rho", "nonnegative")
+    _check_scalar(eta, "eta", "positive and finite")
     tau = eta / (math.sqrt(m * k) * X_norm)
     den = 2.0 * math.sqrt(m) * Y_norm - 0.25 * rho
     if den <= 0:
@@ -434,12 +433,13 @@ def solve(problem: Problem, params: SolverParams, callback=None
     stays I, so the dual step's Y (2 mu - mu_old) is exactly Y.
 
     The estimate of ||X|| behind the derived steps, the step condition and
-    ``history.x_norm``, and the X X^T a wide nuclear fit (below) factors,
-    come from ``problem.features`` alone, so solves of one Problem form
-    them once.  Bound to ``normalize_features``' record, as in
-    ``classify.train_model``, a Problem carries 1.0 with the raw estimate's
-    iteration count and ``converged`` flag, and the raw Gram matrix over the
-    squared scale: binding its bare array estimates again, to rounding.
+    ``history.x_norm``, the X X^T a wide nuclear fit (below) factors, and
+    the returned model's ``feature_scale`` come from ``problem.features``
+    alone, so solves of one Problem form them once.  Bound to
+    ``normalize_features``' record, as in ``classify.train_model``, a
+    Problem carries 1.0 with the raw estimate's iteration count and
+    ``converged`` flag, and the raw Gram matrix over the squared scale:
+    binding its bare array estimates again, to rounding.
 
     Any two departures from the base iteration (a non-base variant, a
     nonzero gamma, a positive alpha, the Frobenius loss) raise ValueError
@@ -449,11 +449,11 @@ def solve(problem: Problem, params: SolverParams, callback=None
     ergodic averages, the recorded diagnostics and the returned model;
     only the internal recursion sees the relaxed variables.
 
-    A nuclear fit with more features than samples (d > m) runs on a
-    factor of X.  ``solve`` takes the eigenpairs (lam, V) of K = X X^T and
-    keeps the r with lam > lam_max m eps: the others are zero up to
-    rounding, as one is for a column-centred X of rank m - 1.
-    R = V_r diag(lam_r)^(1/2) and T = V_r diag(lam_r)^(-1/2) give
+    A nuclear fit with more features than samples (d > m), whose record
+    holds X X^T, runs on a factor of X.  ``solve`` takes the eigenpairs
+    (lam, V) of K = X X^T and keeps the r with lam > lam_max m eps: the
+    others are zero up to rounding, as one is for a column-centred X of
+    rank m - 1.  R = V_r diag(lam_r)^(1/2) and T = V_r diag(lam_r)^(-1/2) give
     X = R Q with Q = T^T X, whose rows are orthonormal, and the loop is a
     plain fit of r x k weights B on ``replace(problem, X=R)``, with the
     steps from the estimate of ||X||.  It is the same iteration: from W = 0
@@ -536,7 +536,7 @@ def solve(problem: Problem, params: SolverParams, callback=None
         raise ValueError(f"cannot combine {' and '.join(departures)}: "
                          f"a run departs from the base iteration in at most one way")
     X, Y, ball, loss = problem.X, problem.Y, problem.ball, problem.loss
-    m, d = X.shape
+    m = X.shape[0]
     k = Y.shape[1]
     rho, delta, alpha, gamma = problem.rho, loss.delta, problem.alpha, params.gamma
 
@@ -562,8 +562,8 @@ def solve(problem: Problem, params: SolverParams, callback=None
 
     # A wide nuclear fit runs on the factor R of X = R Q (Notes), whose
     # weights B give W = Q^T B = X^T (T B); W is formed only where it is seen.
-    T = None
-    if ball.kind == "nuclear" and d > m:
+    scale, T = problem.features.scale, None
+    if ball.kind == "nuclear" and problem.features.gram is not None:
         lam, V = np.linalg.eigh(problem.features.gram)
         keep = lam > lam[-1] * m * EPS
         root = np.sqrt(lam[keep])
@@ -655,5 +655,5 @@ def solve(problem: Problem, params: SolverParams, callback=None
     history.full_gradients = step.full
     history.ergodic_W = np.ascontiguousarray(weights(sum_W / n))
     # TrainedModel keeps a C-ordered copy of the column-major W
-    model = TrainedModel(W=weights(W_f), mu=mu_f, ball=ball, loss=loss)
+    model = TrainedModel(W=weights(W_f), mu=mu_f, ball=ball, loss=loss, feature_scale=scale)
     return model, history

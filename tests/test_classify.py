@@ -426,6 +426,18 @@ class TestNormHandOff:
         assert got == pytest.approx(want, rel=1e-12)
         assert np.abs(model.W - bare.W).max() <= 1e-12 * np.abs(bare.W).max()
 
+    def test_solve_on_the_record_scores_raw_rows_like_train_model(self):
+        ds = generate_synthetic(SyntheticSpec(m=200, d=1000, k=4, s=20, separation=2.0,
+                                              noise_sd=1.0, dropout_rate=0.3, seed=1))
+        template = ProblemTemplate(loss=LossSpec("huber", 1.0), ball=BallSpec("l1", 8.0))
+        params = SolverParams(max_iter=300)
+        model, _ = train_model(ds.X, ds.labels, template, params=params)
+        record = normalize_features(ds.X)
+        direct, _ = solve(template.bind(record, one_hot(ds.labels, 4)), params)
+        assert direct.feature_scale == model.feature_scale == record.scale
+        accuracy = [evaluate(ds.X, ds.labels, fit).global_accuracy for fit in (model, direct)]
+        assert accuracy == [1.0, 1.0]
+
     @pytest.mark.parametrize("kind, d", [("l1", 60), ("nuclear", 60), ("nuclear", 20)],
                              ids=["l1", "nuclear-wide", "nuclear-tall"])
     def test_one_gram_product_and_one_estimate(self, monkeypatch, kind, d):
@@ -514,6 +526,11 @@ INPUT_CHECKS = [
                  "mu has shape (3, 3), expected (2, 2)", id="model-mu-shape"),
     pytest.param(lambda: toy_model(np.eye(2), np.eye(2), radius=1.0),
                  "W violates the model's ball constraint", id="model-outside-ball"),
+    pytest.param(lambda: toy_model(np.ones((2, 1)), np.eye(1)),
+                 "W must have a row and at least 2 classes, got shape (2, 1)",
+                 id="model-one-class"),
+    pytest.param(lambda: signature(toy_model(np.eye(2), np.eye(2)), epsilon=np.nan),
+                 "epsilon must be nonnegative, got nan", id="signature-nan-epsilon"),
 ] + [
     pytest.param(lambda scale=scale: toy_model(np.eye(2), np.eye(2), scale=scale),
                  f"feature_scale must be positive and finite, got {scale}",

@@ -44,6 +44,17 @@ class TestGenSynthetic:
             assert rc == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--noise-sd", "noise_sd must be nonnegative, got nan"),
+        ("--separation", "separation must be positive, got nan")],
+        ids=["noise-sd", "separation"])
+    def test_nan_setting_refused(self, flag, message, tmp_path, capsys):
+        out = tmp_path / "a.csv"
+        assert main(["gen-synthetic", "--out", str(out), "--samples", "20", "--features",
+                     "30", "--classes", "2", "--informative", "4", flag, "nan"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestTrainPredict:
     def test_train_then_self_predict(self, dataset_csv, tmp_path, capsys):
@@ -272,6 +283,21 @@ class TestTrainPredict:
         assert not model_path.exists()
         assert main(train) == 0
         assert model_path.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--rho", "nan", "rho must be nonnegative, got nan"),
+        ("--alpha", "nan", "alpha must be nonnegative, got nan"),
+        ("--delta", "nan", "delta must be nonnegative, got nan"),
+        ("--eta", "nan", "ball radius must be positive, got nan"),
+        ("--eta", "inf", "eta must be positive and finite, got inf")],
+        ids=["rho-nan", "alpha-nan", "delta-nan", "eta-nan", "eta-inf"])
+    def test_out_of_range_setting_refused(self, flag, value, message, dataset_csv,
+                                          tmp_path, capsys):
+        model_path = tmp_path / "m.bin"
+        assert main(["train", "--data", str(dataset_csv), "--model-out", str(model_path),
+                     flag, value]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not model_path.exists()
 
     def test_delta_defaults_by_loss(self):
         def loss_of(*argv):

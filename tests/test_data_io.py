@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from pdsparse.data_io import (
     _HEADER,
+    MODEL_MAGIC,
+    MODEL_VERSION,
     Dataset,
     SyntheticSpec,
     generate_synthetic,
@@ -262,6 +266,13 @@ def _model_file(path, cut=None, **header):
     return path
 
 
+def _crafted_model(path, d, k):
+    """A well-formed version-2 file of a d x k zero W, mu = I and classes "0".."k-1"."""
+    blob = _HEADER.pack(MODEL_MAGIC, MODEL_VERSION, 0, 1, 1.0, 1.0, 1.0, d, k)
+    blob += np.zeros(d * k, dtype="<f8").tobytes() + np.eye(k, dtype="<f8").tobytes()
+    return _written(path, blob + json.dumps([str(j) for j in range(k)]).encode("ascii"))
+
+
 def _points(k=2):
     cv = CVResult(reports=(), mean_accuracy=0.5, std_accuracy=0.0)
     return [
@@ -323,6 +334,8 @@ INPUT_CHECKS = [
                  "separation must be positive, got 0.0", id="spec-separation"),
     pytest.param(lambda path: SyntheticSpec(m=4, d=10, k=2, s=2, noise_sd=-1.0),
                  "noise_sd must be nonnegative, got -1.0", id="spec-noise"),
+    pytest.param(lambda path: SyntheticSpec(m=4, d=10, k=2, s=2, noise_sd=np.nan),
+                 "noise_sd must be nonnegative, got nan", id="spec-noise-nan"),
     pytest.param(lambda path: write_dataset_csv(path, Dataset(
                      X=np.zeros((2, 3)), labels=np.array([0, 1]), feature_names=["a", "b"])),
                  "feature_names length does not match the matrix", id="feature-name-count"),
@@ -332,6 +345,12 @@ INPUT_CHECKS = [
                  "{path}: corrupt model file (unknown ball/loss code)", id="model-unknown-code"),
     pytest.param(lambda path: load_model(_model_file(path, cut=_HEADER.size + 8)),
                  "{path}: truncated model file", id="model-truncated-payload"),
+    pytest.param(lambda path: load_model(_crafted_model(path, d=0, k=0)),
+                 "W must have a row and at least 2 classes, got shape (0, 0)",
+                 id="model-no-classes"),
+    pytest.param(lambda path: load_model(_crafted_model(path, d=0, k=2)),
+                 "W must have a row and at least 2 classes, got shape (0, 2)",
+                 id="model-no-features"),
     pytest.param(lambda path: load_matrix_csv(_written(path, b"")),
                  "{path}: empty file", id="matrix-empty"),
     pytest.param(lambda path: load_matrix_csv(_written(path, b"1.0,x\n")),

@@ -917,9 +917,9 @@ class TestByteIdentity:
         assert not changed, f"iterates of {changed} are no longer byte-identical"
 
 
-def _problem(Y, rows=4, **weights):
+def _problem(Y, rows=4, radius=1.0, **weights):
     return Problem(X=np.ones((rows, 3)), Y=Y, loss=LossSpec("huber", 1.0),
-                   ball=BallSpec("l1", 1.0), **weights)
+                   ball=BallSpec("l1", radius), **weights)
 
 
 Y_2 = one_hot([0, 1, 0, 1], 2)
@@ -933,11 +933,21 @@ INPUT_CHECKS = [
     pytest.param(lambda: SolverParams(record_every=0),
                  "record_every must be at least 1, got 0", id="record-every"),
     pytest.param(lambda: default_steps(0.0, 1.0, 4, 2, 1.0, 1.0),
-                 "data norms must be positive", id="steps-x-norm"),
+                 "X_norm must be positive and finite, got 0.0", id="steps-x-norm"),
     pytest.param(lambda: default_steps(1.0, 0.0, 4, 2, 1.0, 1.0),
-                 "data norms must be positive", id="steps-y-norm"),
+                 "Y_norm must be positive and finite, got 0.0", id="steps-y-norm"),
+    pytest.param(lambda: default_steps(math.nan, 1.0, 4, 2, 1.0, 1.0),
+                 "X_norm must be positive and finite, got nan", id="steps-x-norm-nan"),
+    pytest.param(lambda: default_steps(1.0, 1.0, 4, 2, math.nan, 1.0),
+                 "rho must be nonnegative, got nan", id="steps-rho-nan"),
+    pytest.param(lambda: default_steps(1.0, 1.0, 4, 2, -1.0, 1.0),
+                 "rho must be nonnegative, got -1.0", id="steps-rho-negative"),
     pytest.param(lambda: default_steps(1.0, 1.0, 4, 2, 1.0, 0.0),
-                 "eta must be positive, got 0.0", id="steps-eta"),
+                 "eta must be positive and finite, got 0.0", id="steps-eta"),
+    pytest.param(lambda: default_steps(1.0, 1.0, 4, 2, 1.0, math.nan),
+                 "eta must be positive and finite, got nan", id="steps-eta-nan"),
+    pytest.param(lambda: solve(_problem(Y_2, radius=math.inf), SolverParams()),
+                 "eta must be positive and finite, got inf", id="solve-eta-inf"),
     pytest.param(lambda: _problem(Y_2, rows=3),
                  "X has 3 rows but Y has 4", id="problem-rows"),
     pytest.param(lambda: _problem(np.ones((4, 1))),
@@ -948,6 +958,10 @@ INPUT_CHECKS = [
                  "rho must be nonnegative, got -1.0", id="problem-rho"),
     pytest.param(lambda: _problem(Y_2, alpha=-1.0),
                  "alpha must be nonnegative, got -1.0", id="problem-alpha"),
+    pytest.param(lambda: _problem(Y_2, rho=math.nan),
+                 "rho must be nonnegative, got nan", id="problem-rho-nan"),
+    pytest.param(lambda: _problem(Y_2, alpha=math.nan),
+                 "alpha must be nonnegative, got nan", id="problem-alpha-nan"),
 ]
 
 
