@@ -71,8 +71,8 @@ class SyntheticSpec:
         if self.s * self.k > self.d:
             raise ValueError(
                 f"informative blocks do not fit: s*k={self.s * self.k} > d={self.d}")
-        _check_scalar(self.separation, "separation", "positive")
-        _check_scalar(self.noise_sd, "noise_sd", "nonnegative")
+        _check_scalar(self.separation, "separation", "positive and finite")
+        _check_scalar(self.noise_sd, "noise_sd", "nonnegative and finite")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
 
@@ -225,6 +225,8 @@ def load_model(path) -> TrainedModel:
         raise ValueError(f"{path}: unsupported model file version {version}")
     if ball_code not in _BALL_NAMES or loss_code not in _LOSS_NAMES:
         raise ValueError(f"{path}: corrupt model file (unknown ball/loss code)")
+    if d < 0 or k < 0:
+        raise ValueError(f"{path}: corrupt model file (negative shape)")
     expected = _HEADER.size + 8 * (d * k + k * k)
     if len(blob) < expected:
         raise ValueError(f"{path}: truncated model file")

@@ -42,6 +42,7 @@ def check_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 _SCALAR_RULES = {"nonnegative": lambda v: v >= 0, "positive": lambda v: v > 0,
+                 "nonnegative and finite": lambda v: 0 <= v < np.inf,
                  "positive and finite": lambda v: 0 < v < np.inf}
 
 
@@ -166,7 +167,7 @@ def _thin_gram(A: np.ndarray) -> np.ndarray:
     return B.T @ B
 
 
-def sparse_rows_product(X: np.ndarray, A: np.ndarray, out=None) -> np.ndarray:
+def sparse_rows_product(X: np.ndarray, A: np.ndarray) -> np.ndarray:
     """X A, from the nonzero rows of A alone when at most one in eight is nonzero.
 
     A row holding NaN or inf counts as nonzero.  More than k d / 8 nonzero
@@ -178,11 +179,11 @@ def sparse_rows_product(X: np.ndarray, A: np.ndarray, out=None) -> np.ndarray:
     """
     d, k = A.shape
     if 8 * np.count_nonzero(A) > k * d:
-        return np.matmul(X, A, out=out)
+        return X @ A
     rows = np.flatnonzero(np.logical_or.reduce(A.T != 0, axis=0))
     if 8 * rows.size > d:
-        return np.matmul(X, A, out=out)
-    return np.matmul(X[:, rows], A[rows], out=out)
+        return X @ A
+    return X[:, rows] @ A[rows]
 
 
 def label_operator_norm(Y) -> float:

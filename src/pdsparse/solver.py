@@ -42,13 +42,15 @@ sum_S max(mag(G) - t, 0) >= r (over entries on l1, rows on l21), the ball's
 threshold theta, the root of sum max(mag(G) - theta, 0) = r over all of G,
 is at least t: every row outside S lies below it and projects to zero, and
 theta is the root over S alone.  So P_ball(G) is P_ball(G_S) scattered into
-zero rows, and the step, the divergence check and the ergodic sum work on
-that |S| x k block.  The Notes of ``solve`` give the rounding margins.
+zero rows, and the step, the coupling product, the divergence check and the
+ergodic sum work on that |S| x k block.  The Notes of ``solve`` give the
+rounding margins.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field, replace
 
@@ -123,10 +125,14 @@ class SolverParams:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
         if not -1.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must lie in (-1, 1), got {self.gamma}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if self.record_every < 1:
-            raise ValueError(f"record_every must be at least 1, got {self.record_every}")
+        for name in ("max_iter", "record_every"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value}") from None
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
         for name in ("tau", "tau_mu", "sigma", "early_stop_tol"):
             if getattr(self, name) is not None:
                 _check_scalar(getattr(self, name), name, "positive and finite")
@@ -251,11 +257,9 @@ def _shift(C: np.ndarray, W: np.ndarray, tau: float, alpha: float) -> np.ndarray
     return C
 
 
-def _extrapolate(W, W_old, theta, out=None, tmp=None) -> np.ndarray:
-    """W + theta (W - W_old), as (1 + theta) W - theta W_old, into ``out`` if given."""
-    W_ext = np.multiply(W, 1.0 + theta, out=out)
-    W_ext -= W_old if theta == 1.0 else np.multiply(W_old, theta, out=tmp)
-    return W_ext
+def _extrapolate(W, W_old, theta) -> np.ndarray:
+    """W + theta (W - W_old), as (1 + theta) W - theta W_old."""
+    return (1.0 + theta) * W - theta * W_old
 
 
 class _PrimalStep:
@@ -265,10 +269,11 @@ class _PrimalStep:
     it keeps Z_ref and the row magnitudes of the last full product X^T Z_ref
     and the threshold theta of the last projection.  A screened step forms
     X^T Z on the candidate rows, a full step all of it; each projects only
-    the candidates' block when it certifies.  ``rows`` and ``block`` keep a
-    certified step's rows and projection, ``columns`` a screened step's
-    X[:, rows] for the coupling product, each None otherwise; ``kept`` the
-    last gathered rows and columns.  ``full`` counts the full products.
+    the candidates' block when it certifies, into +0.0 rows.  ``rows`` and
+    ``block`` keep a certified step's rows and projection, None otherwise;
+    ``kept`` the last rows gathered and their X[:, rows], which the
+    screened step and the coupling product share.  ``full`` counts the full
+    products.
     """
 
     def __init__(self, X: np.ndarray, ball, k: int):
@@ -277,11 +282,8 @@ class _PrimalStep:
         self.screens = ball.kind in ("l1", "l21")
         self.full = 0
         self.theta = 0.0
-        self.rows = self.block = self.columns = None
+        self.rows = self.block = None
         self.kept = None, None
-        # overwritten by every coupling product after a full step
-        self.W_ext = np.empty((d, k), order="F")
-        self.W_tmp = np.empty_like(self.W_ext)
         if self.screens:
             self.col_norms = np.sqrt(np.einsum("ij,ij->j", X, X))
             self.slack = ((d + 2) * k + m + 20) * EPS
@@ -309,7 +311,7 @@ class _PrimalStep:
         return np.flatnonzero(magnitudes >= (cut * shrink) / tau)
 
     def _certified(self, G, rows, extra=0.0):
-        """P_ball(G) of G, the step's G on ``rows``, if it certifies (Notes), else None."""
+        """The new W: P_ball(G) on ``rows``, zero elsewhere, if the G there certifies (Notes)."""
         terms = self._terms(G)
         n = terms.size
         beta = EPS * (extra + (G.shape[1] + 4) * terms.max(initial=0.0))
@@ -319,7 +321,15 @@ class _PrimalStep:
         P = project_ball(G, self.ball)
         self.theta = float((terms - self._terms(P)).max())
         self.rows, self.block = rows, P
-        return P
+        W = np.zeros((self.X.shape[1], G.shape[1]), order="F")
+        W[rows] = P
+        return W
+
+    def _columns(self, rows) -> np.ndarray:
+        """X[:, rows], gathered again only when ``rows`` differ from the kept ones."""
+        if not np.array_equal(rows, self.kept[0]):
+            self.kept = rows, self.X[:, rows]
+        return self.kept[1]
 
     def __call__(self, W, Z, tau, alpha):
         certify = self.theta > 0.0
@@ -328,7 +338,6 @@ class _PrimalStep:
             if W_new is not None:
                 return W_new
         self.full += 1
-        self.columns = None
         C = _gradient(self.X, Z)
         if self.screens:
             self.Z_ref, self.ref_size = Z.copy(), self._size(Z)
@@ -337,14 +346,9 @@ class _PrimalStep:
         if certify:
             rows = self._candidates(self._magnitudes(G), W)
             # column-major, as G: l21's row norms take their bits from the layout
-            P = self._certified(np.asfortranarray(G[rows]), rows)
-            if P is not None:
-                # P_ball(G)'s signed zeros elsewhere: l1 maps -0.0 to +0.0
-                if self.ball.kind == "l1":
-                    G += 0.0
-                np.copysign(0.0, G, out=G)
-                G[rows] = P
-                return G
+            W_new = self._certified(np.asfortranarray(G[rows]), rows)
+            if W_new is not None:
+                return W_new
         self.rows = self.block = None
         W_new = project_ball(G, self.ball)
         if self.screens:
@@ -363,24 +367,17 @@ class _PrimalStep:
         rows = self._candidates(bound, W, shrink, tau)
         if 8 * rows.size > d:
             return None
-        if not np.array_equal(rows, self.kept[0]):
-            self.kept = rows, self.X[:, rows]
-        G = _shift(_gradient(self.kept[1], Z), W[rows], tau, alpha)
+        G = _shift(_gradient(self._columns(rows), Z), W[rows], tau, alpha)
         x_max = float(self.col_norms[rows].max(initial=0.0))
         # beta's rounding of both products (Notes)
-        P = self._certified(G, rows, 2 * m * (tau / shrink) * x_max * z_size)
-        if P is None:
-            return None
-        self.columns = self.kept[1]
-        W_new = np.zeros_like(W)
-        W_new[rows] = P
-        return W_new
+        return self._certified(G, rows, 2 * m * (tau / shrink) * x_max * z_size)
 
-    def forward(self, W, W_old, theta, out):
-        """X W_ext, W_ext = W + theta (W - W_old), into ``out``; over ``columns`` when set."""
-        if self.columns is None:
-            return _forward(self.X, _extrapolate(W, W_old, theta, self.W_ext, self.W_tmp), out)
-        return _forward(self.columns, _extrapolate(W[self.rows], W_old[self.rows], theta), out)
+    def forward(self, W, W_old, theta) -> np.ndarray:
+        """X W_ext, over the kept X[:, rows] after a certified step on at most d / 8 rows."""
+        rows = self.rows
+        if rows is None or 8 * rows.size > self.X.shape[1]:
+            return _forward(self.X, _extrapolate(W, W_old, theta))
+        return self._columns(rows) @ _extrapolate(W[rows], W_old[rows], theta)
 
 
 def _duality_gap(primal: float, Z: np.ndarray, problem: Problem, fixed_mu: bool) -> float:
@@ -465,22 +462,22 @@ def solve(problem: Problem, params: SolverParams, callback=None
     average.  Results agree with the d-space iteration to rounding, not bit
     for bit.
 
-    After a full W step, every fit forms the coupling product X W_ext from
-    the nonzero rows of the extrapolated iterate W_ext and the matching
+    The dual step is Z <- dual_prox(Z + sigma (Y mu_ext - X W_ext)), with
+    W_ext = (1 + theta) W - theta W_old and mu_ext alike.  After a
+    certified W step on at most d / 8 rows, X W_ext comes from them (below).
+    Any other step forms it from the nonzero rows of W_ext and the matching
     columns of X alone whenever at most one row in eight is nonzero, and
     multiplies by all of X otherwise; the choice is made every iteration
-    from W_ext itself (after a screened step, below, from the candidate
-    rows' block of W_ext and the columns the step gathered), and
-    an iterate with more than k d / 8 nonzero entries takes the dense
-    product without building the row mask.  Each record forms X W of its
-    iterate and of the ergodic average by the same rule.  Eight because
-    gathering columns of the row-major X reads one 64-byte line per 8-byte
-    entry, so at that density the gather touches as many lines as the
-    dense product streams, with X in cache; cold, at 200 x 20000 and k = 4,
-    gathering 1250 columns took 5.1 ms and 2500 took 8.3 ms, against 3.5 ms
-    for the dense product (2-vCPU host, OpenBLAS on 2 threads).  The
-    restricted product agrees with the dense one to rounding, not bit for
-    bit.
+    from W_ext itself, and an iterate with more than k d / 8 nonzero
+    entries takes the dense product without building the row mask.  Each
+    record forms X W of its iterate and of the ergodic average by the same
+    rule.  Eight because gathering columns of the row-major X reads one
+    64-byte line per 8-byte entry, so at that density the gather touches as
+    many lines as the dense product streams, with X in cache; cold, at
+    200 x 20000 and k = 4, gathering 1250 columns took 5.1 ms and 2500 took
+    8.3 ms, against 3.5 ms for the dense product (2-vCPU host, OpenBLAS on
+    2 threads).  The restricted product agrees with the dense one to
+    rounding, not bit for bit.
 
     On the l1 and l21 balls the W step is screened (module docstring).
     Each full product C = X^T Z_ref is kept as Z_ref and its row magnitudes
@@ -496,9 +493,10 @@ def solve(problem: Problem, params: SolverParams, callback=None
     projection as max(mag(G) - mag(P_ball(G))), which is the threshold on
     the terms it shrinks and at most it on the ones it zeroes.  S holds
     every nonzero row of the W a step starts from, so the new W and W_ext
-    are zero outside S: the coupling product after a screened step uses
-    X[:, S], and the loop checks a certified block for non-finite entries
-    and adds it into the ergodic sum on S's rows, the dense sum's additions.
+    are zero outside S: while 8 |S| <= d the coupling product multiplies
+    the kept X[:, S] by W_ext's rows S, and the loop checks a certified
+    block for non-finite entries and adds it into the ergodic sum on S's
+    rows, the dense sum's additions.
 
     Rounding.  A computed dot product of x_i with a column z, in any order
     of summation, lies within m eps ||x_i|| ||z|| of the exact one, so Delta
@@ -524,7 +522,8 @@ def solve(problem: Problem, params: SolverParams, callback=None
     threshold is taken over, so projecting G_S meets the prefix sums and
     threshold of P_ball(G) and gives its bits on S (only a scan flag that
     rounding sets past the support in one order alone could move the
-    threshold, by rounding); the other rows get P_ball(G)'s signed zeros.
+    threshold, by rounding).  Both kinds of step put +0.0 in the other
+    rows, where P_ball(G) can hold -0.0: the same values, not the same bits.
     """
     variant = params.variant
     departures = [name for name, on in [
@@ -586,10 +585,6 @@ def solve(problem: Problem, params: SolverParams, callback=None
     fixed_mu = variant == "fixed-mu"
     accelerated = variant == "accelerated"
 
-    # the coupling is overwritten every iteration; W, mu and Z are new
-    # arrays each time, as the callback and model keep them
-    coupling = np.empty_like(Z)
-
     step = _PrimalStep(X, ball, k)
     history = TrainingHistory(params=resolved, step_slack=slack, x_norm=x_norm)
     theta = 1.0
@@ -605,11 +600,8 @@ def solve(problem: Problem, params: SolverParams, callback=None
 
         if accelerated:
             theta = 1.0 / math.sqrt(1.0 + delta * sigma)
-        step.forward(W, W_old, theta, coupling)
-        np.subtract(Y @ ((1.0 + theta) * mu - theta * mu_old), coupling, out=coupling)
-        coupling *= sigma
-        coupling += Z
-        Z = dual_prox(coupling, sigma, loss)
+        Z = dual_prox(Z + sigma * (Y @ ((1.0 + theta) * mu - theta * mu_old)
+                                   - step.forward(W, W_old, theta)), sigma, loss)
 
         if accelerated:
             sigma *= theta

@@ -9,7 +9,7 @@ iteration of ``spectral_norm`` without forming the Gram matrix, and
 ``solve_reference`` the primal-dual iteration written plainly in the d x k
 weights, multiplying by all of X, where ``solve`` runs a nuclear ball on an
 m x r factor of X once d > m and multiplies X by the nonzero rows of a
-sparse iterate only.
+sparse iterate, or by a certified step's rows, only.
 
 ``proj_l12_with_state_reference`` and ``proj_l1_reference`` are the
 exceptions: they are the l12 projection as written before its search moved

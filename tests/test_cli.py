@@ -45,8 +45,8 @@ class TestGenSynthetic:
         assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize("flag, message", [
-        ("--noise-sd", "noise_sd must be nonnegative, got nan"),
-        ("--separation", "separation must be positive, got nan")],
+        ("--noise-sd", "noise_sd must be nonnegative and finite, got nan"),
+        ("--separation", "separation must be positive and finite, got nan")],
         ids=["noise-sd", "separation"])
     def test_nan_setting_refused(self, flag, message, tmp_path, capsys):
         out = tmp_path / "a.csv"

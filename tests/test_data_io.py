@@ -267,9 +267,16 @@ def _model_file(path, cut=None, **header):
 
 
 def _crafted_model(path, d, k):
-    """A well-formed version-2 file of a d x k zero W, mu = I and classes "0".."k-1"."""
+    """A well-formed version-2 file of a d x k zero W, mu = I and classes "0".."k-1".
+
+    Under a negative d or k the payload is the d k + k^2 zero entries the
+    header implies, none where that is negative.
+    """
     blob = _HEADER.pack(MODEL_MAGIC, MODEL_VERSION, 0, 1, 1.0, 1.0, 1.0, d, k)
-    blob += np.zeros(d * k, dtype="<f8").tobytes() + np.eye(k, dtype="<f8").tobytes()
+    if min(d, k) < 0:
+        blob += bytes(8 * max(d * k + k * k, 0))
+    else:
+        blob += np.zeros(d * k, dtype="<f8").tobytes() + np.eye(k, dtype="<f8").tobytes()
     return _written(path, blob + json.dumps([str(j) for j in range(k)]).encode("ascii"))
 
 
@@ -331,11 +338,15 @@ INPUT_CHECKS = [
     pytest.param(lambda path: SyntheticSpec(m=4, d=10, k=2, s=0),
                  "need at least one informative feature, got s=0", id="spec-s"),
     pytest.param(lambda path: SyntheticSpec(m=4, d=10, k=2, s=2, separation=0.0),
-                 "separation must be positive, got 0.0", id="spec-separation"),
+                 "separation must be positive and finite, got 0.0", id="spec-separation"),
+    pytest.param(lambda path: SyntheticSpec(m=4, d=10, k=2, s=2, separation=np.inf),
+                 "separation must be positive and finite, got inf", id="spec-separation-inf"),
     pytest.param(lambda path: SyntheticSpec(m=4, d=10, k=2, s=2, noise_sd=-1.0),
-                 "noise_sd must be nonnegative, got -1.0", id="spec-noise"),
+                 "noise_sd must be nonnegative and finite, got -1.0", id="spec-noise"),
     pytest.param(lambda path: SyntheticSpec(m=4, d=10, k=2, s=2, noise_sd=np.nan),
-                 "noise_sd must be nonnegative, got nan", id="spec-noise-nan"),
+                 "noise_sd must be nonnegative and finite, got nan", id="spec-noise-nan"),
+    pytest.param(lambda path: SyntheticSpec(m=4, d=10, k=2, s=2, noise_sd=np.inf),
+                 "noise_sd must be nonnegative and finite, got inf", id="spec-noise-inf"),
     pytest.param(lambda path: write_dataset_csv(path, Dataset(
                      X=np.zeros((2, 3)), labels=np.array([0, 1]), feature_names=["a", "b"])),
                  "feature_names length does not match the matrix", id="feature-name-count"),
@@ -351,6 +362,10 @@ INPUT_CHECKS = [
     pytest.param(lambda path: load_model(_crafted_model(path, d=0, k=2)),
                  "W must have a row and at least 2 classes, got shape (0, 2)",
                  id="model-no-features"),
+    pytest.param(lambda path: load_model(_crafted_model(path, d=-2, k=-2)),
+                 "{path}: corrupt model file (negative shape)", id="model-negative-shape"),
+    pytest.param(lambda path: load_model(_crafted_model(path, d=-3, k=2)),
+                 "{path}: corrupt model file (negative shape)", id="model-negative-rows"),
     pytest.param(lambda path: load_matrix_csv(_written(path, b"")),
                  "{path}: empty file", id="matrix-empty"),
     pytest.param(lambda path: load_matrix_csv(_written(path, b"1.0,x\n")),

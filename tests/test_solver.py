@@ -470,7 +470,7 @@ class TestRowSpaceNuclear:
             return wrapped
 
         # every solver product with a data matrix goes through one of these
-        for name, x_of in [("_gradient", lambda X, Z: X), ("_forward", lambda X, W, out: X),
+        for name, x_of in [("_gradient", lambda X, Z: X), ("_forward", lambda X, W: X),
                            ("primal_objective", lambda W, mu, p: p.X),
                            ("_duality_gap", lambda primal, Z, p, fixed: p.X)]:
             monkeypatch.setattr(pdsparse.solver, name, spy(name, x_of))
@@ -495,8 +495,7 @@ class TestSparseForwardProduct:
         A = np.zeros((2000, 4), order=order)
         rows = np.sort(rng.choice(2000, nonzero, replace=False))
         A[rows] = rng.standard_normal((nonzero, 4))
-        out = np.empty((30, 4))
-        assert _forward(X, A, out) is out
+        out = _forward(X, A)
         # the bits say which product ran
         path = X[:, rows] @ A[rows] if restricted else X @ A
         assert out.tobytes() == path.tobytes()
@@ -517,41 +516,52 @@ class TestSparseForwardProduct:
         X = rng.standard_normal((30, 2000))
         A = np.zeros((2000, 4), order=order)
         A.flat[rng.choice(8000, entries, replace=False)] = rng.standard_normal(entries)
-        out = np.empty((30, 4))
-        assert _forward(X, A.view(self.NoRowMask), out) is out
+        out = _forward(X, A.view(self.NoRowMask))
         assert out.tobytes() == (X @ A).tobytes()
 
     def test_row_mask_built_at_k_d_over_8_entries(self):
         A = np.zeros((2000, 4))
         A[:250] = 1.0
         with pytest.raises(AssertionError, match="row mask"):
-            _forward(np.ones((30, 2000)), A.view(self.NoRowMask), np.empty((30, 4)))
+            _forward(np.ones((30, 2000)), A.view(self.NoRowMask))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_row_counts_as_nonzero(self, value):
         X = make_rng(3).standard_normal((30, 2000))
         A = np.zeros((2000, 4), order="F")
         A[7, 2] = value
-        out = _forward(X, A, np.empty((30, 4)))
+        out = _forward(X, A)
         assert not np.isfinite(out[:, 2]).any()
         assert np.array_equal(out[:, [0, 1, 3]], np.zeros((30, 3)))
 
     @pytest.mark.parametrize("kind", ["l1", "l21"])
     @REFERENCE_CASES
     def test_sparse_fit_matches_dense_iteration(self, kind, case, monkeypatch):
-        restricted = []
+        # per coupling product: whether it multiplied the kept X[:, rows]
+        kept = []
+        forward = _PrimalStep.forward
 
-        def forward(X, A, out):
-            restricted.append(8 * np.count_nonzero(np.any(A != 0, axis=1)) <= A.shape[0])
-            return _forward(X, A, out)
+        def spy(self, W, W_old, theta):
+            rows = self.rows
+            kept.append(rows is not None and 8 * rows.size <= self.X.shape[1])
+            return forward(self, W, W_old, theta)
 
-        monkeypatch.setattr(pdsparse.solver, "_forward", forward)
+        monkeypatch.setattr(_PrimalStep, "forward", spy)
         X, Y = row_space_data("200x2000")
         hist = assert_matches_reference(X, Y, kind, case)
-        assert len(restricted) == 300 and any(restricted)
+        assert len(kept) == 300 and 0 < sum(kept) < 300
         # the screened W step took both paths: some steps formed all of
         # X^T Z, the others only the candidates' rows (TestScreenedGradient)
         assert 0 < hist.full_gradients < 300
+
+
+def assert_projection_on_rows(W_new, full, rows):
+    """A certified step's W: P_ball(G)'s bits on ``rows``, +0.0 elsewhere, equal in value."""
+    assert W_new.flags.f_contiguous
+    assert W_new[rows].tobytes() == full[rows].tobytes()
+    excluded = np.setdiff1d(np.arange(W_new.shape[0]), rows)
+    assert W_new[excluded].tobytes() == bytes(8 * excluded.size * W_new.shape[1])
+    assert np.array_equal(W_new, full)
 
 
 def planted_step_inputs(seed, kind, planted=True):
@@ -602,7 +612,10 @@ class TestScreenedGradient:
         W_new = step(W, Z, 1.0, 0.0)
         assert step.full == 2 and (step.rows is None) == planted
         full = project_ball(_shift(_gradient(X, Z), W, 1.0, 0.0), step.ball)
-        assert W_new.tobytes() == full.tobytes()
+        if planted:
+            assert W_new.tobytes() == full.tobytes()
+        else:
+            assert_projection_on_rows(W_new, full, step.rows)
 
     @pytest.mark.parametrize("name", list(CASES))
     def test_full_gradient_counts_on_the_digest_instance(self, name):
@@ -645,11 +658,9 @@ class TestCertifiedFullStep:
         assert step.full == 2
         assume(step.rows is not None)  # the candidates certified
         full = project_ball(_shift(_gradient(X, Z), W, tau, alpha), step.ball)
-        # the signed zeros of the excluded rows included
-        assert W_new.tobytes() == full.tobytes() and W_new.flags.f_contiguous
+        assert_projection_on_rows(W_new, full, step.rows)
         assert step.block.tobytes() == full[step.rows].tobytes()
-        excluded = np.setdiff1d(np.arange(X.shape[1]), step.rows)
-        assert excluded.size and not W_new[excluded].any()
+        assert step.rows.size < X.shape[1]
         # every nonzero row of the input W is a candidate, so W and W_ext
         # are zero outside step.rows
         assert np.isin(np.flatnonzero(W.any(axis=1)), step.rows).all()
@@ -673,7 +684,7 @@ class TestCertifiedFullStep:
         support = np.flatnonzero(W.any(axis=1))
         assert support.size >= 5 and np.isin(support, step.rows).all()
         full = project_ball(_shift(_gradient(X, Z_ref), W, 1.0, alpha), step.ball)
-        assert W_new.tobytes() == full.tobytes()
+        assert_projection_on_rows(W_new, full, step.rows)
 
 
 def screened_fit(kind="l1", gamma=0.0, callback=None, iters=150):
@@ -737,31 +748,32 @@ class TestBlockPath:
     def test_columns_gathered_only_when_the_rows_change(self, kind, monkeypatch):
         counter = self.CountingGathers
         counter.gathers = 0
-        kept, stepped, changed, certified = None, 0, 0, 0
+        kept, changed, certified = None, 0, 0
 
         class Step(_PrimalStep):
             def __init__(self, X, ball, k):
                 super().__init__(X.view(counter), ball, k)
 
             def __call__(self, W, Z, tau, alpha):
-                nonlocal kept, stepped, changed, certified
+                nonlocal kept, changed, certified
                 full, gathers = self.full, counter.gathers
                 W_new = super().__call__(W, Z, tau, alpha)
-                # the coupling product's own gathers fall outside the step
-                stepped += counter.gathers - gathers
                 if self.full > full:
                     assert counter.gathers == gathers
-                else:
+                # the steps whose coupling product multiplies the kept columns
+                if self.rows is not None and 8 * self.rows.size <= self.X.shape[1]:
                     certified += 1
-                    new_rows = kept is None or not np.array_equal(self.rows, kept)
-                    assert counter.gathers - gathers == new_rows
-                    changed += new_rows
+                    changed += kept is None or not np.array_equal(self.rows, kept)
                     kept = self.rows
                 return W_new
 
+        # sparse_rows_product's own gathers, after the other steps, go uncounted
+        monkeypatch.setattr(pdsparse.solver, "_forward",
+                            lambda X, A: _forward(X.view(np.ndarray), A))
         monkeypatch.setattr(pdsparse.solver, "_PrimalStep", Step)
         screened_fit(kind)
-        assert stepped == changed and 0 < changed < certified
+        # one gather per change of a certified step's rows, in the step or its coupling product
+        assert counter.gathers == changed and 0 < changed < certified
 
 
 class TestAccelerated:
@@ -867,6 +879,24 @@ class TestNormEstimate:
         assert 1e-4 < 1.0 - hist.x_norm.value < 3e-4
 
 
+def _leaves(tree, path=""):
+    """(path, value) of every leaf of a fit's digests, as ``records[2].objective.total``."""
+    if isinstance(tree, dict):
+        for key, value in tree.items():
+            yield from _leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(tree, list):
+        for i, value in enumerate(tree):
+            yield from _leaves(value, f"{path}[{i}]")
+    else:
+        yield path, tree
+
+
+def moved_fields(fresh: dict, recorded: dict) -> list[str]:
+    """The digest fields of one fit that differ: W, mu, ergodic_W or a record's term."""
+    a, b = dict(_leaves(fresh)), dict(_leaves(recorded))
+    return [path for path in {**b, **a} if a.get(path) != b.get(path)]
+
+
 class TestByteIdentity:
     """The iterates' bits, pinned by the gradient's layout and the recorded fit digests.
 
@@ -875,7 +905,10 @@ class TestByteIdentity:
     frobenius-loss fits, the Gram-first norm estimate for all ten and the
     screened gradient for the seven on the l1 and l21 balls;
     ``TestSparseForwardProduct``, ``TestSpectralNormMatchesMatrixFree`` and
-    ``TestScreenedGradient`` bound those changes.
+    ``TestScreenedGradient`` bound those changes.  A certified full step's
+    +0.0 rows moved the final W of the alpha and frobenius-loss fits by the
+    sign of zero alone (``TestCertifiedFullStep``).  A failure names each
+    field that moved, per fit.
     """
 
     @pytest.mark.parametrize("k", [2, 4])
@@ -913,8 +946,9 @@ class TestByteIdentity:
         assert proc.returncode == 0, proc.stderr
         fresh = json.loads(out.read_text())["fits"]
         assert set(fresh) == set(recorded["fits"]) == set(CASES)
-        changed = [name for name in CASES if fresh[name] != recorded["fits"][name]]
-        assert not changed, f"iterates of {changed} are no longer byte-identical"
+        moved = [f"{name}: {field}" for name in CASES
+                 for field in moved_fields(fresh[name], recorded["fits"][name])]
+        assert not moved, f"no longer byte-identical: {'; '.join(moved)}"
 
 
 def _problem(Y, rows=4, radius=1.0, **weights):
@@ -932,6 +966,14 @@ INPUT_CHECKS = [
                  "max_iter must be at least 1, got 0", id="max-iter"),
     pytest.param(lambda: SolverParams(record_every=0),
                  "record_every must be at least 1, got 0", id="record-every"),
+    pytest.param(lambda: SolverParams(max_iter=math.nan),
+                 "max_iter must be an integer, got nan", id="max-iter-nan"),
+    pytest.param(lambda: SolverParams(max_iter=2.5),
+                 "max_iter must be an integer, got 2.5", id="max-iter-fraction"),
+    pytest.param(lambda: SolverParams(record_every=math.nan),
+                 "record_every must be an integer, got nan", id="record-every-nan"),
+    pytest.param(lambda: SolverParams(record_every=10.0),
+                 "record_every must be an integer, got 10.0", id="record-every-float"),
     pytest.param(lambda: default_steps(0.0, 1.0, 4, 2, 1.0, 1.0),
                  "X_norm must be positive and finite, got 0.0", id="steps-x-norm"),
     pytest.param(lambda: default_steps(1.0, 0.0, 4, 2, 1.0, 1.0),
