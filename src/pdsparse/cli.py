@@ -42,19 +42,19 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--loss", choices=LOSS_KINDS, default="huber",
                    help="data loss (default: huber)")
     p.add_argument("--delta", type=float, default=None,
-                   help="huber knee; the other losses take none (default: 1.0 "
-                        "for huber)")
-    p.add_argument("--rho", type=float, default=1.0,
-                   help="center-anchoring weight (default: 1.0)")
-    p.add_argument("--alpha", type=float, default=0.0,
-                   help="elastic-net weight (default: 0.0)")
-    p.add_argument("--gamma", type=float, default=0.0,
-                   help="over-relaxation in (-1,1) (default: 0.0)")
-    p.add_argument("--variant", choices=solver.VARIANTS, default="base",
+                   help="huber knee; the other losses take none (default: "
+                        f"{LossSpec('huber').delta} for huber)")
+    p.add_argument("--rho", type=float, default=ProblemTemplate.rho,
+                   help="center-anchoring weight (default: %(default)s)")
+    p.add_argument("--alpha", type=float, default=ProblemTemplate.alpha,
+                   help="elastic-net weight (default: %(default)s)")
+    p.add_argument("--gamma", type=float, default=solver.SolverParams.gamma,
+                   help="over-relaxation in (-1,1) (default: %(default)s)")
+    p.add_argument("--variant", choices=solver.VARIANTS, default=solver.SolverParams.variant,
                    help="iteration variant; accelerated is the base iteration "
-                        "when delta is 0, as under the l1 loss (default: base)")
-    p.add_argument("--iters", type=int, default=2000,
-                   help="iteration budget (default: 2000)")
+                        "when delta is 0, as under the l1 loss (default: %(default)s)")
+    p.add_argument("--iters", type=int, default=solver.SolverParams.max_iter,
+                   help="iteration budget (default: %(default)s)")
 
 
 def _template_params(args) -> tuple[ProblemTemplate, solver.SolverParams]:

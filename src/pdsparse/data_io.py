@@ -62,6 +62,8 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("m", "d", "k", "s", "seed"):
+            _check_scalar(getattr(self, name), name, "an integer")
         if self.k < 2:
             raise ValueError(f"need at least 2 classes, got {self.k}")
         if self.m < self.k:

@@ -7,6 +7,7 @@ the dominant failure mode when sample, feature and class counts all vary.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,7 +44,8 @@ def check_matrix(a, name: str = "matrix") -> np.ndarray:
 
 _SCALAR_RULES = {"nonnegative": lambda v: v >= 0, "positive": lambda v: v > 0,
                  "nonnegative and finite": lambda v: 0 <= v < np.inf,
-                 "positive and finite": lambda v: 0 < v < np.inf}
+                 "positive and finite": lambda v: 0 < v < np.inf,
+                 "an integer": lambda v: isinstance(v, numbers.Integral)}
 
 
 def _check_scalar(value, name: str, rule: str):
@@ -130,11 +132,11 @@ def spectral_norm(A, *, _gram=None) -> OperatorNormEstimate:
 
     Returns an estimate that never exceeds the true largest singular value.
     A zero matrix, or one whose Gram matrix underflows to zero, yields value
-    0, flagged converged.
+    0, flagged converged; one whose Gram matrix overflows is refused.
     """
     # ``_features`` passes the Gram matrix of an A it has already validated,
     # so the estimate neither scans A again nor forms the product
-    G = _thin_gram(check_matrix(A, "A")) if _gram is None else _gram
+    G = _thin_gram(check_matrix(A, "A"), "A") if _gram is None else _gram
     if not G.any():
         return OperatorNormEstimate(0.0, 0, True)
     n = G.shape[0]
@@ -161,10 +163,14 @@ def spectral_norm(A, *, _gram=None) -> OperatorNormEstimate:
     return OperatorNormEstimate(float(np.sqrt(lam)), its, converged)
 
 
-def _thin_gram(A: np.ndarray) -> np.ndarray:
-    """B^T B on the thin side of A: B = A when m >= d, else A^T (so A A^T)."""
+def _thin_gram(A: np.ndarray, name: str) -> np.ndarray:
+    """B^T B on the thin side of A: B = A when m >= d, else A^T (so A A^T); finite."""
     B = A if A.shape[0] >= A.shape[1] else A.T
-    return B.T @ B
+    with np.errstate(all="ignore"):
+        G = B.T @ B
+    if not np.isfinite(G).all():
+        raise ValueError(f"the Gram matrix of {name} overflows; rescale {name}")
+    return G
 
 
 def sparse_rows_product(X: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -198,7 +204,7 @@ def label_operator_norm(Y) -> float:
 
 def _features(X: np.ndarray) -> Features:
     """Unscaled record of a checked X: one thin-side Gram matrix and ||X|| from it."""
-    G = _thin_gram(X)
+    G = _thin_gram(X, "X")
     return Features(X=X, scale=1.0, x_norm=spectral_norm(X, _gram=G),
                     gram=G if X.shape[1] > X.shape[0] else None)
 

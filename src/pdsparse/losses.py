@@ -49,7 +49,7 @@ class LossSpec:
             raise ValueError(f"unknown loss kind {self.kind!r}, expected one of {LOSS_KINDS}")
         if self.delta is None:
             object.__setattr__(self, "delta", 1.0 if self.kind == "huber" else 0.0)
-        _check_scalar(self.delta, "delta", "nonnegative")
+        _check_scalar(self.delta, "delta", "nonnegative and finite")
         if self.kind != "huber" and self.delta != 0.0:
             raise ValueError(f"delta is only meaningful for the huber loss, got {self.delta}")
 
@@ -75,7 +75,7 @@ def huber_value(t, delta: float):
     ``delta = 0`` gives |t| exactly.  Accepts scalars or arrays; scalar in,
     float out.
     """
-    _check_scalar(delta, "delta", "nonnegative")
+    _check_scalar(delta, "delta", "nonnegative and finite")
     arr = np.asarray(t, dtype=np.float64)
     a = np.abs(arr)
     if delta == 0.0:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -17,23 +17,46 @@ FEASIBILITY_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
-class Problem:
-    """Immutable training instance: data, one-hot labels, loss/ball, weights.
+class ProblemTemplate:
+    """Problem settings without data, for reuse across folds and sweeps.
 
     ``rho`` weighs the center-anchoring penalty (rho/2)||I - mu||_F^2 and
     ``alpha`` the optional elastic term (alpha/2)||W||_F^2, which the
-    solver minimises with a shrink on W before each projection.  ``X`` may
-    be given as a ``linalg.Features`` record; ``X`` then holds its matrix.
+    solver minimises with a shrink on W before each projection.
     """
 
-    X: np.ndarray
-    Y: np.ndarray
     loss: LossSpec
     ball: BallSpec
     rho: float = 1.0
     alpha: float = 0.0
 
     def __post_init__(self):
+        _check_scalar(self.rho, "rho", "nonnegative and finite")
+        _check_scalar(self.alpha, "alpha", "nonnegative and finite")
+
+    def bind(self, X, Y) -> Problem:
+        """Attach data to the template's settings."""
+        return Problem(X=X, Y=Y, **{f.name: getattr(self, f.name)
+                                    for f in fields(ProblemTemplate)})
+
+    def with_radius(self, radius: float) -> ProblemTemplate:
+        """Copy with a different constraint radius (a Problem's copy builds its own features)."""
+        return replace(self, ball=BallSpec(self.ball.kind, radius))
+
+
+@dataclass(frozen=True, kw_only=True)
+class Problem(ProblemTemplate):
+    """Immutable training instance: a template's settings with data and one-hot labels.
+
+    ``X`` may be given as a ``linalg.Features`` record; ``X`` then holds
+    its matrix.
+    """
+
+    X: np.ndarray
+    Y: np.ndarray
+
+    def __post_init__(self):
+        super().__post_init__()
         if isinstance(self.X, Features):
             object.__setattr__(self, "features", self.X)
             object.__setattr__(self, "X", self.X.X)
@@ -45,8 +68,6 @@ class Problem:
             raise ValueError("Y must have at least 2 classes")
         if not np.all((Y == 0.0) | (Y == 1.0)) or not np.all(Y.sum(axis=1) == 1.0):
             raise ValueError("Y must be one-hot: binary entries, one 1 per row")
-        _check_scalar(self.rho, "rho", "nonnegative")
-        _check_scalar(self.alpha, "alpha", "nonnegative")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
 
@@ -58,25 +79,6 @@ class Problem:
     def features(self) -> Features:
         """The record ``X`` was given as, or one built from ``X`` on first use."""
         return _features(self.X)
-
-
-@dataclass(frozen=True)
-class ProblemTemplate:
-    """Problem settings without data, for reuse across folds and sweeps."""
-
-    loss: LossSpec
-    ball: BallSpec
-    rho: float = 1.0
-    alpha: float = 0.0
-
-    def bind(self, X, Y) -> Problem:
-        """Attach data to the template."""
-        return Problem(X=X, Y=Y, loss=self.loss, ball=self.ball,
-                       rho=self.rho, alpha=self.alpha)
-
-    def with_radius(self, radius: float) -> "ProblemTemplate":
-        """Copy of the template with a different constraint radius."""
-        return replace(self, ball=BallSpec(self.ball.kind, radius))
 
 
 @dataclass(frozen=True)

@@ -20,37 +20,16 @@ rows, r <= m the rank of X: a plain fit of r x k weights B, with
 W = Q^T B, at O(m r k) per iteration instead of O(m d k); the Notes of
 ``solve`` say why it is the same.
 
-When at most one row in eight of the extrapolated W is nonzero, as on the
-l1 and l21 balls once they select features, X (2 W - W_old) is formed from
-those rows and the matching columns of X alone; the Notes of ``solve`` say
-why eight.  It agrees with the dense product to rounding, not bit for bit.
-
-On the l1 and l21 balls the W step works on candidate rows of
-G = (W + tau X^T Z) / (1 + tau alpha).  Row i's magnitude mag(G_i) (its
-largest entry on l1, its 2-norm on l21) is bounded without touching X, from
-the last full product C = X^T Z_ref:
-
-    mag(G_i) <= u_i = (mag(W_i) + tau (mag(C_i) + ||x_i|| Delta)) / (1 + tau alpha)
-
-by Cauchy-Schwarz, with x_i the i-th column of X and Delta = max_j
-||Z_j - Z_ref,j|| on l1 (columns Z_j) and ||Z - Z_ref||_F on l21.  With t a
-fixed fraction (SCREEN_FRACTION) of the previous iteration's threshold, a
-screened step's candidates S are the rows with u_i >= t and the nonzero
-rows of W, and it forms G_S from X[:, S] alone; a step that forms all of
-X^T Z takes the rows with mag(G_i) >= t and the nonzero rows of W.  If
-sum_S max(mag(G) - t, 0) >= r (over entries on l1, rows on l21), the ball's
-threshold theta, the root of sum max(mag(G) - theta, 0) = r over all of G,
-is at least t: every row outside S lies below it and projects to zero, and
-theta is the root over S alone.  So P_ball(G) is P_ball(G_S) scattered into
-zero rows, and the step, the coupling product, the divergence check and the
-ergodic sum work on that |S| x k block.  The Notes of ``solve`` give the
-rounding margins.
+On the l1 and l21 balls the W step forms X^T Z on candidate rows that a
+certificate shows hold the projection's whole support, and the coupling
+product X (2 W - W_old) reads only the nonzero rows of W when at most one
+in eight is nonzero.  Both agree with the dense iteration to rounding, not
+bit for bit; the Notes of ``solve`` give them.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import time
 from dataclasses import dataclass, field, replace
 
@@ -126,12 +105,7 @@ class SolverParams:
         if not -1.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must lie in (-1, 1), got {self.gamma}")
         for name in ("max_iter", "record_every"):
-            value = getattr(self, name)
-            try:
-                operator.index(value)
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value}") from None
-            if value < 1:
+            if (value := _check_scalar(getattr(self, name), name, "an integer")) < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
         for name in ("tau", "tau_mu", "sigma", "early_stop_tol"):
             if getattr(self, name) is not None:
@@ -199,7 +173,7 @@ def default_steps(X_norm: float, Y_norm: float, m: int, k: int,
     """
     _check_scalar(X_norm, "X_norm", "positive and finite")
     _check_scalar(Y_norm, "Y_norm", "positive and finite")
-    _check_scalar(rho, "rho", "nonnegative")
+    _check_scalar(rho, "rho", "nonnegative and finite")
     _check_scalar(eta, "eta", "positive and finite")
     tau = eta / (math.sqrt(m * k) * X_norm)
     den = 2.0 * math.sqrt(m) * Y_norm - 0.25 * rho
@@ -479,16 +453,32 @@ def solve(problem: Problem, params: SolverParams, callback=None
     2 threads).  The restricted product agrees with the dense one to
     rounding, not bit for bit.
 
-    On the l1 and l21 balls the W step is screened (module docstring).
-    Each full product C = X^T Z_ref is kept as Z_ref and its row magnitudes
-    mag(C_i), and the column norms ||x_i|| are formed once per fit.  While
-    the previous projection's threshold theta is positive, a step takes the
-    candidates S of t = SCREEN_FRACTION theta from the bounds u_i.  When
-    8 |S| <= d it forms G_S from X[:, S] (gathered again only when S
-    changes) and projects it if it certifies.  Otherwise it forms all of
-    X^T Z as the new reference and, while theta > 0, takes S from the exact
-    G and projects G_S if it certifies, all of G if not.  Either way it
-    projects once; ``history.full_gradients`` counts the full products
+    On the l1 and l21 balls the W step works on candidate rows of
+    G = (W + tau X^T Z) / (1 + tau alpha).  Row i's magnitude mag(G_i) (its
+    largest entry on l1, its 2-norm on l21) is bounded without touching X,
+    from the last full product C = X^T Z_ref:
+
+        mag(G_i) <= u_i = (mag(W_i) + tau (mag(C_i) + ||x_i|| Delta)) / (1 + tau alpha)
+
+    by Cauchy-Schwarz, with x_i the i-th column of X and Delta = max_j
+    ||Z_j - Z_ref,j|| on l1 (columns Z_j) and ||Z - Z_ref||_F on l21.  With
+    t = SCREEN_FRACTION theta, theta the previous projection's threshold, a
+    step's candidates S are the nonzero rows of W and the rows with
+    u_i >= t, or with mag(G_i) >= t once all of X^T Z is formed.  If
+    sum_S max(mag(G) - t, 0) >= r (over entries on l1, rows on l21), the
+    ball's threshold, the root lam of sum max(mag(G) - lam, 0) = r over all
+    of G, is at least t: every row outside S lies below it and projects to
+    zero, and lam is the root over S alone.  So P_ball(G) is
+    P_ball(G_S) scattered into zero rows.
+
+    Each full product C is kept with Z_ref and its row magnitudes mag(C_i),
+    and the column norms ||x_i|| are formed once per fit.  While theta is
+    positive, a step takes S from the bounds u_i.  When 8 |S| <= d it forms
+    G_S from X[:, S] (gathered again only when S changes) and projects it
+    if it certifies.  Otherwise it forms all of X^T Z as the new reference
+    and, while theta > 0, takes S from the exact G and projects G_S if it
+    certifies, all of G if not.  Either way it projects once;
+    ``history.full_gradients`` counts the full products
     (every step on the l12 and nuclear balls).  theta is read back off the
     projection as max(mag(G) - mag(P_ball(G))), which is the threshold on
     the terms it shrinks and at most it on the ones it zeroes.  S holds

@@ -522,6 +522,10 @@ INPUT_CHECKS = [
                  "cannot make 5 folds from 4 samples", id="folds-above-m"),
     pytest.param(lambda: eta_sweep(np.eye(4), [0, 1, 0, 1], [], TPL),
                  "need at least one radius", id="sweep-no-radius"),
+    # X is finite; only its Gram matrix overflows
+    pytest.param(lambda: train_model(1e160 * make_rng(34).standard_normal((6, 8)),
+                                     [0, 1, 0, 1, 0, 1], TPL),
+                 "the Gram matrix of X overflows; rescale X", id="train-gram-overflow"),
     pytest.param(lambda: toy_model(np.eye(2), np.eye(3)),
                  "mu has shape (3, 3), expected (2, 2)", id="model-mu-shape"),
     pytest.param(lambda: toy_model(np.eye(2), np.eye(2), radius=1.0),

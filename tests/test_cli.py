@@ -285,9 +285,9 @@ class TestTrainPredict:
         assert model_path.exists()
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--rho", "nan", "rho must be nonnegative, got nan"),
-        ("--alpha", "nan", "alpha must be nonnegative, got nan"),
-        ("--delta", "nan", "delta must be nonnegative, got nan"),
+        ("--rho", "nan", "rho must be nonnegative and finite, got nan"),
+        ("--alpha", "nan", "alpha must be nonnegative and finite, got nan"),
+        ("--delta", "nan", "delta must be nonnegative and finite, got nan"),
         ("--eta", "nan", "ball radius must be positive, got nan"),
         ("--eta", "inf", "eta must be positive and finite, got inf")],
         ids=["rho-nan", "alpha-nan", "delta-nan", "eta-nan", "eta-inf"])
@@ -297,6 +297,20 @@ class TestTrainPredict:
         assert main(["train", "--data", str(dataset_csv), "--model-out", str(model_path),
                      flag, value]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not model_path.exists()
+
+    @pytest.mark.parametrize("flag, settings", [
+        ("--rho", lambda v: ProblemTemplate(LossSpec("huber"), BallSpec("l1", 1.0), rho=v)),
+        ("--alpha", lambda v: ProblemTemplate(LossSpec("huber"), BallSpec("l1", 1.0), alpha=v)),
+        ("--delta", lambda v: LossSpec("huber", v))], ids=["rho", "alpha", "delta"])
+    def test_infinite_weight_refused_like_the_library(self, flag, settings, dataset_csv,
+                                                      tmp_path, capsys):
+        with pytest.raises(ValueError) as lib:
+            settings(float("inf"))
+        model_path = tmp_path / "m.bin"
+        assert main(["train", "--data", str(dataset_csv), "--model-out", str(model_path),
+                     flag, "inf"]) == 1
+        assert capsys.readouterr().err == f"error: {lib.value}\n"
         assert not model_path.exists()
 
     def test_delta_defaults_by_loss(self):

@@ -337,6 +337,16 @@ INPUT_CHECKS = [
                  "need at least 2 classes, got 1", id="spec-k"),
     pytest.param(lambda path: SyntheticSpec(m=4, d=10, k=2, s=0),
                  "need at least one informative feature, got s=0", id="spec-s"),
+    pytest.param(lambda path: SyntheticSpec(m=4.5, d=10, k=2, s=2),
+                 "m must be an integer, got 4.5", id="spec-m-fraction"),
+    pytest.param(lambda path: SyntheticSpec(m=4, d=10.5, k=2, s=2),
+                 "d must be an integer, got 10.5", id="spec-d-fraction"),
+    pytest.param(lambda path: SyntheticSpec(m=4, d=10, k=2.0, s=2),
+                 "k must be an integer, got 2.0", id="spec-k-float"),
+    pytest.param(lambda path: SyntheticSpec(m=4, d=10, k=2, s=np.nan),
+                 "s must be an integer, got nan", id="spec-s-nan"),
+    pytest.param(lambda path: SyntheticSpec(m=4, d=10, k=2, s=2, seed=1.5),
+                 "seed must be an integer, got 1.5", id="spec-seed-fraction"),
     pytest.param(lambda path: SyntheticSpec(m=4, d=10, k=2, s=2, separation=0.0),
                  "separation must be positive and finite, got 0.0", id="spec-separation"),
     pytest.param(lambda path: SyntheticSpec(m=4, d=10, k=2, s=2, separation=np.inf),

@@ -205,6 +205,13 @@ class TestCheckMatrix:
 INPUT_CHECKS = [
     pytest.param(lambda: one_hot([[0, 1]], 2),
                  "labels must be 1-D, got shape (1, 2)", id="one-hot-2d-labels"),
+    # finite entries whose squares overflow: the power loop would return NaN
+    pytest.param(lambda: spectral_norm(np.full((4, 3), 1e160)),
+                 "the Gram matrix of A overflows; rescale A", id="norm-gram-overflow-tall"),
+    pytest.param(lambda: spectral_norm(np.full((3, 5), 1e160)),
+                 "the Gram matrix of A overflows; rescale A", id="norm-gram-overflow-wide"),
+    pytest.param(lambda: normalize_features(np.full((3, 5), 1e160)),
+                 "the Gram matrix of X overflows; rescale X", id="normalize-gram-overflow"),
 ]
 
 

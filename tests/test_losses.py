@@ -198,11 +198,15 @@ class TestPrimalObjective:
 
 INPUT_CHECKS = [
     pytest.param(lambda: LossSpec("huber", -1.0),
-                 "delta must be nonnegative, got -1.0", id="loss-negative-delta"),
+                 "delta must be nonnegative and finite, got -1.0", id="loss-negative-delta"),
     pytest.param(lambda: LossSpec("huber", np.nan),
-                 "delta must be nonnegative, got nan", id="loss-nan-delta"),
+                 "delta must be nonnegative and finite, got nan", id="loss-nan-delta"),
+    pytest.param(lambda: LossSpec("huber", np.inf),
+                 "delta must be nonnegative and finite, got inf", id="loss-inf-delta"),
     pytest.param(lambda: huber_value(1.0, np.nan),
-                 "delta must be nonnegative, got nan", id="huber-nan-delta"),
+                 "delta must be nonnegative and finite, got nan", id="huber-nan-delta"),
+    pytest.param(lambda: huber_value(1.0, np.inf),
+                 "delta must be nonnegative and finite, got inf", id="huber-inf-delta"),
     pytest.param(lambda: dual_prox(np.zeros((2, 2)), np.nan, LossSpec("l1")),
                  "sigma must be positive, got nan", id="dual-prox-nan-sigma"),
 ]

@@ -859,6 +859,27 @@ class TestDualityGap:
         assert gaps[-1] < gaps[0]
 
 
+class TestProblemTemplate:
+    def test_bound_problem_is_a_template(self):
+        template = _template(rho=2.0, alpha=0.5)
+        problem = template.bind(np.ones((4, 3)), Y_2)
+        assert isinstance(problem, ProblemTemplate)
+        assert (problem.loss, problem.ball, problem.rho, problem.alpha) == \
+            (template.loss, template.ball, 2.0, 0.5)
+
+    def test_with_radius_of_a_problem_fits_like_the_template_bound(self):
+        prob = small_problem(seed=35)
+        template = ProblemTemplate(loss=prob.loss, ball=prob.ball, rho=prob.rho)
+        params = SolverParams(max_iter=60, record_every=20)
+        narrowed = prob.with_radius(0.5)
+        assert type(narrowed) is Problem and narrowed.ball == BallSpec("l1", 0.5)
+        direct, direct_hist = solve(narrowed, params)
+        bound, bound_hist = solve(template.with_radius(0.5).bind(prob.X, prob.Y), params)
+        assert direct.W.tobytes() == bound.W.tobytes()
+        assert direct.mu.tobytes() == bound.mu.tobytes()
+        assert direct_hist.ergodic_W.tobytes() == bound_hist.ergodic_W.tobytes()
+
+
 class TestNormEstimate:
     def test_history_keeps_the_estimate_solve_used(self):
         prob = small_problem(seed=28)
@@ -956,6 +977,10 @@ def _problem(Y, rows=4, radius=1.0, **weights):
                    ball=BallSpec("l1", radius), **weights)
 
 
+def _template(**weights):
+    return ProblemTemplate(loss=LossSpec("huber", 1.0), ball=BallSpec("l1", 1.0), **weights)
+
+
 Y_2 = one_hot([0, 1, 0, 1], 2)
 INPUT_CHECKS = [
     pytest.param(lambda: SolverParams(gamma=1.0),
@@ -981,9 +1006,11 @@ INPUT_CHECKS = [
     pytest.param(lambda: default_steps(math.nan, 1.0, 4, 2, 1.0, 1.0),
                  "X_norm must be positive and finite, got nan", id="steps-x-norm-nan"),
     pytest.param(lambda: default_steps(1.0, 1.0, 4, 2, math.nan, 1.0),
-                 "rho must be nonnegative, got nan", id="steps-rho-nan"),
+                 "rho must be nonnegative and finite, got nan", id="steps-rho-nan"),
     pytest.param(lambda: default_steps(1.0, 1.0, 4, 2, -1.0, 1.0),
-                 "rho must be nonnegative, got -1.0", id="steps-rho-negative"),
+                 "rho must be nonnegative and finite, got -1.0", id="steps-rho-negative"),
+    pytest.param(lambda: default_steps(1.0, 1.0, 4, 2, math.inf, 1.0),
+                 "rho must be nonnegative and finite, got inf", id="steps-rho-inf"),
     pytest.param(lambda: default_steps(1.0, 1.0, 4, 2, 1.0, 0.0),
                  "eta must be positive and finite, got 0.0", id="steps-eta"),
     pytest.param(lambda: default_steps(1.0, 1.0, 4, 2, 1.0, math.nan),
@@ -997,13 +1024,22 @@ INPUT_CHECKS = [
     pytest.param(lambda: _problem(np.ones((4, 2))),
                  "Y must be one-hot: binary entries, one 1 per row", id="problem-not-one-hot"),
     pytest.param(lambda: _problem(Y_2, rho=-1.0),
-                 "rho must be nonnegative, got -1.0", id="problem-rho"),
+                 "rho must be nonnegative and finite, got -1.0", id="problem-rho"),
     pytest.param(lambda: _problem(Y_2, alpha=-1.0),
-                 "alpha must be nonnegative, got -1.0", id="problem-alpha"),
+                 "alpha must be nonnegative and finite, got -1.0", id="problem-alpha"),
     pytest.param(lambda: _problem(Y_2, rho=math.nan),
-                 "rho must be nonnegative, got nan", id="problem-rho-nan"),
+                 "rho must be nonnegative and finite, got nan", id="problem-rho-nan"),
     pytest.param(lambda: _problem(Y_2, alpha=math.nan),
-                 "alpha must be nonnegative, got nan", id="problem-alpha-nan"),
+                 "alpha must be nonnegative and finite, got nan", id="problem-alpha-nan"),
+    pytest.param(lambda: _problem(Y_2, rho=math.inf),
+                 "rho must be nonnegative and finite, got inf", id="problem-rho-inf"),
+    pytest.param(lambda: _problem(Y_2, alpha=math.inf),
+                 "alpha must be nonnegative and finite, got inf", id="problem-alpha-inf"),
+    # a template is refused when it is made, before any fold is built
+    pytest.param(lambda: _template(rho=-1.0),
+                 "rho must be nonnegative and finite, got -1.0", id="template-rho"),
+    pytest.param(lambda: _template(alpha=math.nan),
+                 "alpha must be nonnegative and finite, got nan", id="template-alpha-nan"),
 ]
 
 
