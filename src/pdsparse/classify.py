@@ -52,24 +52,33 @@ class Signature:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Accuracy metrics on a labelled set.
+    """Confusion matrix on a labelled set; a class with no rows has NaN accuracy."""
 
-    ``per_class_accuracy[j]`` is NaN when class j has no test samples.
-    """
-
-    global_accuracy: float
-    per_class_accuracy: np.ndarray
     confusion: np.ndarray
-    n_selected_features: int
+
+    @property
+    def global_accuracy(self) -> float:
+        return float(np.trace(self.confusion) / self.confusion.sum())
+
+    @property
+    def per_class_accuracy(self) -> np.ndarray:
+        counts = self.confusion.sum(axis=1)
+        return np.where(counts > 0, np.diag(self.confusion) / np.maximum(counts, 1), np.nan)
 
 
 @dataclass(frozen=True)
 class CVResult:
-    """Per-fold reports plus their mean and standard deviation."""
+    """Per-fold reports; the mean and standard deviation are of their accuracies."""
 
     reports: tuple[EvalReport, ...]
-    mean_accuracy: float
-    std_accuracy: float
+
+    @property
+    def mean_accuracy(self) -> float:
+        return float(np.mean([r.global_accuracy for r in self.reports]))
+
+    @property
+    def std_accuracy(self) -> float:
+        return float(np.std([r.global_accuracy for r in self.reports]))
 
 
 @dataclass(frozen=True)
@@ -130,12 +139,12 @@ def signature(model: TrainedModel, epsilon: float | None = None) -> Signature:
 
 
 def evaluate(X_test, labels_test, model: TrainedModel) -> EvalReport:
-    """Confusion matrix and accuracies of the model on a labelled set.
+    """Confusion matrix of the model on a labelled set.
 
     Rows are scored by ``predict_rows`` (raw features; the model's scale is
     applied) and labels are class indices in ``[0, k)``, checked by
-    ``one_hot``.  The feature count is that of ``signature(model)`` at its
-    default threshold.
+    ``one_hot``.  The accuracies are read off the matrix; the selected
+    features are ``signature(model)``'s, not the report's.
     """
     preds = predict_rows(X_test, model)
     if preds.shape[0] == 0:
@@ -145,34 +154,23 @@ def evaluate(X_test, labels_test, model: TrainedModel) -> EvalReport:
     if Y.shape[0] != preds.shape[0]:
         raise ValueError("labels length does not match the number of rows")
     # row i of Y^T one_hot(preds) counts the class-i rows by predicted class
-    confusion = (Y.T @ one_hot(preds, k)).astype(np.int64)
-    counts = confusion.sum(axis=1)
-    per_class = np.where(counts > 0, np.diag(confusion) / np.maximum(counts, 1), np.nan)
-    return EvalReport(
-        global_accuracy=float(np.trace(confusion) / preds.shape[0]),
-        per_class_accuracy=per_class,
-        confusion=confusion,
-        n_selected_features=int(signature(model).union().size),
-    )
+    return EvalReport(confusion=(Y.T @ one_hot(preds, k)).astype(np.int64))
 
 
 def train_model(X, labels, template: ProblemTemplate,
-                params: SolverParams | None = None, n_classes: int | None = None,
+                params: SolverParams | None = None,
                 normalize: bool = True) -> tuple[TrainedModel, TrainingHistory]:
     """Normalize features, build the problem and run the solver.
 
     The problem is bound to ``normalize_features``' record (to X, at scale
     1.0, without ``normalize``): ``solve`` reads its norm estimate and Gram
     matrix, and the model it returns keeps its scale for scaling queries.
-    Without ``n_classes`` the class count is ``max(labels) + 1`` and every
-    class must have a sample; an explicit count may exceed the labels
-    present, as in a cross-validation fold that misses a small class.
+    Every class in ``0..max(labels)`` must have a sample; ``cross_validate``
+    binds its folds, which may miss a small class, itself.
     """
     labels = np.asarray(labels)
-    k = n_classes if n_classes is not None else int(labels.max()) + 1
-    Y = one_hot(labels, k)
-    if n_classes is None:
-        _require_every_class(Y.sum(axis=0))
+    Y = one_hot(labels, int(labels.max()) + 1)
+    _require_every_class(Y.sum(axis=0))
     problem = template.bind(normalize_features(X) if normalize else X, Y)
     return solve(problem, params if params is not None else SolverParams())
 
@@ -193,6 +191,7 @@ def stratified_folds(labels, folds: int, seed: int = 0) -> list[np.ndarray]:
     count land in distinct folds.
     """
     labels = np.asarray(labels)
+    _check_scalar(_check_scalar(seed, "seed", "an integer"), "seed", "nonnegative")
     if folds < 2:
         raise ValueError(f"need at least 2 folds, got {folds}")
     if folds > labels.shape[0]:
@@ -214,21 +213,21 @@ def stratified_folds(labels, folds: int, seed: int = 0) -> list[np.ndarray]:
 
 def cross_validate(X, labels, folds: int, template: ProblemTemplate,
                    params: SolverParams | None = None, seed: int = 0) -> CVResult:
-    """Stratified k-fold cross validation, one solver run per fold, in fold order."""
+    """Stratified k-fold cross validation, one solver run per fold, in fold order.
+
+    Each fold fits its normalized training rows on all k classes, even on one they miss.
+    """
     X = check_matrix(X, "X")
     labels = np.asarray(labels)
     k = int(labels.max()) + 1
-    all_idx = np.arange(labels.shape[0])
+    params = params if params is not None else SolverParams()
     reports = []
     for test_idx in stratified_folds(labels, folds, seed=seed):
-        train_idx = np.setdiff1d(all_idx, test_idx)
-        model, _ = train_model(X[train_idx], labels[train_idx], template,
-                               params=params, n_classes=k)
+        train_idx = np.setdiff1d(np.arange(labels.shape[0]), test_idx)
+        model, _ = solve(template.bind(normalize_features(X[train_idx]),
+                                       one_hot(labels[train_idx], k)), params)
         reports.append(evaluate(X[test_idx], labels[test_idx], model))
-    accs = np.array([r.global_accuracy for r in reports])
-    return CVResult(reports=tuple(reports),
-                    mean_accuracy=float(accs.mean()),
-                    std_accuracy=float(accs.std()))
+    return CVResult(reports=tuple(reports))
 
 
 def eta_sweep(X, labels, etas, template: ProblemTemplate,

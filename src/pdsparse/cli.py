@@ -102,7 +102,7 @@ def cmd_train(args) -> int:
         f" (operator-norm estimate unconverged after {est.iterations} iterations)"
     print(f"step-condition slack: {history.step_slack:.6g}{unconverged}")
     print(f"training accuracy: {report.global_accuracy:.4f} "
-          f"({report.n_selected_features} features selected)")
+          f"({classify.signature(model).union().size} features selected)")
     print(f"model written to {args.model_out}")
     return 0
 

@@ -64,6 +64,7 @@ class SyntheticSpec:
     def __post_init__(self):
         for name in ("m", "d", "k", "s", "seed"):
             _check_scalar(getattr(self, name), name, "an integer")
+        _check_scalar(self.seed, "seed", "nonnegative")
         if self.k < 2:
             raise ValueError(f"need at least 2 classes, got {self.k}")
         if self.m < self.k:

@@ -6,11 +6,12 @@ Writes one line per callable named in the ``__all__`` of a ``pdsparse``
 module (dataclasses included, by their generated ``__init__``) to
 ``tests/data/parameters.txt`` (or ``FILE``): ``module.name`` followed by
 its ``inspect.signature`` without annotations, so names, kinds and defaults
-show.  A class that takes the arguments of a built-in base has no signature
-and is listed by name alone.  ``TestParameterSnapshot`` passes only when the
-listing is identical to the recorded file; re-record after adding, dropping,
-renaming or re-defaulting a parameter or field, and check the diff.  The
-CLI's flags are pinned by the help snapshots instead.
+show, and reports on standard error how many signatures and parameters it
+wrote.  A class that takes the arguments of a built-in base has no
+signature and is listed by name alone.  ``TestParameterSnapshot`` passes
+only when the listing is identical to the recorded file; re-record after
+adding, dropping, renaming or re-defaulting a parameter or field, and check
+the diff.  The CLI's flags are pinned by the help snapshots instead.
 """
 
 from __future__ import annotations
@@ -32,9 +33,12 @@ def _unannotated(sig: inspect.Signature) -> inspect.Signature:
     return sig.replace(parameters=params, return_annotation=inspect.Signature.empty)
 
 
-def parameter_lines() -> list[str]:
-    """``module.name(signature)`` for every public callable, modules in name order."""
-    lines = []
+def public_signatures() -> list[tuple[str, inspect.Signature | None]]:
+    """``(module.name, signature)`` for every public callable, modules in name order.
+
+    The signature is unannotated, and None for a class without one.
+    """
+    signatures = []
     for info in sorted(pkgutil.iter_modules(pdsparse.__path__), key=lambda i: i.name):
         module = importlib.import_module(f"pdsparse.{info.name}")
         for name in getattr(module, "__all__", ()):
@@ -42,11 +46,16 @@ def parameter_lines() -> list[str]:
             if not callable(obj):
                 continue
             try:
-                sig = str(_unannotated(inspect.signature(obj)))
+                sig = _unannotated(inspect.signature(obj))
             except ValueError:
-                sig = ""
-            lines.append(f"{info.name}.{name}{sig}")
-    return lines
+                sig = None
+            signatures.append((f"{info.name}.{name}", sig))
+    return signatures
+
+
+def parameter_lines() -> list[str]:
+    """``module.name(signature)`` for every public callable, modules in name order."""
+    return [f"{name}{'' if sig is None else sig}" for name, sig in public_signatures()]
 
 
 def main(argv=None) -> int:
@@ -55,9 +64,11 @@ def main(argv=None) -> int:
                         help="output file (default: tests/data/parameters.txt)")
     args = parser.parse_args(argv)
     lines = parameter_lines()
+    n_parameters = sum(len(sig.parameters) for _, sig in public_signatures() if sig is not None)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text("\n".join(lines) + "\n")
-    print(f"wrote {len(lines)} signatures to {args.out}", file=sys.stderr)
+    print(f"wrote {len(lines)} signatures with {n_parameters} parameters to {args.out}",
+          file=sys.stderr)
     return 0
 
 

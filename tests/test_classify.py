@@ -6,6 +6,8 @@ import pytest
 
 from pdsparse import classify, linalg, model as model_module, solver
 from pdsparse.classify import (
+    CVResult,
+    Signature,
     cross_validate,
     detect_knee,
     eta_sweep,
@@ -111,6 +113,10 @@ class TestSignature:
         sig = signature(toy_model(W, np.eye(2)))
         assert np.array_equal(sig.union(), [0, 1])
 
+    def test_empty_selection_has_empty_union(self):
+        union = Signature(selected=()).union()
+        assert union.dtype == np.int64 and union.shape == (0,)
+
 
 class TestEvaluate:
     def test_constant_predictor_on_balanced_two_classes(self):
@@ -164,6 +170,57 @@ class TestEvaluate:
         model = toy_model(np.eye(2), np.eye(2), scale=2.0)
         rep = evaluate(np.array([[2.0, 0.0], [0.0, 2.0]]), [0, 1], model)
         assert rep.global_accuracy == 1.0
+
+    def test_integral_float_labels_score_like_int_labels(self):
+        rng = make_rng(41)
+        model = toy_model(rng.standard_normal((4, 3)), rng.standard_normal((3, 3)))
+        X, labels = rng.standard_normal((30, 4)), rng.integers(0, 3, 30)
+        as_int = evaluate(X, labels, model).confusion
+        as_float = evaluate(X, labels.astype(float), model).confusion
+        assert as_float.dtype == np.int64 and np.array_equal(as_float, as_int)
+
+    def test_never_reads_the_signature(self, monkeypatch):
+        def spy(*args, **kwargs):
+            raise AssertionError("evaluate called signature")
+        monkeypatch.setattr(classify, "signature", spy)
+        assert evaluate(np.eye(2), [0, 1], toy_model(np.eye(2), np.eye(2))).global_accuracy == 1.0
+
+
+def scored_reports():
+    """Five reports of one toy model: four interleaved slices, then the class-0/1 rows alone."""
+    rng = make_rng(40)
+    model = toy_model(rng.standard_normal((5, 3)), rng.standard_normal((3, 3)))
+    X, labels = rng.standard_normal((37, 5)), rng.integers(0, 3, 37)
+    two = labels < 2
+    return ([evaluate(X[i::4], labels[i::4], model) for i in range(4)]
+            + [evaluate(X[two], labels[two], model)])
+
+
+class TestAccuracyBits:
+    """The accuracies read off a report keep the bits they had as stored fields.
+
+    The constants were recorded when ``evaluate`` stored the global and
+    per-class accuracies it computed and ``cross_validate`` stored the mean
+    and standard deviation of its folds' accuracies.
+    """
+
+    REPORTS = [
+        ("0x1.3333333333333p-2", "555555555555e53f000000000000e03f0000000000000000"),
+        ("0x1.c71c71c71c71cp-4", "000000000000000000000000000000009a9999999999c93f"),
+        ("0x1.5555555555555p-1", "555555555555e53f000000000000e03f000000000000f03f"),
+        ("0x1.c71c71c71c71cp-3", "000000000000d03f555555555555d53f0000000000000000"),
+        ("0x1.aaaaaaaaaaaabp-2", "dedddddddddddd3f555555555555d53f000000000000f87f"),
+    ]
+
+    def test_report_accuracies(self):
+        bits = [(r.global_accuracy.hex(), r.per_class_accuracy.tobytes().hex())
+                for r in scored_reports()]
+        assert bits == self.REPORTS
+
+    def test_cv_mean_and_std(self):
+        cv = CVResult(reports=tuple(scored_reports()))
+        assert (cv.mean_accuracy.hex(), cv.std_accuracy.hex()) == (
+            "0x1.5f92c5f92c5f9p-2", "0x1.8501c24eac58bp-3")
 
 
 PAPER_SHAPE = SyntheticSpec(m=200, d=1000, k=4, s=20, separation=2.0,
@@ -275,6 +332,24 @@ class TestCrossValidate:
         for rep in res.reports:
             assert rep.confusion.sum() == 1
 
+    def test_fold_missing_a_class_still_fits_every_class(self, monkeypatch):
+        spec = SyntheticSpec(m=30, d=12, k=3, s=3, separation=2.0, noise_sd=0.1,
+                             dropout_rate=0.0, seed=3)
+        ds = generate_synthetic(spec)
+        # one class-2 sample: the fold that tests it trains without class 2
+        keep = np.sort(np.r_[np.nonzero(ds.labels < 2)[0], np.nonzero(ds.labels == 2)[0][:1]])
+        class_counts = []
+
+        def spy(problem, params):
+            class_counts.append(problem.Y.sum(axis=0))
+            return solve(problem, params)
+        monkeypatch.setattr(classify, "solve", spy)
+        res = cross_validate(ds.X[keep], ds.labels[keep], 3, TPL, params=FAST, seed=0)
+        assert [c.shape for c in class_counts] == [(3,)] * 3
+        assert sorted(int(c[2]) for c in class_counts) == [0, 1, 1]
+        assert all(r.confusion.shape == (3, 3) for r in res.reports)
+        assert sorted(int(r.confusion[2].sum()) for r in res.reports) == [0, 0, 1]
+
     def test_mean_and_std_consistent_with_reports(self):
         ds = generate_synthetic(SEPARABLE)
         res = cross_validate(ds.X, ds.labels, 4, TPL, params=FAST, seed=1)
@@ -357,11 +432,6 @@ class TestTrainModel:
         X = make_rng(21).standard_normal((6, 4))
         with pytest.raises(ValueError, match="class 2 has no samples"):
             train_model(X, [0, 1, 5, 0, 1, 5], TPL, params=FAST)
-
-    def test_explicit_class_count_may_exceed_labels_present(self):
-        ds = generate_synthetic(SEPARABLE)
-        model, _ = train_model(ds.X, ds.labels, TPL, params=FAST, n_classes=3)
-        assert model.n_classes == 3
 
 
 def stalled_matrix():
@@ -520,6 +590,14 @@ INPUT_CHECKS = [
                  "need at least 2 folds, got 1", id="folds-below-2"),
     pytest.param(lambda: stratified_folds([0, 1, 0, 1], 5),
                  "cannot make 5 folds from 4 samples", id="folds-above-m"),
+    pytest.param(lambda: stratified_folds([0, 1, 0, 1], 2, seed=-1),
+                 "seed must be nonnegative, got -1", id="folds-seed-negative"),
+    pytest.param(lambda: stratified_folds([0, 1, 0, 1], 2, seed=1.5),
+                 "seed must be an integer, got 1.5", id="folds-seed-fraction"),
+    pytest.param(lambda: cross_validate(np.eye(4), [0, 1, 0, 1], 2, TPL, seed=-1),
+                 "seed must be nonnegative, got -1", id="cv-seed-negative"),
+    pytest.param(lambda: eta_sweep(np.eye(4), [0, 1, 0, 1], [1.0], TPL, folds=2, seed=-1),
+                 "seed must be nonnegative, got -1", id="sweep-seed-negative"),
     pytest.param(lambda: eta_sweep(np.eye(4), [0, 1, 0, 1], [], TPL),
                  "need at least one radius", id="sweep-no-radius"),
     # X is finite; only its Gram matrix overflows

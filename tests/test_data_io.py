@@ -281,7 +281,7 @@ def _crafted_model(path, d, k):
 
 
 def _points(k=2):
-    cv = CVResult(reports=(), mean_accuracy=0.5, std_accuracy=0.0)
+    cv = CVResult(reports=())
     return [
         SweepPoint(eta=0.5, n_features=3, accuracy=0.75,
                    per_class_accuracy=np.array([0.5, 1.0]), cv=cv,
@@ -347,6 +347,8 @@ INPUT_CHECKS = [
                  "s must be an integer, got nan", id="spec-s-nan"),
     pytest.param(lambda path: SyntheticSpec(m=4, d=10, k=2, s=2, seed=1.5),
                  "seed must be an integer, got 1.5", id="spec-seed-fraction"),
+    pytest.param(lambda path: SyntheticSpec(m=4, d=10, k=2, s=2, seed=-1),
+                 "seed must be nonnegative, got -1", id="spec-seed-negative"),
     pytest.param(lambda path: SyntheticSpec(m=4, d=10, k=2, s=2, separation=0.0),
                  "separation must be positive and finite, got 0.0", id="spec-separation"),
     pytest.param(lambda path: SyntheticSpec(m=4, d=10, k=2, s=2, separation=np.inf),
