@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import classify, data_io, projections, solver
+from .linalg import _check_scalar
 from .losses import LOSS_KINDS, LossSpec
 from .model import ProblemTemplate
 from .projections import (BALL_KINDS, BallSpec, ball_norm, proj_l1_matrix, proj_l12,
@@ -57,6 +58,18 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    help="iteration budget (default: %(default)s)")
 
 
+def _list_flag(text: str, flag: str, kind) -> list:
+    """The comma-separated values of ``flag``; refuses a bad token or an empty list."""
+    try:
+        values = [kind(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        values = []
+    if not values:
+        raise ValueError(f"{flag} must be a comma-separated list of {kind.__name__} values, "
+                         f"got {text!r}")
+    return values
+
+
 def _template_params(args) -> tuple[ProblemTemplate, solver.SolverParams]:
     template = ProblemTemplate(loss=LossSpec(args.loss, args.delta),
                                ball=BallSpec(args.ball, args.eta),
@@ -87,7 +100,14 @@ def cmd_train(args) -> int:
     model = replace(model, class_names=tuple(dataset.label_names))
     data_io.save_model(args.model_out, model)
     if args.history_out:
-        _write_history_csv(args.history_out, history)
+        data_io._write_csv(args.history_out, [
+            ["iteration", "total", "data_term", "center_penalty", "elastic_term",
+             "constraint_violation", "ergodic_total", "gap", "wall_time_s"],
+            *([str(r.iteration), *(f"{v:.9g}" for v in (
+                r.objective.total, r.objective.data_term, r.objective.center_penalty,
+                r.objective.elastic_term, r.objective.constraint_violation,
+                r.ergodic_objective.total, r.gap)), f"{r.wall_time:.6f}"]
+              for r in history.records)])
     report = classify.evaluate(dataset.X, dataset.labels, model)
     final = history.records[-1]
     print(f"final objective: {final.objective.total:.6g} "
@@ -107,18 +127,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _write_history_csv(path, history) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("iteration,total,data_term,center_penalty,elastic_term,"
-                 "constraint_violation,ergodic_total,gap,wall_time_s\n")
-        for r in history.records:
-            o = r.objective
-            fh.write(f"{r.iteration},{o.total:.9g},{o.data_term:.9g},"
-                     f"{o.center_penalty:.9g},{o.elastic_term:.9g},"
-                     f"{o.constraint_violation:.9g},{r.ergodic_objective.total:.9g},"
-                     f"{r.gap:.9g},{r.wall_time:.6f}\n")
-
-
 def cmd_predict(args) -> int:
     model = data_io.load_model(args.model)
     dataset = _load_dataset(args, require_label=False)
@@ -129,10 +137,8 @@ def cmd_predict(args) -> int:
                          f"(classes: {', '.join(model.class_names)})")
     preds = np.array(model.class_names)[classify.predict_rows(dataset.X, model)]
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write("index,predicted_class\n")
-            for i, p in enumerate(preds):
-                fh.write(f"{i},{p}\n")
+        data_io._write_csv(args.output, [["index", "predicted_class"],
+                                         *([str(i), p] for i, p in enumerate(preds))])
         print(f"predictions written to {args.output}")
     if dataset.labels is not None:
         acc = float((preds == np.array(dataset.label_names)[dataset.labels]).mean())
@@ -152,9 +158,9 @@ def cmd_cv(args) -> int:
 
 
 def cmd_sweep_eta(args) -> int:
+    etas = _list_flag(args.etas, "--etas", float)
     dataset = _load_dataset(args)
     template, params = _template_params(args)
-    etas = [float(tok) for tok in args.etas.split(",") if tok]
     result = classify.eta_sweep(dataset.X, dataset.labels, etas, template,
                                 params=params, folds=args.folds, seed=args.seed)
     for p in result.points:
@@ -192,11 +198,13 @@ def _bench_one(fn, V, radius, reps: int) -> float:
 
 
 def cmd_bench_proj(args) -> int:
-    dims = [int(tok) for tok in args.dims.split(",") if tok]
-    ks = [int(tok) for tok in args.k.split(",") if tok]
+    dims, ks = _list_flag(args.dims, "--dims", int), _list_flag(args.k, "--k", int)
+    for flag, values in (("--reps", [args.reps]), ("--dims", dims), ("--k", ks)):
+        for value in values:
+            _check_scalar(value, flag, "positive")
     fns = [("l1", proj_l1_matrix), ("l21", proj_l21),
            ("nuclear", proj_nuclear), ("l12", proj_l12)]
-    rows = []
+    rows = [["projection", "d", "k", "median_ms"]]
     for d in dims:
         for k in ks:
             rng = np.random.Generator(np.random.Philox(args.seed + d * 131 + k))
@@ -204,12 +212,9 @@ def cmd_bench_proj(args) -> int:
             for name, fn in fns:
                 radius = 0.5 * ball_norm(V, name)
                 ms = _bench_one(fn, V, radius, args.reps)
-                rows.append((name, d, k, ms))
+                rows.append([name, str(d), str(k), f"{ms:.6f}"])
                 print(f"{name:8s} d={d:<6d} k={k:<5d} median {ms:.3f} ms")
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("projection,d,k,median_ms\n")
-        for name, d, k, ms in rows:
-            fh.write(f"{name},{d},{k},{ms:.6f}\n")
+    data_io._write_csv(args.out, rows)
     print(f"timings written to {args.out}")
     return 0
 

@@ -6,6 +6,12 @@ everything else is noise, and a dropout step zeroes entries at random.
 Disjoint blocks give a ground-truth signature that recovery tests can
 score against.
 
+Every table, here and in the CLI, is read by ``_read_csv`` and written by
+``_write_csv`` in one dialect: comma-separated or a given ``delimiter``, LF
+line ends, cells quoted when needed.  Blank lines are skipped, rows are
+numbered by file line, and a cell that is not a finite number is refused
+with its row and column (header name, or 1-based index in a headerless matrix).
+
 Model files are a small self-describing binary container (magic bytes,
 version, shapes, little-endian float64 payload, then the class names as an
 ASCII JSON list) so that weights round-trip bit-exactly; CSV would not.
@@ -14,6 +20,7 @@ ASCII JSON list) so that weights round-trip bit-exactly; CSV would not.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import struct
@@ -117,6 +124,46 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     return Dataset(X=X, labels=labels)
 
 
+def _read_csv(path, delimiter: str = ",") -> list[tuple[int, list[str]]]:
+    """The (file line, cells) of each non-blank row, all as wide as the first."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        rows = [(reader.line_num, cells) for cells in reader if cells]
+    if not rows:
+        raise ValueError(f"{path}: empty file")
+    width = len(rows[0][1])
+    for line, cells in rows:
+        if len(cells) != width:
+            raise ValueError(f"{path}: row {line} has {len(cells)} fields, expected {width}")
+    return rows
+
+
+def _parse_matrix(path, rows, columns: dict) -> np.ndarray:
+    """The finite floats of each (line, cells) row at the cells ``columns`` maps to names."""
+    out = np.empty((len(rows), len(columns)))
+    for r, (line, cells) in enumerate(rows):
+        for j, (c, name) in enumerate(columns.items()):
+            try:
+                out[r, j] = val = float(cells[c])
+            except ValueError:
+                raise ValueError(f"{path}: non-numeric value {cells[c]!r} at row {line}, "
+                                 f"column {name}") from None
+            if not math.isfinite(val):
+                raise ValueError(f"{path}: non-finite value {cells[c]!r} at row {line}, "
+                                 f"column {name}")
+    return out
+
+
+def _write_csv(path, rows, delimiter: str = ",") -> None:
+    """Write the rows of cells, a header first if any, in the module's dialect."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        minimal = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+        # csv quotes a CR only when the line terminator holds one
+        quoted = csv.writer(fh, delimiter=delimiter, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        for row in rows:
+            (quoted if "\r" in "".join(map(str, row)) else minimal).writerow(row)
+
+
 def load_csv(path, label_column: str = "label", delimiter: str = ",",
              require_label: bool = True) -> Dataset:
     """Load a dataset from a delimited text file.
@@ -128,49 +175,20 @@ def load_csv(path, label_column: str = "label", delimiter: str = ",",
     A header without ``label_column`` is refused unless ``require_label``
     is False, which loads every column as a feature and leaves the labels None.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        rows = list(reader)
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-    header = rows[0]
-    if label_column in header:
-        label_idx = header.index(label_column)
-    elif require_label:
+    (_, header), *data = _read_csv(path, delimiter)
+    label_idx = header.index(label_column) if label_column in header else None
+    if label_idx is None and require_label:
         raise ValueError(f"{path}: label column {label_column!r} not found in header")
-    else:
-        label_idx = None
-    feature_names = [h for i, h in enumerate(header) if i != label_idx]
-    data_rows = rows[1:]
-    if not data_rows:
+    if not data:
         raise ValueError(f"{path}: no data rows")
-
-    X = np.empty((len(data_rows), len(feature_names)))
-    label_codes: dict[str, int] = {}  # name -> code, in order of first appearance
-    labels = np.empty(len(data_rows), dtype=np.int64)
-    for r, row in enumerate(data_rows):
-        if len(row) != len(header):
-            raise ValueError(
-                f"{path}: row {r + 2} has {len(row)} fields, expected {len(header)}")
-        c_out = 0
-        for c, tok in enumerate(row):
-            if c == label_idx:
-                labels[r] = label_codes.setdefault(tok, len(label_codes))
-                continue
-            try:
-                val = float(tok)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: non-numeric value {tok!r} at row {r + 2}, "
-                    f"column {header[c]!r}") from None
-            if not math.isfinite(val):
-                raise ValueError(
-                    f"{path}: non-finite value {tok!r} at row {r + 2}, "
-                    f"column {header[c]!r}")
-            X[r, c_out] = val
-            c_out += 1
+    columns = {c: repr(h) for c, h in enumerate(header) if c != label_idx}
+    X = _parse_matrix(path, data, columns)
+    feature_names = [header[c] for c in columns]
     if label_idx is None:
         return Dataset(X=X, labels=None, feature_names=feature_names)
+    label_codes: dict[str, int] = {}  # name -> code, in order of first appearance
+    labels = np.array([label_codes.setdefault(cells[label_idx], len(label_codes))
+                       for _, cells in data], dtype=np.int64)
     return Dataset(X=X, labels=labels, feature_names=feature_names,
                    label_names=list(label_codes))
 
@@ -185,16 +203,12 @@ def write_dataset_csv(path, dataset: Dataset, delimiter: str = ",") -> None:
     names = dataset.feature_names or [f"f{i}" for i in range(X.shape[1])]
     if len(names) != X.shape[1]:
         raise ValueError("feature_names length does not match the matrix")
-    labels = dataset.labels
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=delimiter)
-        writer.writerow(names if labels is None else [*names, "label"])
-        for i in range(X.shape[0]):
-            row = [repr(float(v)) for v in X[i]]
-            if labels is not None:
-                lab = int(labels[i])
-                row.append(dataset.label_names[lab] if dataset.label_names else str(lab))
-            writer.writerow(row)
+    rows = ([repr(float(v)) for v in x] for x in X)
+    if dataset.labels is not None:
+        names, tags = [*names, "label"], dataset.label_names
+        rows = ([*row, tags[lab] if tags else str(lab)]
+                for row, lab in zip(rows, map(int, dataset.labels)))
+    _write_csv(path, itertools.chain([names], rows), delimiter)
 
 
 def save_model(path, model: TrainedModel) -> None:
@@ -259,38 +273,16 @@ def write_curve_csv(path, points, n_classes: int) -> None:
     """
     header = ["eta", "n_features", "accuracy"] + \
         [f"acc_class_{j}" for j in range(n_classes)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for p in points:
-            cells = [f"{p.eta:.9g}", str(int(p.n_features)), f"{p.accuracy:.9g}"]
-            cells += [f"{v:.9g}" for v in p.per_class_accuracy]
-            fh.write(",".join(cells) + "\n")
+    _write_csv(path, [header, *([f"{p.eta:.9g}", str(int(p.n_features)), f"{p.accuracy:.9g}",
+                                 *(f"{v:.9g}" for v in p.per_class_accuracy)] for p in points)])
 
 
 def load_matrix_csv(path) -> np.ndarray:
     """Load a headerless numeric matrix from comma-separated text."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh) if r]
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-    width = len(rows[0])
-    out = np.empty((len(rows), width))
-    for r, row in enumerate(rows):
-        if len(row) != width:
-            raise ValueError(f"{path}: row {r + 1} has {len(row)} fields, expected {width}")
-        for c, tok in enumerate(row):
-            try:
-                out[r, c] = float(tok)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: non-numeric value {tok!r} at row {r + 1}, column {c + 1}"
-                ) from None
-    return check_matrix(out, path if isinstance(path, str) else "matrix")
+    rows = _read_csv(path)
+    return _parse_matrix(path, rows, {c: c + 1 for c in range(len(rows[0][1]))})
 
 
 def save_matrix_csv(path, M) -> None:
     """Write a matrix as headerless comma-separated text with exact floats."""
-    M = check_matrix(M, "M")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        for row in M:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    _write_csv(path, ([repr(float(v)) for v in row] for row in check_matrix(M, "M")))

@@ -27,6 +27,8 @@ POWER_MAX_ITER = 1000
 POWER_SEED = 0
 # entries per finiteness test in ``check_matrix``: a 64 KB mask, not one of n x d
 FINITE_BLOCK = 65536
+# a product reads the rows it needs when at most one in GATHER_RATIO is needed
+GATHER_RATIO = 8
 
 
 def check_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -184,10 +186,10 @@ def sparse_rows_product(X: np.ndarray, A: np.ndarray) -> np.ndarray:
     bit; the Notes of ``solver.solve`` say why eight.
     """
     d, k = A.shape
-    if 8 * np.count_nonzero(A) > k * d:
+    if GATHER_RATIO * np.count_nonzero(A) > k * d:
         return X @ A
     rows = np.flatnonzero(np.logical_or.reduce(A.T != 0, axis=0))
-    if 8 * rows.size > d:
+    if GATHER_RATIO * rows.size > d:
         return X @ A
     return X[:, rows] @ A[rows]
 

@@ -37,7 +37,7 @@ import numpy as np
 
 # spectral_norm is unused here: perfbench's tracer patches it at this name too
 from .linalg import OperatorNormEstimate, label_operator_norm, spectral_norm  # noqa: F401
-from .linalg import _check_scalar, sparse_rows_product as _forward
+from .linalg import GATHER_RATIO, _check_scalar, sparse_rows_product as _forward
 from .losses import ObjectiveBreakdown, dual_prox, primal_objective
 from .model import Problem, TrainedModel
 from .projections import dual_norm, project_ball
@@ -339,7 +339,7 @@ class _PrimalStep:
         bound += self.ref_magnitudes
         shrink = 1.0 + tau * alpha
         rows = self._candidates(bound, W, shrink, tau)
-        if 8 * rows.size > d:
+        if GATHER_RATIO * rows.size > d:
             return None
         G = _shift(_gradient(self._columns(rows), Z), W[rows], tau, alpha)
         x_max = float(self.col_norms[rows].max(initial=0.0))
@@ -349,7 +349,7 @@ class _PrimalStep:
     def forward(self, W, W_old, theta) -> np.ndarray:
         """X W_ext, over the kept X[:, rows] after a certified step on at most d / 8 rows."""
         rows = self.rows
-        if rows is None or 8 * rows.size > self.X.shape[1]:
+        if rows is None or GATHER_RATIO * rows.size > self.X.shape[1]:
             return _forward(self.X, _extrapolate(W, W_old, theta))
         return self._columns(rows) @ _extrapolate(W[rows], W_old[rows], theta)
 
@@ -445,13 +445,13 @@ def solve(problem: Problem, params: SolverParams, callback=None
     from W_ext itself, and an iterate with more than k d / 8 nonzero
     entries takes the dense product without building the row mask.  Each
     record forms X W of its iterate and of the ergodic average by the same
-    rule.  Eight because gathering columns of the row-major X reads one
-    64-byte line per 8-byte entry, so at that density the gather touches as
-    many lines as the dense product streams, with X in cache; cold, at
-    200 x 20000 and k = 4, gathering 1250 columns took 5.1 ms and 2500 took
-    8.3 ms, against 3.5 ms for the dense product (2-vCPU host, OpenBLAS on
-    2 threads).  The restricted product agrees with the dense one to
-    rounding, not bit for bit.
+    rule.  Eight (``linalg.GATHER_RATIO``) because gathering columns of the
+    row-major X reads one 64-byte line per 8-byte entry, so at that density
+    the gather touches as many lines as the dense product streams, with X
+    in cache; cold, at 200 x 20000 and k = 4, gathering 1250 columns took
+    5.1 ms and 2500 took 8.3 ms, against 3.5 ms for the dense product
+    (2-vCPU host, OpenBLAS on 2 threads).  The restricted product agrees
+    with the dense one to rounding, not bit for bit.
 
     On the l1 and l21 balls the W step works on candidate rows of
     G = (W + tau X^T Z) / (1 + tau alpha).  Row i's magnitude mag(G_i) (its

@@ -1,5 +1,8 @@
 import argparse
+import ast
+import csv
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,6 +137,27 @@ class TestTrainPredict:
         assert "accuracy: 1.0000 on 58 samples" in capsys.readouterr().out
         assert preds_path.read_text() == "index,predicted_class\n" + "".join(
             f"{i},{names[c]}\n" for i, c in enumerate(ds.labels[2:]))
+
+    def test_predictions_quote_class_names(self, tmp_path, capsys):
+        ds = data_io.generate_synthetic(data_io.SyntheticSpec(
+            m=30, d=9, k=3, s=3, separation=3.0, noise_sd=0.1, dropout_rate=0.0, seed=5))
+        names = ["a,b", 'say "hi"', "c"]
+        train_csv, model_path, preds_path = (tmp_path / "t.csv", tmp_path / "m.bin",
+                                             tmp_path / "p.csv")
+        data_io.write_dataset_csv(train_csv, data_io.Dataset(X=ds.X, labels=ds.labels,
+                                                             label_names=names))
+        assert main(["train", "--data", str(train_csv), "--model-out", str(model_path),
+                     "--eta", "10", "--iters", "300"]) == 0
+        assert main(["predict", "--model", str(model_path), "--data", str(train_csv),
+                     "--output", str(preds_path)]) == 0
+        capsys.readouterr()
+        model = data_io.load_model(model_path)
+        assert model.class_names == tuple(names)
+        with open(preds_path, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["index", "predicted_class"]
+        expect = np.array(model.class_names)[classify.predict_rows(ds.X, model)]
+        assert rows == [[str(i), p] for i, p in enumerate(expect)]
 
     def test_predict_refuses_unknown_label(self, dataset_csv, tmp_path, capsys):
         model_path, preds_path = tmp_path / "m.bin", tmp_path / "p.csv"
@@ -530,6 +554,41 @@ class TestDelimiter:
                    "--delimiter", ";"])
         assert rc == 0
         capsys.readouterr()
+
+
+class TestListAndCountFlags:
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep-eta", "--etas", "1,x"], "--etas must be a comma-separated list of float "
+                                         "values, got '1,x'"),
+        (["sweep-eta", "--etas", ","], "--etas must be a comma-separated list of float "
+                                       "values, got ','"),
+        (["bench-proj", "--dims", "50,x"], "--dims must be a comma-separated list of int "
+                                           "values, got '50,x'"),
+        (["bench-proj", "--dims", ","], "--dims must be a comma-separated list of int "
+                                        "values, got ','"),
+        (["bench-proj", "--dims", "0"], "--dims must be positive, got 0"),
+        (["bench-proj", "--k", "2.5"], "--k must be a comma-separated list of int "
+                                       "values, got '2.5'"),
+        (["bench-proj", "--k", "4,0"], "--k must be positive, got 0"),
+        (["bench-proj", "--reps", "0"], "--reps must be positive, got 0")],
+        ids=["etas-non-numeric", "etas-empty", "dims-non-numeric", "dims-empty", "dims-0",
+             "k-fraction", "k-0", "reps-0"])
+    def test_bad_value_refused_naming_the_flag(self, argv, message, dataset_csv,
+                                               tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        extra = {"sweep-eta": ["--data", str(dataset_csv)], "bench-proj": ["--dims", "8"]}
+        assert main([argv[0], *extra[argv[0]], *argv[1:], "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
+def test_cli_opens_no_file():
+    """The CLI reads and writes its files through data_io alone."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    opens = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and (getattr(node.func, "id", None) == "open"
+                  or getattr(node.func, "attr", None) == "open")]
+    assert opens == [], f"cli.py calls open on lines {opens}"
 
 
 class TestBenchProj:

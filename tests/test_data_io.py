@@ -137,6 +137,42 @@ class TestCsvRoundTrip:
         assert back.feature_names == ds.feature_names
         assert back.X.tobytes() == ds.X.tobytes()
 
+    def test_crlf_file_loads_bit_exact(self, tmp_path):
+        # the line ends an earlier write_dataset_csv wrote
+        X = make_rng(14).standard_normal((4, 3)) * np.pi
+        path = tmp_path / "crlf.csv"
+        lines = ["f0,f1,f2,label"] + [",".join([*(repr(float(v)) for v in x), lab])
+                                      for x, lab in zip(X, "abba")]
+        path.write_bytes("".join(line + "\r\n" for line in lines).encode())
+        back = load_csv(path)
+        assert back.X.tobytes() == X.tobytes()
+        assert np.array_equal(back.labels, [0, 1, 1, 0]) and back.label_names == ["a", "b"]
+
+    def test_label_names_with_delimiter_quote_and_line_ends_round_trip(self, tmp_path):
+        names = ["a,b", 'say "hi"', "cr\rlf\n"]
+        ds = Dataset(X=make_rng(15).standard_normal((3, 2)), labels=np.array([2, 0, 1]),
+                     label_names=names)
+        path = tmp_path / "names.csv"
+        write_dataset_csv(path, ds)
+        back = load_csv(path)
+        assert [back.label_names[j] for j in back.labels] == [names[j] for j in ds.labels]
+        assert back.X.tobytes() == ds.X.tobytes()
+
+    def test_written_lines_end_in_lf(self, tmp_path):
+        path = tmp_path / "data.csv"
+        write_dataset_csv(path, Dataset(X=np.eye(2), labels=np.array([0, 1])))
+        assert path.read_bytes() == b"f0,f1,label\n1.0,0.0,0\n0.0,1.0,1\n"
+
+    def test_blank_lines_skipped_and_rows_numbered_by_file_line(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("f0,label\n1.0,a\n\n2.0,b\n")
+        ds = load_csv(path)
+        assert np.array_equal(ds.X, [[1.0], [2.0]]) and ds.label_names == ["a", "b"]
+        path.write_text("f0,label\n1.0,a\n\n2.0,b\nx,a\n")
+        with pytest.raises(ValueError) as exc:
+            load_csv(path)
+        assert str(exc.value) == f"{path}: non-numeric value 'x' at row 5, column 'f0'"
+
     def test_nan_token_rejected_with_location(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("f0,f1,label\n1.0,nan,a\n")
@@ -326,6 +362,15 @@ class TestMatrixCsv:
         with pytest.raises(ValueError, match="row 2"):
             load_matrix_csv(path)
 
+    def test_blank_lines_skipped_and_rows_numbered_by_file_line(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1.0,2.0\n\n3.0,4.0\n")
+        assert np.array_equal(load_matrix_csv(path), [[1.0, 2.0], [3.0, 4.0]])
+        path.write_text("1.0,2.0\n\n3.0,x\n")
+        with pytest.raises(ValueError) as exc:
+            load_matrix_csv(path)
+        assert str(exc.value) == f"{path}: non-numeric value 'x' at row 3, column 2"
+
 
 def _written(path, data: bytes):
     path.write_bytes(data)
@@ -382,6 +427,11 @@ INPUT_CHECKS = [
                  "{path}: empty file", id="matrix-empty"),
     pytest.param(lambda path: load_matrix_csv(_written(path, b"1.0,x\n")),
                  "{path}: non-numeric value 'x' at row 1, column 2", id="matrix-non-numeric"),
+    pytest.param(lambda path: load_matrix_csv(_written(path, b"1.0,inf\n")),
+                 "{path}: non-finite value 'inf' at row 1, column 2", id="matrix-non-finite"),
+    pytest.param(lambda path: load_matrix_csv(str(_written(path, b"1.0,inf\n"))),
+                 "{path}: non-finite value 'inf' at row 1, column 2",
+                 id="matrix-non-finite-str-path"),
 ]
 
 
