@@ -199,16 +199,15 @@ def stratified_folds(labels, folds: int, seed: int = 0) -> list[np.ndarray]:
     k = int(labels.max()) + 1
     _require_every_class(one_hot(labels, k).sum(axis=0))
     rng = np.random.Generator(np.random.Philox(seed))
-    assignment = [[] for _ in range(folds)]
+    fold = np.empty(labels.shape[0], dtype=np.int64)
     offset = 0
     for c in range(k):
         idx = rng.permutation(np.nonzero(labels == c)[0])
-        for j, sample in enumerate(idx):
-            assignment[(offset + j) % folds].append(int(sample))
+        fold[idx] = (offset + np.arange(idx.size)) % folds
         # continue dealing where the previous class stopped so no fold
         # stays empty when classes are smaller than the fold count
         offset = (offset + idx.size) % folds
-    return [np.sort(np.array(a, dtype=np.int64)) for a in assignment]
+    return [np.flatnonzero(fold == f) for f in range(folds)]
 
 
 def cross_validate(X, labels, folds: int, template: ProblemTemplate,

@@ -14,8 +14,7 @@ from . import classify, data_io, projections, solver
 from .linalg import _check_scalar
 from .losses import LOSS_KINDS, LossSpec
 from .model import ProblemTemplate
-from .projections import (BALL_KINDS, BallSpec, ball_norm, proj_l1_matrix, proj_l12,
-                          proj_l21, proj_nuclear)
+from .projections import BALL_KINDS, BallSpec, ball_norm
 
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
@@ -187,12 +186,12 @@ def cmd_project(args) -> int:
     return 0
 
 
-def _bench_one(fn, V, radius, reps: int) -> float:
-    fn(V, radius)  # warm-up, discarded
+def _bench_one(V, ball: BallSpec, reps: int) -> float:
+    projections.project_ball(V, ball)  # warm-up, discarded
     times = []
     for _ in range(reps):
         t0 = time.perf_counter()
-        fn(V, radius)
+        projections.project_ball(V, ball)
         times.append((time.perf_counter() - t0) * 1e3)
     return statistics.median(times)
 
@@ -202,16 +201,13 @@ def cmd_bench_proj(args) -> int:
     for flag, values in (("--reps", [args.reps]), ("--dims", dims), ("--k", ks)):
         for value in values:
             _check_scalar(value, flag, "positive")
-    fns = [("l1", proj_l1_matrix), ("l21", proj_l21),
-           ("nuclear", proj_nuclear), ("l12", proj_l12)]
     rows = [["projection", "d", "k", "median_ms"]]
     for d in dims:
         for k in ks:
             rng = np.random.Generator(np.random.Philox(args.seed + d * 131 + k))
             V = rng.standard_normal((d, k))
-            for name, fn in fns:
-                radius = 0.5 * ball_norm(V, name)
-                ms = _bench_one(fn, V, radius, args.reps)
+            for name in BALL_KINDS:
+                ms = _bench_one(V, BallSpec(name, 0.5 * ball_norm(V, name)), args.reps)
                 rows.append([name, str(d), str(k), f"{ms:.6f}"])
                 print(f"{name:8s} d={d:<6d} k={k:<5d} median {ms:.3f} ms")
     data_io._write_csv(args.out, rows)

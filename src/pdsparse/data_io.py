@@ -197,7 +197,8 @@ def write_dataset_csv(path, dataset: Dataset, delimiter: str = ",") -> None:
     """Write a dataset as delimited text, the ``label`` column last.
 
     Floats are written with ``repr`` so a load round-trips them exactly.  A
-    dataset without labels is written without the label column.
+    dataset without labels is written without the label column; a label code
+    that ``label_names`` does not name is refused before the file is opened.
     """
     X = check_matrix(dataset.X, "X")
     names = dataset.feature_names or [f"f{i}" for i in range(X.shape[1])]
@@ -206,6 +207,9 @@ def write_dataset_csv(path, dataset: Dataset, delimiter: str = ",") -> None:
     rows = ([repr(float(v)) for v in x] for x in X)
     if dataset.labels is not None:
         names, tags = [*names, "label"], dataset.label_names
+        bad = [lab for lab in map(int, dataset.labels) if tags and not 0 <= lab < len(tags)]
+        if bad:
+            raise ValueError(f"label code {bad[0]} has no name in label_names ({len(tags)} names)")
         rows = ([*row, tags[lab] if tags else str(lab)]
                 for row, lab in zip(rows, map(int, dataset.labels)))
     _write_csv(path, itertools.chain([names], rows), delimiter)

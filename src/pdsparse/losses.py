@@ -90,11 +90,9 @@ def huber_value(t, delta: float):
 def loss_matrix(R, spec: LossSpec) -> float:
     """Evaluate the loss of a residual matrix."""
     R = np.asarray(R, dtype=np.float64)
-    if spec.kind == "l1":
-        return float(np.abs(R).sum())
-    if spec.kind == "huber":
-        return float(np.sum(huber_value(R, spec.delta)))
-    return float(np.linalg.norm(R))
+    if spec.kind == "frobenius":
+        return float(np.linalg.norm(R))
+    return float(np.sum(huber_value(R, spec.delta)))
 
 
 def dual_prox(Zbar, sigma: float, spec: LossSpec) -> np.ndarray:

@@ -40,7 +40,7 @@ class ProblemTemplate:
                                     for f in fields(ProblemTemplate)})
 
     def with_radius(self, radius: float) -> ProblemTemplate:
-        """Copy with a different constraint radius (a Problem's copy builds its own features)."""
+        """Copy with a different constraint radius (a Problem's copy keeps its features record)."""
         return replace(self, ball=BallSpec(self.ball.kind, radius))
 
 
@@ -74,6 +74,9 @@ class Problem(ProblemTemplate):
     @property
     def n_classes(self) -> int:
         return self.Y.shape[1]
+
+    def with_radius(self, radius: float) -> Problem:
+        return replace(self, X=self.features, ball=BallSpec(self.ball.kind, radius))
 
     @cached_property
     def features(self) -> Features:

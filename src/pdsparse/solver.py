@@ -190,10 +190,8 @@ def _condition_lhs(tau: float, tau_mu: float, sigma: float, rho: float,
                    gamma: float, X_norm: float, Y_norm: float, variant: str) -> float:
     if variant == "fixed-mu":
         return sigma * tau * X_norm**2
-    if gamma >= 0.5:
-        return sigma * (tau_mu * Y_norm**2 + tau * X_norm**2)
     # at gamma = 0 the factor is exactly 1, giving the base condition bit for bit
-    shrink = 1.0 + 0.25 * tau_mu * rho * (1.0 - 2.0 * gamma) / (1.0 - gamma)
+    shrink = max(1.0, 1.0 + 0.25 * tau_mu * rho * (1.0 - 2.0 * gamma) / (1.0 - gamma))
     return sigma * (tau_mu * Y_norm**2 / shrink + tau * X_norm**2)
 
 

@@ -11,14 +11,15 @@ weights, multiplying by all of X, where ``solve`` runs a nuclear ball on an
 m x r factor of X once d > m and multiplies X by the nonzero rows of a
 sparse iterate, or by a certified step's rows, only.
 
-``proj_l12_with_state_reference`` and ``proj_l1_reference`` are the
-exceptions: they are the l12 projection as written before its search moved
-to feature-major prefix sums, and the l1 projection as written before it
-sorted only its candidates, kept verbatim so the tests can assert that the
-rewrites changed no bit.  ``scores_reference`` is the nearest-center scoring
-in its old order, dividing the n x d rows by the feature scale before
-projecting them, so the tests can bound how far scaling the n x k
-projection instead rounds.
+``proj_l12_with_state_reference``, ``proj_l1_reference`` and
+``stratified_folds_reference`` are the exceptions: they are the l12
+projection as written before its search moved to feature-major prefix sums,
+the l1 projection as written before it sorted only its candidates, and the
+fold deal as written before it kept one fold index per row, kept verbatim
+so the tests can assert that the rewrites changed no bit.
+``scores_reference`` is the nearest-center scoring in its old order,
+dividing the n x d rows by the feature scale before projecting them, so the
+tests can bound how far scaling the n x k projection instead rounds.
 """
 
 import numpy as np
@@ -329,3 +330,17 @@ def scores_reference(X, model) -> np.ndarray:
     """l1 distances of each raw row's projection to each center, scaling X first."""
     W, mu, s = model.W, model.mu, model.feature_scale
     return np.abs(((X / s) @ W)[:, None, :] - mu[None]).sum(axis=2)
+
+
+def stratified_folds_reference(labels, folds: int, seed: int = 0) -> list[np.ndarray]:
+    """The fold deal one sample at a time into per-fold lists, each sorted at the end."""
+    labels = np.asarray(labels)
+    rng = np.random.Generator(np.random.Philox(seed))
+    assignment = [[] for _ in range(folds)]
+    offset = 0
+    for c in range(int(labels.max()) + 1):
+        idx = rng.permutation(np.nonzero(labels == c)[0])
+        for j, sample in enumerate(idx):
+            assignment[(offset + j) % folds].append(int(sample))
+        offset = (offset + idx.size) % folds
+    return [np.sort(np.array(a, dtype=np.int64)) for a in assignment]

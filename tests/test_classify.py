@@ -26,7 +26,7 @@ from pdsparse.projections import BallSpec
 from pdsparse.solver import SolverParams, solve
 
 from conftest import make_rng
-from oracles import scores_reference
+from oracles import scores_reference, stratified_folds_reference
 
 
 def toy_model(W, mu, radius=None, scale=1.0):
@@ -291,6 +291,24 @@ class TestStratifiedFolds:
         a = stratified_folds(labels, 4, seed=5)
         b = stratified_folds(labels, 4, seed=5)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    def test_equals_the_per_sample_deal(self):
+        rng = make_rng(43)
+        ran = small = 0
+        for seed in range(120):
+            k, folds = int(rng.integers(2, 7)), int(rng.integers(2, 8))
+            # every class present, some of them smaller than the fold count
+            sizes = rng.integers(1, 3 * folds, k)
+            labels = rng.permutation(np.repeat(np.arange(k), sizes))
+            if labels.size < folds:
+                continue
+            ran, small = ran + 1, small + int((sizes < folds).any())
+            got = stratified_folds(labels, folds, seed=seed)
+            want = stratified_folds_reference(labels, folds, seed=seed)
+            assert len(got) == len(want) == folds
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert ran >= 100 and small >= 20
 
     def test_empty_class_rejected(self):
         with pytest.raises(ValueError, match="class 1"):

@@ -12,7 +12,7 @@ from pdsparse.cli import build_parser, main
 from pdsparse.linalg import normalize_features, one_hot
 from pdsparse.losses import LossSpec
 from pdsparse.model import ProblemTemplate
-from pdsparse.projections import BallSpec
+from pdsparse.projections import BALL_KINDS, BallSpec
 from pdsparse.solver import SolverParams, solve
 
 from record_help_snapshots import NAMES, SNAPSHOT_DIR, help_text
@@ -583,12 +583,17 @@ class TestListAndCountFlags:
 
 
 def test_cli_opens_no_file():
-    """The CLI reads and writes its files through data_io alone."""
+    """The CLI reads and writes its files through data_io alone, and projects by project_ball."""
     tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
     opens = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
              and (getattr(node.func, "id", None) == "open"
                   or getattr(node.func, "attr", None) == "open")]
     assert opens == [], f"cli.py calls open on lines {opens}"
+    projs = [node.lineno for node in ast.walk(tree)
+             if (isinstance(node, ast.ImportFrom)
+                 and any(alias.name.startswith("proj_") for alias in node.names))
+             or getattr(node, "attr", "").startswith("proj_")]
+    assert projs == [], f"cli.py names a proj_* function on lines {projs}"
 
 
 class TestBenchProj:
@@ -603,6 +608,15 @@ class TestBenchProj:
         assert len(lines) == 1 + 2 * 4  # two sizes x four projections
         for line in lines[1:]:
             assert float(line.split(",")[3]) >= 0.0
+
+    def test_rows_follow_ball_kinds(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        assert main(["bench-proj", "--dims", "30,20", "--k", "3,2", "--reps", "1",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        rows = [line.split(",")[:3] for line in out.read_text().splitlines()[1:]]
+        assert rows == [[kind, d, k] for d in ("30", "20") for k in ("3", "2")
+                        for kind in BALL_KINDS]
 
     def test_l1_time_roughly_doubles_with_d(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from pdsparse import data_io
 from pdsparse.data_io import (
     _HEADER,
     MODEL_MAGIC,
@@ -19,9 +20,9 @@ from pdsparse.data_io import (
     write_dataset_csv,
 )
 from pdsparse.classify import SweepPoint, CVResult
-from pdsparse.losses import LossSpec
+from pdsparse.losses import LOSS_KINDS, LossSpec
 from pdsparse.model import TrainedModel
-from pdsparse.projections import BallSpec
+from pdsparse.projections import BALL_KINDS, BallSpec
 
 from conftest import make_rng
 
@@ -222,6 +223,12 @@ class TestModelRoundTrip:
         assert back.feature_scale == model.feature_scale
         assert back.class_names == ("x", "\u00df", "z z")
 
+    def test_file_codes_cover_every_ball_and_loss(self):
+        for codes, names, kinds in ((data_io._BALL_CODES, data_io._BALL_NAMES, BALL_KINDS),
+                                    (data_io._LOSS_CODES, data_io._LOSS_NAMES, LOSS_KINDS)):
+            assert sorted(codes) == sorted(kinds)
+            assert len(names) == len(codes)
+
     def test_version_one_file_names_classes_by_index(self, tmp_path):
         model = self._model()
         path = tmp_path / "model.bin"
@@ -377,6 +384,9 @@ def _written(path, data: bytes):
     return path
 
 
+UNNAMED_CODE = [Dataset(X=np.eye(3), labels=np.array(codes), label_names=["a", "b"])
+                for codes in ([0, 1, 2], [0, -1, 1])]
+
 INPUT_CHECKS = [
     pytest.param(lambda path: SyntheticSpec(m=4, d=10, k=1, s=2),
                  "need at least 2 classes, got 1", id="spec-k"),
@@ -407,6 +417,10 @@ INPUT_CHECKS = [
     pytest.param(lambda path: write_dataset_csv(path, Dataset(
                      X=np.zeros((2, 3)), labels=np.array([0, 1]), feature_names=["a", "b"])),
                  "feature_names length does not match the matrix", id="feature-name-count"),
+    pytest.param(lambda path: write_dataset_csv(path, UNNAMED_CODE[0]),
+                 "label code 2 has no name in label_names (2 names)", id="label-code-unnamed"),
+    pytest.param(lambda path: write_dataset_csv(path, UNNAMED_CODE[1]),
+                 "label code -1 has no name in label_names (2 names)", id="label-code-negative"),
     pytest.param(lambda path: load_model(_written(path, b"PDSM")),
                  "{path}: truncated model file", id="model-truncated-header"),
     pytest.param(lambda path: load_model(_model_file(path, ball=9)),
@@ -442,3 +456,10 @@ class TestInputChecks:
         with pytest.raises(ValueError) as exc:
             call(path)
         assert str(exc.value) == message.format(path=path)
+
+    @pytest.mark.parametrize("dataset", UNNAMED_CODE)
+    def test_unnamed_label_code_leaves_no_file(self, dataset, tmp_path):
+        path = tmp_path / "data.csv"
+        with pytest.raises(ValueError, match="has no name"):
+            write_dataset_csv(path, dataset)
+        assert not path.exists()

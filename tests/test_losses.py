@@ -66,6 +66,14 @@ class TestLossMatrix:
     def test_l1(self):
         assert loss_matrix(np.array([[1.0, -1.0]]), LossSpec("l1")) == 2.0
 
+    @pytest.mark.parametrize("scale", [1e-3, 1e-1, 1.0, 1e1, 1e3])
+    def test_l1_is_the_sum_of_absolute_entries(self, scale):
+        # the l1 loss goes through huber_value at delta 0; the sum must keep every bit
+        rng = make_rng(31)
+        for _ in range(20):
+            R = scale * rng.standard_normal((int(rng.integers(1, 40)), int(rng.integers(2, 6))))
+            assert loss_matrix(R, LossSpec("l1")).hex() == float(np.abs(R).sum()).hex()
+
     def test_frobenius_is_not_squared(self):
         assert loss_matrix(np.array([[3.0, 4.0]]), LossSpec("frobenius")) == pytest.approx(5.0)
 

@@ -130,6 +130,16 @@ class TestCheckStepCondition:
         _, slack_zero = check_step_condition(zero_gamma, 1.0, 2.0, rho=2.0)
         assert slack_zero == slack_base
 
+    @pytest.mark.parametrize("gamma", [0.5, 0.6, 0.9, 0.99])
+    def test_from_half_on_the_condition_has_no_shrink(self, gamma):
+        rng = make_rng(41)
+        for _ in range(50):
+            tau, tau_mu, sigma, rho, X_norm, Y_norm = map(float, rng.uniform(0.01, 3.0, 6))
+            params = SolverParams(tau=tau, tau_mu=tau_mu, sigma=sigma, gamma=gamma)
+            _, slack = check_step_condition(params, X_norm, Y_norm, rho=rho)
+            want = 1 - sigma * (tau_mu * Y_norm**2 + tau * X_norm**2)
+            assert slack.hex() == want.hex()
+
     def test_missing_steps_rejected(self):
         with pytest.raises(ValueError, match="explicit"):
             check_step_condition(SolverParams(), 1.0, 1.0, rho=1.0)
@@ -878,6 +888,20 @@ class TestProblemTemplate:
         assert direct.W.tobytes() == bound.W.tobytes()
         assert direct.mu.tobytes() == bound.mu.tobytes()
         assert direct_hist.ergodic_W.tobytes() == bound_hist.ergodic_W.tobytes()
+
+    def test_with_radius_keeps_the_features_record(self):
+        ds = pdsparse.generate_synthetic(pdsparse.SyntheticSpec(
+            m=60, d=80, k=3, s=5, separation=2.0, noise_sd=0.5, seed=1))
+        template = ProblemTemplate(loss=LossSpec("huber"), ball=BallSpec("l1", 8.0))
+        prob = template.bind(normalize_features(ds.X), one_hot(ds.labels, 3))
+        copy = prob.with_radius(8.0)
+        assert copy.features is prob.features
+        params = SolverParams(max_iter=300)
+        (model, hist), (copy_model, copy_hist) = solve(prob, params), solve(copy, params)
+        assert model.feature_scale == copy_model.feature_scale > 1.0
+        assert model.W.tobytes() == copy_model.W.tobytes()
+        assert model.mu.tobytes() == copy_model.mu.tobytes()
+        assert hist.ergodic_W.tobytes() == copy_hist.ergodic_W.tobytes()
 
 
 class TestNormEstimate:
