@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _check_scalar, check_matrix, normalize_features, one_hot
-from .model import ProblemTemplate, TrainedModel
+from .model import Problem, ProblemTemplate, TrainedModel
+from .projections import BallSpec
 from .solver import SolverParams, TrainingHistory, solve
 
 __all__ = [
@@ -165,14 +166,18 @@ def train_model(X, labels, template: ProblemTemplate,
     The problem is bound to ``normalize_features``' record (to X, at scale
     1.0, without ``normalize``): ``solve`` reads its norm estimate and Gram
     matrix, and the model it returns keeps its scale for scaling queries.
-    Every class in ``0..max(labels)`` must have a sample; ``cross_validate``
-    binds its folds, which may miss a small class, itself.
+    Every class in ``0..max(labels)`` must have a sample.
     """
+    return solve(_bind(X, labels, template, normalize),
+                 params if params is not None else SolverParams())
+
+
+def _bind(X, labels, template: ProblemTemplate, normalize: bool = True) -> Problem:
+    """The template bound to all rows and labels, as ``train_model`` fits them."""
     labels = np.asarray(labels)
     Y = one_hot(labels, int(labels.max()) + 1)
     _require_every_class(Y.sum(axis=0))
-    problem = template.bind(normalize_features(X) if normalize else X, Y)
-    return solve(problem, params if params is not None else SolverParams())
+    return template.bind(normalize_features(X) if normalize else X, Y)
 
 
 def _require_every_class(class_counts: np.ndarray) -> None:
@@ -192,7 +197,7 @@ def stratified_folds(labels, folds: int, seed: int = 0) -> list[np.ndarray]:
     """
     labels = np.asarray(labels)
     _check_scalar(_check_scalar(seed, "seed", "an integer"), "seed", "nonnegative")
-    if folds < 2:
+    if _check_scalar(folds, "folds", "an integer") < 2:
         raise ValueError(f"need at least 2 folds, got {folds}")
     if folds > labels.shape[0]:
         raise ValueError(f"cannot make {folds} folds from {labels.shape[0]} samples")
@@ -210,23 +215,28 @@ def stratified_folds(labels, folds: int, seed: int = 0) -> list[np.ndarray]:
     return [np.flatnonzero(fold == f) for f in range(folds)]
 
 
+def _bind_folds(X, labels, folds: int, template: ProblemTemplate, seed: int):
+    """Per fold, in order: its training rows and all k classes bound, its test rows and labels."""
+    X = check_matrix(X, "X")
+    labels = np.asarray(labels)
+    if X.shape[0] != labels.shape[0]:
+        raise ValueError(f"X has {X.shape[0]} rows but Y has {labels.shape[0]}")
+    k = int(labels.max()) + 1
+    for test_idx in stratified_folds(labels, folds, seed=seed):
+        train_idx = np.setdiff1d(np.arange(labels.shape[0]), test_idx)
+        yield (template.bind(normalize_features(X[train_idx]), one_hot(labels[train_idx], k)),
+               X[test_idx], labels[test_idx])
+
+
 def cross_validate(X, labels, folds: int, template: ProblemTemplate,
                    params: SolverParams | None = None, seed: int = 0) -> CVResult:
     """Stratified k-fold cross validation, one solver run per fold, in fold order.
 
     Each fold fits its normalized training rows on all k classes, even on one they miss.
     """
-    X = check_matrix(X, "X")
-    labels = np.asarray(labels)
-    k = int(labels.max()) + 1
     params = params if params is not None else SolverParams()
-    reports = []
-    for test_idx in stratified_folds(labels, folds, seed=seed):
-        train_idx = np.setdiff1d(np.arange(labels.shape[0]), test_idx)
-        model, _ = solve(template.bind(normalize_features(X[train_idx]),
-                                       one_hot(labels[train_idx], k)), params)
-        reports.append(evaluate(X[test_idx], labels[test_idx], model))
-    return CVResult(reports=tuple(reports))
+    bound = _bind_folds(X, labels, folds, template, seed)
+    return CVResult(reports=tuple(evaluate(X_t, y_t, solve(p, params)[0]) for p, X_t, y_t in bound))
 
 
 def eta_sweep(X, labels, etas, template: ProblemTemplate,
@@ -234,21 +244,23 @@ def eta_sweep(X, labels, etas, template: ProblemTemplate,
               seed: int = 0) -> SweepResult:
     """Cross-validate over a grid of constraint radii.
 
-    For each radius the accuracies come from ``cross_validate`` (the
-    per-class ones averaged over the folds that hold the class) and the
-    feature count from the signature of one model fitted on the full data.
+    Each fold and the full data are bound once; every radius fits them as
+    ``cross_validate`` (accuracies, per class averaged over the folds that
+    hold the class) and ``train_model`` (the signature's feature count) would.
     """
-    etas = [float(e) for e in etas]
+    etas = [BallSpec(template.ball.kind, float(e)).radius for e in etas]
     if not etas:
         raise ValueError("need at least one radius")
     if sorted(etas) != etas:
         raise ValueError("radii must be sorted ascending")
+    params = params if params is not None else SolverParams()
+    bound = [*_bind_folds(X, labels, folds, template, seed)]
+    full = _bind(X, labels, template)
     points = []
     for eta in etas:
-        t = template.with_radius(eta)
-        cv = cross_validate(X, labels, folds, t, params=params, seed=seed)
-        full_model, _ = train_model(X, labels, t, params=params)
-        sel = signature(full_model).union()
+        cv = CVResult(reports=tuple(evaluate(X_t, y_t, solve(p.with_radius(eta), params)[0])
+                                    for p, X_t, y_t in bound))
+        sel = signature(solve(full.with_radius(eta), params)[0]).union()
         per_class = np.vstack([r.per_class_accuracy for r in cv.reports])
         points.append(SweepPoint(eta=eta, n_features=int(sel.size),
                                  accuracy=cv.mean_accuracy,

@@ -17,6 +17,10 @@ projection as written before its search moved to feature-major prefix sums,
 the l1 projection as written before it sorted only its candidates, and the
 fold deal as written before it kept one fold index per row, kept verbatim
 so the tests can assert that the rewrites changed no bit.
+``eta_sweep_reference`` is the radius sweep as written when every radius
+re-entered ``cross_validate`` and ``train_model`` (both kept verbatim as its
+helpers, with ``signature``), binding each fold and the full data again per
+radius, so the tests can assert that binding them once changed no bit.
 ``scores_reference`` is the nearest-center scoring in its old order,
 dividing the n x d rows by the feature scale before projecting them, so the
 tests can bound how far scaling the n x k projection instead rounds.
@@ -24,11 +28,14 @@ tests can bound how far scaling the n x k projection instead rounds.
 
 import numpy as np
 
-from pdsparse.linalg import OperatorNormEstimate, check_matrix
+from pdsparse.classify import (DEFAULT_EPSILON_SCALE, CVResult, Signature, SweepPoint, SweepResult,
+                               _require_every_class, evaluate, stratified_folds)
+from pdsparse.linalg import (OperatorNormEstimate, _check_scalar, check_matrix, normalize_features,
+                             one_hot)
 from pdsparse.losses import dual_prox, primal_objective
 from pdsparse.projections import (L12_TOL, L12NewtonState, NewtonConvergenceError,
                                   _check_radius, project_ball)
-from pdsparse.solver import _duality_gap
+from pdsparse.solver import SolverParams, _duality_gap, solve
 
 
 def l1_threshold_bisection(v, radius, iters=200):
@@ -344,3 +351,58 @@ def stratified_folds_reference(labels, folds: int, seed: int = 0) -> list[np.nda
             assignment[(offset + j) % folds].append(int(sample))
         offset = (offset + idx.size) % folds
     return [np.sort(np.array(a, dtype=np.int64)) for a in assignment]
+
+
+def _signature_reference(model, epsilon=None):
+    """``classify.signature`` as written before it walked the columns of ``W.T``."""
+    W = model.W
+    if epsilon is None:
+        epsilon = DEFAULT_EPSILON_SCALE * float(np.abs(W).max())
+    _check_scalar(epsilon, "epsilon", "nonnegative")
+    sel = tuple(np.nonzero(np.abs(W[:, j]) > epsilon)[0] for j in range(W.shape[1]))
+    return Signature(selected=sel)
+
+
+def _train_model_reference(X, labels, template, params=None, normalize=True):
+    """``classify.train_model`` as written before the sweep bound its data once."""
+    labels = np.asarray(labels)
+    Y = one_hot(labels, int(labels.max()) + 1)
+    _require_every_class(Y.sum(axis=0))
+    problem = template.bind(normalize_features(X) if normalize else X, Y)
+    return solve(problem, params if params is not None else SolverParams())
+
+
+def _cross_validate_reference(X, labels, folds, template, params=None, seed=0):
+    """``classify.cross_validate`` as written before the sweep bound its folds once."""
+    X = check_matrix(X, "X")
+    labels = np.asarray(labels)
+    k = int(labels.max()) + 1
+    params = params if params is not None else SolverParams()
+    reports = []
+    for test_idx in stratified_folds(labels, folds, seed=seed):
+        train_idx = np.setdiff1d(np.arange(labels.shape[0]), test_idx)
+        model, _ = solve(template.bind(normalize_features(X[train_idx]),
+                                       one_hot(labels[train_idx], k)), params)
+        reports.append(evaluate(X[test_idx], labels[test_idx], model))
+    return CVResult(reports=tuple(reports))
+
+
+def eta_sweep_reference(X, labels, etas, template, params=None, folds=4, seed=0):
+    """The sweep binding every fold and the full data again for each radius."""
+    etas = [float(e) for e in etas]
+    if not etas:
+        raise ValueError("need at least one radius")
+    if sorted(etas) != etas:
+        raise ValueError("radii must be sorted ascending")
+    points = []
+    for eta in etas:
+        t = template.with_radius(eta)
+        cv = _cross_validate_reference(X, labels, folds, t, params=params, seed=seed)
+        full_model, _ = _train_model_reference(X, labels, t, params=params)
+        sel = _signature_reference(full_model).union()
+        per_class = np.vstack([r.per_class_accuracy for r in cv.reports])
+        points.append(SweepPoint(eta=eta, n_features=int(sel.size),
+                                 accuracy=cv.mean_accuracy,
+                                 per_class_accuracy=np.nanmean(per_class, axis=0),
+                                 cv=cv, selected_features=sel))
+    return SweepResult(points=tuple(points))

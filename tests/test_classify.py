@@ -26,7 +26,7 @@ from pdsparse.projections import BallSpec
 from pdsparse.solver import SolverParams, solve
 
 from conftest import make_rng
-from oracles import scores_reference, stratified_folds_reference
+from oracles import eta_sweep_reference, scores_reference, stratified_folds_reference
 
 
 def toy_model(W, mu, radius=None, scale=1.0):
@@ -326,6 +326,17 @@ FAST = SolverParams(max_iter=600)
 TPL = ProblemTemplate(loss=LossSpec("huber", 1.0), ball=BallSpec("l1", 10.0))
 
 
+def _missing_class_set():
+    """Classes 0 and 1 of a k=3 set and one class-2 sample, so one fold trains without class 2."""
+    ds = generate_synthetic(SyntheticSpec(m=30, d=12, k=3, s=3, separation=2.0, noise_sd=0.1,
+                                          dropout_rate=0.0, seed=3))
+    keep = np.sort(np.r_[np.nonzero(ds.labels < 2)[0], np.nonzero(ds.labels == 2)[0][:1]])
+    return replace(ds, X=ds.X[keep], labels=ds.labels[keep])
+
+
+MISSING_CLASS = _missing_class_set()
+
+
 class TestCrossValidate:
     def test_separable_reaches_high_accuracy(self):
         ds = generate_synthetic(SEPARABLE)
@@ -351,18 +362,13 @@ class TestCrossValidate:
             assert rep.confusion.sum() == 1
 
     def test_fold_missing_a_class_still_fits_every_class(self, monkeypatch):
-        spec = SyntheticSpec(m=30, d=12, k=3, s=3, separation=2.0, noise_sd=0.1,
-                             dropout_rate=0.0, seed=3)
-        ds = generate_synthetic(spec)
-        # one class-2 sample: the fold that tests it trains without class 2
-        keep = np.sort(np.r_[np.nonzero(ds.labels < 2)[0], np.nonzero(ds.labels == 2)[0][:1]])
         class_counts = []
 
         def spy(problem, params):
             class_counts.append(problem.Y.sum(axis=0))
             return solve(problem, params)
         monkeypatch.setattr(classify, "solve", spy)
-        res = cross_validate(ds.X[keep], ds.labels[keep], 3, TPL, params=FAST, seed=0)
+        res = cross_validate(MISSING_CLASS.X, MISSING_CLASS.labels, 3, TPL, params=FAST, seed=0)
         assert [c.shape for c in class_counts] == [(3,)] * 3
         assert sorted(int(c[2]) for c in class_counts) == [0, 1, 1]
         assert all(r.confusion.shape == (3, 3) for r in res.reports)
@@ -383,6 +389,21 @@ class TestCrossValidate:
                               ball=BallSpec(kind, radius))
         res = cross_validate(ds.X, ds.labels, 3, tpl, params=FAST, seed=0)
         assert res.mean_accuracy >= 0.9
+
+    @pytest.mark.parametrize("fit", [
+        lambda X, labels: cross_validate(X, labels, 4, TPL, params=FAST),
+        lambda X, labels: eta_sweep(X, labels, [1.0, 2.0], TPL, params=FAST)],
+        ids=["cross_validate", "eta_sweep"])
+    @pytest.mark.parametrize("rows, n_labels", [(48, 40), (40, 48)], ids=["longer-X", "shorter-X"])
+    def test_row_count_must_match_labels(self, monkeypatch, fit, rows, n_labels):
+        # a longer X once lost its extra rows silently, a shorter one raised IndexError
+        ds = generate_synthetic(SEPARABLE)
+        fits = []
+        monkeypatch.setattr(classify, "solve", lambda *a: fits.append(a))
+        with pytest.raises(ValueError) as exc:
+            fit(ds.X[:rows], ds.labels[:n_labels])
+        assert str(exc.value) == f"X has {rows} rows but Y has {n_labels}"
+        assert fits == []
 
     def test_frobenius_loss_learns_separable_data(self):
         ds = generate_synthetic(SEPARABLE)
@@ -416,6 +437,45 @@ class TestEtaSweep:
         counts = [p.n_features for p in res.points]
         violations = sum(1 for i in range(len(counts) - 1) if counts[i + 1] < counts[i])
         assert violations <= max(1, int(0.05 * len(counts)))
+
+    @pytest.mark.parametrize("ds", [
+        pytest.param(generate_synthetic(SEPARABLE), id="two-classes"),
+        pytest.param(MISSING_CLASS, id="fold-missing-a-class")])
+    def test_equals_the_per_radius_sweep(self, ds):
+        etas, params = [0.5, 2.0, 8.0], SolverParams(max_iter=200)
+        got = eta_sweep(ds.X, ds.labels, etas, TPL, params=params, folds=3, seed=1)
+        want = eta_sweep_reference(ds.X, ds.labels, etas, TPL, params=params, folds=3, seed=1)
+        assert len(got.points) == len(want.points) == len(etas)
+        for g, w in zip(got.points, want.points):
+            assert g.eta.hex() == w.eta.hex() and g.accuracy.hex() == w.accuracy.hex()
+            assert g.n_features == w.n_features
+            assert g.per_class_accuracy.tobytes() == w.per_class_accuracy.tobytes()
+            assert g.selected_features.tobytes() == w.selected_features.tobytes()
+            assert [r.confusion.tobytes() for r in g.cv.reports] == \
+                   [r.confusion.tobytes() for r in w.cv.reports]
+        if ds is MISSING_CLASS:
+            # the fold that tests the one class-2 sample trains without class 2
+            assert sorted(int(r.confusion[2].sum()) for r in got.points[0].cv.reports) == [0, 0, 1]
+
+    @pytest.mark.parametrize("etas", [[2.0], [0.5, 1.0, 2.0, 4.0, 8.0]], ids=["1-radius", "5-radii"])
+    def test_binds_each_fold_once(self, monkeypatch, etas):
+        ds = generate_synthetic(SEPARABLE)
+        normalized = []
+
+        def spy(X):
+            normalized.append(X.shape)
+            return normalize_features(X)
+        monkeypatch.setattr(classify, "normalize_features", spy)
+        eta_sweep(ds.X, ds.labels, etas, TPL, params=SolverParams(max_iter=20), folds=3)
+        assert len(normalized) == 3 + 1 and normalized[-1] == ds.X.shape
+
+    def test_bad_radius_refused_before_any_fit(self, monkeypatch):
+        ds = generate_synthetic(SEPARABLE)
+        fits = []
+        monkeypatch.setattr(classify, "solve", lambda *a: fits.append(a))
+        with pytest.raises(ValueError, match="^ball radius must be positive, got nan$"):
+            eta_sweep(ds.X, ds.labels, [1.0, np.nan], TPL, params=FAST)
+        assert fits == []
 
     def test_unsorted_radii_rejected(self):
         ds = generate_synthetic(SEPARABLE)
@@ -608,6 +668,8 @@ INPUT_CHECKS = [
                  "need at least 2 folds, got 1", id="folds-below-2"),
     pytest.param(lambda: stratified_folds([0, 1, 0, 1], 5),
                  "cannot make 5 folds from 4 samples", id="folds-above-m"),
+    pytest.param(lambda: stratified_folds([0, 1, 0, 1], 2.5),
+                 "folds must be an integer, got 2.5", id="folds-fraction"),
     pytest.param(lambda: stratified_folds([0, 1, 0, 1], 2, seed=-1),
                  "seed must be nonnegative, got -1", id="folds-seed-negative"),
     pytest.param(lambda: stratified_folds([0, 1, 0, 1], 2, seed=1.5),

@@ -2,8 +2,8 @@
 
 ``perfbench/tracing.py`` wraps library functions at the names their callers
 look them up by.  A refactor that renames or inlines one of them would only
-show in a traced benchmark run; this runs one tiny traced fit per ball so
-it shows here instead.
+show in a traced benchmark run; this runs one tiny traced fit per ball, and
+one tiny traced radius sweep, so it shows here instead.
 """
 
 import importlib
@@ -60,3 +60,25 @@ def test_traced_fit_reaches_every_layer(tracing, ball, d):
     if ball == "l12":
         assert metrics["projections.l12.newton_iters"] > 0
     assert all(np.isfinite(v) for v in metrics.values())
+
+
+def test_traced_sweep_binds_each_fold_once(tracing):
+    ds = pdsparse.generate_synthetic(pdsparse.SyntheticSpec(
+        m=24, d=16, k=3, s=4, separation=2.0, noise_sd=0.2, dropout_rate=0.0, seed=5))
+    template = pdsparse.ProblemTemplate(loss=pdsparse.LossSpec("huber", 1.0),
+                                        ball=pdsparse.BallSpec("l1", 2.0))
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        tracer.phase = "pass"
+        tracer.start("sweep")
+        pdsparse.eta_sweep(ds.X, ds.labels, [1.0, 2.0], template,
+                           params=pdsparse.SolverParams(max_iter=20), folds=3)
+        tracer.stop(1.0)
+
+    metrics = tracer.metrics(1)
+    assert metrics["classify.eta_sweep.calls"] == 1
+    # 2 radii x (3 folds + the full data), from 3 + 1 bindings made once
+    assert metrics["solver.solve.calls"] == 2 * 4
+    assert metrics["linalg.spectral_norm.calls"] == 4
+    assert metrics["classify.cross_validate.calls"] == 0
+    assert metrics["classify.train_model.calls"] == 0
