@@ -11,7 +11,8 @@ plus the l-infinity box and the Frobenius unit ball needed by the dual
 updates.  The l1 ball, and through it the l21 ball (on the row norms) and
 the nuclear ball (on the singular values), is one full sort-and-scan.  The
 l12 projection solves for its Lagrange multiplier with a guarded Newton
-iteration.
+iteration, which ``solve`` starts from the previous W step's multiplier
+while that lies below the root.
 
 Layout: a ball projection returns its output in the memory layout of its
 input.  A Fortran-ordered (column-major) matrix, the layout ``solve`` keeps
@@ -197,9 +198,9 @@ def proj_nuclear(V, radius) -> np.ndarray:
 class L12NewtonState:
     """Internals of the l12 multiplier search, kept for diagnostics/tests.
 
-    ``lambdas`` records every multiplier iterate starting from the lower
-    bound, ``p`` the per-row active counts at the final multiplier, and
-    ``residual`` the final constraint value minus radius^2.
+    ``lambdas`` records every multiplier iterate starting from the start,
+    else the lower bound, ``p`` the per-row active counts at the final
+    multiplier, and ``residual`` the final constraint value minus radius^2.
     """
 
     prefix_sums: np.ndarray
@@ -227,7 +228,7 @@ def _merge_network(k: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def proj_l12_with_state(V, radius) -> tuple[np.ndarray, L12NewtonState]:
+def proj_l12_with_state(V, radius, *, _start=0.0) -> tuple[np.ndarray, L12NewtonState]:
     """Project onto the l12 ball and return the multiplier-search state.
 
     The constraint is sum_i (sum_j |w_ij|)^2 <= radius^2.  The multiplier
@@ -236,6 +237,11 @@ def proj_l12_with_state(V, radius) -> tuple[np.ndarray, L12NewtonState]:
     refreshed once per multiplier update.  Stops at relative residual
     ``L12_TOL`` and raises ``NewtonConvergenceError`` after ``L12_MAX_ITER``
     updates without convergence.
+
+    A positive ``_start`` whose residual is positive lies below the root
+    and is the first iterate; V is then infeasible (a row's best ratio is at
+    most its l1 norm), so the feasibility test and the bound are skipped.
+    Any other start runs the search from the bound, to the bit.
 
     The sort (a sorting network on whole columns) and the Newton passes work
     on a k x d array (a view of a Fortran-ordered input, else a copy), since
@@ -260,28 +266,35 @@ def proj_l12_with_state(V, radius) -> tuple[np.ndarray, L12NewtonState]:
         St[j] += St[j - 1]
     S = np.ascontiguousarray(St.T)
 
-    row_l1 = np.ascontiguousarray(A).sum(axis=1)
-    norm_sq = float((row_l1 * row_l1).sum())
-    if norm_sq <= target:
-        # feasible: multiplier 0, all entries active
-        state = L12NewtonState(prefix_sums=S, lam=0.0, p=np.full(n, m),
-                               residual=norm_sq - target, lambdas=[0.0])
-        return V.copy(order="K"), state
-
     p_range = np.arange(1, m + 1, dtype=np.float64)
-    col = np.sqrt((S * S).sum(axis=0))
-    lam = max(0.0, float(((col / radius - 1.0) / p_range).max()))
-    lambdas = [lam]
-
     # p is the first column of each row's best ratio S_ip / (1 + lam p), as
     # argmax picks it: column j ranks m - j, the first maximum ranks highest
     rank = np.arange(m, 0, -1, dtype=np.min_scalar_type(m))[:, None]
     ratios = np.empty_like(St)
-    for iterations in range(L12_MAX_ITER + 1):
+
+    def evaluate(lam):
         np.divide(St, (1.0 + lam * p_range)[:, None], out=ratios)
         row_best = ratios.max(axis=0)
         p = (m + 1.0) - (rank * (ratios == row_best)).max(axis=0)
-        val = float((row_best * row_best).sum())
+        return row_best, p, float((row_best * row_best).sum())
+
+    lam = _start
+    # an empty V has no ratios, and is feasible
+    first = evaluate(lam) if lam > 0.0 and V.size else None
+    if first is None or first[2] <= target:
+        row_l1 = np.ascontiguousarray(A).sum(axis=1)
+        norm_sq = float((row_l1 * row_l1).sum())
+        if norm_sq <= target:
+            # feasible: multiplier 0, all entries active
+            state = L12NewtonState(prefix_sums=S, lam=0.0, p=np.full(n, m),
+                                   residual=norm_sq - target, lambdas=[0.0])
+            return V.copy(order="K"), state
+        col = np.sqrt((S * S).sum(axis=0))
+        lam = max(0.0, float(((col / radius - 1.0) / p_range).max()))
+        first = evaluate(lam)
+    row_best, p, val = first
+    lambdas = [lam]
+    for iterations in range(L12_MAX_ITER + 1):
         if val - target <= L12_TOL * target:
             break
         if iterations == L12_MAX_ITER:
@@ -293,6 +306,7 @@ def proj_l12_with_state(V, radius) -> tuple[np.ndarray, L12NewtonState]:
         deriv = 2.0 * float((p * row_best * row_best / (1.0 + lam * p)).sum())
         lam = lam + (val - target) / deriv
         lambdas.append(lam)
+        row_best, p, val = evaluate(lam)
 
     deltas = lam * row_best
     W = np.sign(V) * np.maximum(A - deltas[:, None], 0.0)
@@ -307,9 +321,9 @@ def proj_l12_with_state(V, radius) -> tuple[np.ndarray, L12NewtonState]:
     return W, state
 
 
-def proj_l12(V, radius) -> np.ndarray:
+def proj_l12(V, radius, *, _start=0.0) -> np.ndarray:
     """Project onto the l12 ball: sum_i (sum_j |w_ij|)^2 <= radius^2."""
-    W, _ = proj_l12_with_state(V, radius)
+    W, _ = proj_l12_with_state(V, radius, _start=_start)
     return W
 
 
@@ -341,14 +355,14 @@ def dual_norm(V, kind: str) -> float:
     raise ValueError(f"unknown ball kind {kind!r}")
 
 
-def project_ball(V, ball: BallSpec) -> np.ndarray:
-    """Dispatch to the projection matching the ball descriptor."""
+def project_ball(V, ball: BallSpec, *, _start=0.0) -> np.ndarray:
+    """Dispatch to the projection matching the ball descriptor; ``_start`` goes to l12's."""
     if ball.kind == "l1":
         return proj_l1_matrix(V, ball.radius)
     if ball.kind == "l21":
         return proj_l21(V, ball.radius)
     if ball.kind == "l12":
-        return proj_l12(V, ball.radius)
+        return proj_l12(V, ball.radius, _start=_start)
     if ball.kind == "nuclear":
         return proj_nuclear(V, ball.radius)
     raise ValueError(f"unknown ball kind {ball.kind!r}")

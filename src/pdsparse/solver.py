@@ -245,7 +245,8 @@ class _PrimalStep:
     ``block`` keep a certified step's rows and projection, None otherwise;
     ``kept`` the last rows gathered and their X[:, rows], which the
     screened step and the coupling product share.  ``full`` counts the full
-    products.
+    products.  On the l12 ball ``lam`` is the last projection's multiplier,
+    the next one's start (Notes).
     """
 
     def __init__(self, X: np.ndarray, ball, k: int):
@@ -253,7 +254,7 @@ class _PrimalStep:
         self.X, self.ball = X, ball
         self.screens = ball.kind in ("l1", "l21")
         self.full = 0
-        self.theta = 0.0
+        self.theta = self.lam = 0.0
         self.rows = self.block = None
         self.kept = None, None
         if self.screens:
@@ -322,9 +323,15 @@ class _PrimalStep:
             if W_new is not None:
                 return W_new
         self.rows = self.block = None
-        W_new = project_ball(G, self.ball)
+        W_new = project_ball(G, self.ball, _start=self.lam)
         if self.screens:
             self.theta = float((self._terms(G) - self._terms(W_new)).max())
+        elif self.ball.kind == "l12":
+            # lam read back on the row i of W_new's largest entry (Notes)
+            A = np.abs(W_new)
+            i = int(A.max(axis=1).argmax())
+            norm = float(A[i].sum())
+            self.lam = float((np.abs(G[i]) - A[i]).max()) / norm if norm > 0.0 else 0.0
         return W_new
 
     def _candidate_step(self, W, Z, tau, alpha):
@@ -485,6 +492,13 @@ def solve(problem: Problem, params: SolverParams, callback=None
     the kept X[:, S] by W_ext's rows S, and the loop checks a certified
     block for non-finite entries and adds it into the ergodic sum on S's
     rows, the dense sum's additions.
+
+    On the l12 ball the multiplier search starts from the last step's lam
+    while it lies below the root (``proj_l12_with_state``).  By the KKT
+    conditions |P_ij| = max(|G_ij| - lam ||P_i||_1, 0) for P = P_ball(G),
+    so lam = max_j (|G_ij| - |P_ij|) / ||P_i||_1 on the row i of P's largest
+    entry.  Searches stop within ``L12_TOL`` from any start, so fits agree
+    with cold searches to rounding, not bit for bit.
 
     Rounding.  A computed dot product of x_i with a column z, in any order
     of summation, lies within m eps ||x_i|| ||z|| of the exact one, so Delta

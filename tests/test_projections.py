@@ -25,8 +25,8 @@ from pdsparse.projections import (
 )
 
 from conftest import make_rng, random_feasible
-from oracles import (l1_threshold_bisection, proj_l1_reference, proj_l1_vector_scan,
-                     proj_l12_bisection, proj_l12_with_state_reference)
+from oracles import (_l12_row_state, l1_threshold_bisection, proj_l1_reference,
+                     proj_l1_vector_scan, proj_l12_bisection, proj_l12_with_state_reference)
 
 
 class TestProjL1Vector:
@@ -287,6 +287,16 @@ def assert_l12_bits_unchanged(V, radius):
         assert _bits(getattr(state, f.name)) == _bits(getattr(state_ref, f.name)), f.name
 
 
+# Both searches stop within L12_TOL r^2 of the radius, which moves the
+# multiplier, and W with it, far less than this share of the radius.
+WARM_RTOL = 1e-10
+
+
+def assert_warm_agrees(W, W_cold, radius):
+    assert W.shape == W_cold.shape and _layout(W) == _layout(W_cold)
+    assert np.abs(W - W_cold).max(initial=0.0) <= WARM_RTOL * radius
+
+
 class TestProjL12ByteIdentity:
     """The feature-major search returns the bits of the d x k one it replaced."""
 
@@ -321,10 +331,12 @@ class TestProjL12ByteIdentity:
         problem = small_fit_problem("l12")
         calls = []
 
-        def checked(V, radius):
+        def checked(V, radius, *, _start=0.0):
             assert_l12_bits_unchanged(V, radius)
-            W, state = proj_l12_with_state(V, radius)
+            W_cold, state = proj_l12_with_state(V, radius)
             calls.append(state.iterations)
+            W, _ = proj_l12_with_state(V, radius, _start=_start)
+            assert_warm_agrees(W, W_cold, radius)
             return W
 
         monkeypatch.setattr(projections, "proj_l12", checked)
@@ -350,6 +362,72 @@ class TestProjL12ByteIdentity:
         with pytest.raises(NewtonConvergenceError) as exc_ref:
             proj_l12_with_state_reference(V, radius, max_iter=1)
         assert exc.value.residual.hex() == exc_ref.value.residual.hex()
+
+
+def residual_at(state, lam, radius):
+    """The constraint value minus radius^2 at multiplier lam, from the cold call's prefix sums."""
+    _, row_best = _l12_row_state(state.prefix_sums, lam)
+    return float((row_best * row_best).sum()) - radius * radius
+
+
+class TestProjL12Start:
+    """A start with a positive residual begins the search; any other gives the cold call's bits."""
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 8, 16])
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    def test_starts_around_the_root(self, n, k):
+        rng = make_rng(1000 * n + k)
+        V = rng.standard_normal((n, k)) * np.exp(rng.uniform(-2, 2, (n, 1)))
+        norm = ball_norm(V, "l12")
+        warm = cold_bits = 0
+        for frac in (0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95, 1.0, 1.5):
+            radius = frac * norm
+            W_cold, cold = proj_l12_with_state(V, radius)
+            root = cold.lam
+            for start in (0.0, 0.5 * root, root * (1.0 - 1e-9), root, 2.0 * root):
+                W, state = proj_l12_with_state(V, radius, _start=start)
+                if start > 0.0 and residual_at(cold, start, radius) > 0.0:
+                    warm += 1
+                    assert state.lambdas[0] == start
+                    assert np.all(np.diff(state.lambdas) >= 0)
+                    assert state.residual <= projections.L12_TOL * radius**2
+                    assert_warm_agrees(W, W_cold, radius)
+                else:
+                    cold_bits += 1
+                    assert _bits(W) == _bits(W_cold)
+                    for f in dataclasses.fields(L12NewtonState):
+                        assert _bits(getattr(state, f.name)) == _bits(getattr(cold, f.name)), f.name
+        assert warm > 0 and cold_bits > 0
+
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 4), (1000, 16), (3, 0), (0, 3)])
+    def test_feasible_input_ignores_the_start(self, shape):
+        V = make_rng(58).standard_normal(shape)
+        radius = max(1.5 * ball_norm(V, "l12"), 1.0)
+        for start in (0.0, 1e-300, 1e-3, 1.0, 1e6):
+            W, state = proj_l12_with_state(V, radius, _start=start)
+            assert _bits(W) == _bits(V)
+            assert state.lam == 0.0 and state.lambdas == [0.0]
+
+    def test_a_carried_start_halves_the_newton_updates(self, monkeypatch):
+        # the benchmark's paper shape: m = 200, d = 1000, k = 4, 1500 iterations
+        ds = generate_synthetic(SyntheticSpec(m=200, d=1000, k=4, s=20, separation=2.0,
+                                              noise_sd=1.0, dropout_rate=0.3, seed=1))
+        problem = ProblemTemplate(LossSpec("huber", 1.0), BallSpec("l12", 8.0)).bind(
+            normalize_features(ds.X), one_hot(ds.labels, 4))
+        updates = {}
+        for carried in (True, False):
+            calls = []
+
+            def counted(V, radius, *, _start=0.0):
+                W, state = proj_l12_with_state(V, radius, _start=_start if carried else 0.0)
+                calls.append(state.iterations)
+                return W
+
+            monkeypatch.setattr(projections, "proj_l12", counted)
+            solve(problem, SolverParams(max_iter=1500))
+            assert len(calls) == 1500
+            updates[carried] = sum(calls)
+        assert 2 * updates[True] <= updates[False], updates
 
 
 def small_fit_problem(kind, d=300):

@@ -444,7 +444,8 @@ class TestRowSpaceNuclear:
     def test_column_centred_x_keeps_m_minus_1_directions(self, monkeypatch):
         shapes = []
         monkeypatch.setattr(pdsparse.solver, "project_ball",
-                            lambda V, ball: shapes.append(V.shape) or project_ball(V, ball))
+                            lambda V, ball, **kw: shapes.append(V.shape)
+                            or project_ball(V, ball, **kw))
         X, Y = row_space_data("centred")
         solve(Problem(X=X, Y=Y, loss=LossSpec("huber", 1.0), ball=BallSpec("nuclear", 0.5)),
               SolverParams(max_iter=5))
@@ -729,10 +730,10 @@ class TestBlockPath:
             finally:
                 screened.pop()
 
-        def project(V, ball):
+        def project(V, ball, **kw):
             # one projection per iteration, so the call count is the iteration
             calls.append(True)
-            P = project_ball(V, ball)
+            P = project_ball(V, ball, **kw)
             if screened and len(calls) >= 40 and not poisoned:
                 poisoned.append(len(calls))
                 P[0, 0] = np.nan
