@@ -84,14 +84,23 @@ class CVResult:
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One radius in a sweep: feature count and cross-validated accuracy."""
+    """One radius of a sweep: its cross-validation and the full-data fit's selected features."""
 
     eta: float
-    n_features: int
-    accuracy: float
-    per_class_accuracy: np.ndarray
     cv: CVResult
     selected_features: np.ndarray
+
+    @property
+    def n_features(self) -> int:
+        return int(self.selected_features.size)
+
+    @property
+    def accuracy(self) -> float:
+        return self.cv.mean_accuracy
+
+    @property
+    def per_class_accuracy(self) -> np.ndarray:
+        return np.nanmean(np.vstack([r.per_class_accuracy for r in self.cv.reports]), axis=0)
 
 
 @dataclass(frozen=True)
@@ -261,11 +270,7 @@ def eta_sweep(X, labels, etas, template: ProblemTemplate,
         cv = CVResult(reports=tuple(evaluate(X_t, y_t, solve(p.with_radius(eta), params)[0])
                                     for p, X_t, y_t in bound))
         sel = signature(solve(full.with_radius(eta), params)[0]).union()
-        per_class = np.vstack([r.per_class_accuracy for r in cv.reports])
-        points.append(SweepPoint(eta=eta, n_features=int(sel.size),
-                                 accuracy=cv.mean_accuracy,
-                                 per_class_accuracy=np.nanmean(per_class, axis=0),
-                                 cv=cv, selected_features=sel))
+        points.append(SweepPoint(eta=eta, cv=cv, selected_features=sel))
     return SweepResult(points=tuple(points))
 
 

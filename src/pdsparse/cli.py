@@ -164,7 +164,7 @@ def cmd_sweep_eta(args) -> int:
                                 params=params, folds=args.folds, seed=args.seed)
     for p in result.points:
         print(f"eta {p.eta:g}: {p.n_features} features, accuracy {p.accuracy:.4f}")
-    data_io.write_curve_csv(args.out, result.points, dataset.n_classes)
+    data_io.write_curve_csv(args.out, result.points)
     print(f"curve written to {args.out}")
     knee = classify.detect_knee(result)
     if knee is not None:

@@ -99,10 +99,6 @@ class Dataset:
     feature_names: list[str] | None = None
     label_names: list[str] | None = None
 
-    @property
-    def n_classes(self) -> int:
-        return int(self.labels.max()) + 1
-
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     """Generate a dataset with disjoint per-class informative blocks.
@@ -269,14 +265,18 @@ def load_model(path) -> TrainedModel:
                         feature_scale=scale, class_names=names)
 
 
-def write_curve_csv(path, points, n_classes: int) -> None:
+def write_curve_csv(path, points) -> None:
     """Write sweep points as ``eta,n_features,accuracy,acc_class_0..``.
 
-    Values carry 9 significant digits; rerunning an identical sweep yields
-    a byte-identical file.
+    The class count is the points'; refuses no points, or points that
+    disagree on it.  Values carry 9 significant digits; rerunning an
+    identical sweep yields a byte-identical file.
     """
-    header = ["eta", "n_features", "accuracy"] + \
-        [f"acc_class_{j}" for j in range(n_classes)]
+    counts = {len(p.per_class_accuracy) for p in points}
+    if len(counts) != 1:
+        raise ValueError("no sweep points to write" if not counts else
+                         f"sweep points disagree on the class count: {sorted(counts)}")
+    header = ["eta", "n_features", "accuracy"] + [f"acc_class_{j}" for j in range(counts.pop())]
     _write_csv(path, [header, *([f"{p.eta:.9g}", str(int(p.n_features)), f"{p.accuracy:.9g}",
                                  *(f"{v:.9g}" for v in p.per_class_accuracy)] for p in points)])
 

@@ -11,8 +11,15 @@ plus the l-infinity box and the Frobenius unit ball needed by the dual
 updates.  The l1 ball, and through it the l21 ball (on the row norms) and
 the nuclear ball (on the singular values), is one full sort-and-scan.  The
 l12 projection solves for its Lagrange multiplier with a guarded Newton
-iteration, which ``solve`` starts from the previous W step's multiplier
-while that lies below the root.
+iteration.
+
+Each ball kind is one entry of ``_BALLS``; ``solver``, ``model`` and
+``classify`` name none.  An entry holds the projection, called as (V, radius,
+start) through this module's attribute so that a tracer may swap it; the
+norm and its dual; l12's ``next_start``, its multiplier read back off a
+projection's input and output; nuclear's ``rotation_invariant``, which lets
+a wide fit run on a factor of X; and the ``terms``, row ``magnitude`` and
+``z_factor`` of the balls ``solver.solve`` screens (l1, l21; its Notes).
 
 Layout: a ball projection returns its output in the memory layout of its
 input.  A Fortran-ordered (column-major) matrix, the layout ``solve`` keeps
@@ -27,6 +34,7 @@ see.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,7 +58,6 @@ __all__ = [
     "project_ball",
 ]
 
-BALL_KINDS = ("l1", "l21", "l12", "nuclear")
 L12_TOL = 1e-12
 L12_MAX_ITER = 100
 
@@ -63,8 +70,8 @@ class BallSpec:
     radius: float
 
     def __post_init__(self):
-        if self.kind not in BALL_KINDS:
-            raise ValueError(f"unknown ball kind {self.kind!r}, expected one of {BALL_KINDS}")
+        if self.kind not in (kinds := tuple(_BALLS)):
+            raise ValueError(f"unknown ball kind {self.kind!r}, expected one of {kinds}")
         _check_scalar(self.radius, "ball radius", "positive")
 
 
@@ -327,42 +334,57 @@ def proj_l12(V, radius, *, _start=0.0) -> np.ndarray:
     return W
 
 
+def _row_norms(A: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->i", A, A))
+
+
+def _l12_start(V: np.ndarray, P: np.ndarray) -> float:
+    """lam = max_j (|v_ij| - |p_ij|) / ||p_i||_1 on the row i of P's largest entry (KKT)."""
+    A = np.abs(P)
+    i = int(A.max(axis=1).argmax())
+    norm = float(A[i].sum())
+    return float((np.abs(V[i]) - A[i]).max()) / norm if norm > 0.0 else 0.0
+
+
+# one ball kind's entry in _BALLS; the module docstring says what its fields hold
+_Ball = namedtuple("_Ball", "project norm dual_norm next_start rotation_invariant terms "
+                   "magnitude z_factor", defaults=(None, False, None, None, None))
+
+# z_factor is an ndarray method: np.max and np.sum cost 1.5 us more a call, each screened step
+_BALLS = {
+    "l1": _Ball(lambda V, r, s: proj_l1_matrix(V, r), lambda V: np.abs(V).sum(),
+                lambda V: np.abs(V).max(), terms=np.abs,
+                magnitude=lambda A: np.abs(A).max(axis=1), z_factor=np.ndarray.max),
+    "l21": _Ball(lambda V, r, s: proj_l21(V, r), lambda V: np.linalg.norm(V, axis=1).sum(),
+                 lambda V: np.linalg.norm(V, axis=1).max(), terms=_row_norms,
+                 magnitude=_row_norms, z_factor=np.ndarray.sum),
+    "l12": _Ball(lambda V, r, s: proj_l12(V, r, _start=s),
+                 lambda V: np.linalg.norm(np.abs(V).sum(axis=1)),
+                 lambda V: np.linalg.norm(np.abs(V).max(axis=1)), next_start=_l12_start),
+    "nuclear": _Ball(lambda V, r, s: proj_nuclear(V, r),
+                     lambda V: np.linalg.svd(V, compute_uv=False).sum(),
+                     lambda V: np.sqrt(max(np.linalg.eigvalsh(V.T @ V)[-1], 0.0)),
+                     rotation_invariant=True),
+}
+BALL_KINDS = tuple(_BALLS)
+
+
+def _ball(kind: str) -> _Ball:
+    if kind not in tuple(_BALLS):  # a tuple, so an unhashable kind is refused as unknown
+        raise ValueError(f"unknown ball kind {kind!r}")
+    return _BALLS[kind]
+
+
 def ball_norm(V, kind: str) -> float:
     """Evaluate the norm underlying a ball constraint."""
-    V = check_matrix(V, "V")
-    if kind == "l1":
-        return float(np.abs(V).sum())
-    if kind == "l21":
-        return float(np.linalg.norm(V, axis=1).sum())
-    if kind == "l12":
-        return float(np.linalg.norm(np.abs(V).sum(axis=1)))
-    if kind == "nuclear":
-        return float(np.linalg.svd(V, compute_uv=False).sum())
-    raise ValueError(f"unknown ball kind {kind!r}")
+    return float(_ball(kind).norm(check_matrix(V, "V")))
 
 
 def dual_norm(V, kind: str) -> float:
     """Evaluate the dual of a ball's norm: the max of <V, W> over its unit ball."""
-    V = check_matrix(V, "V")
-    if kind == "l1":
-        return float(np.abs(V).max())
-    if kind == "l21":
-        return float(np.linalg.norm(V, axis=1).max())
-    if kind == "l12":
-        return float(np.linalg.norm(np.abs(V).max(axis=1)))
-    if kind == "nuclear":
-        return float(np.sqrt(max(np.linalg.eigvalsh(V.T @ V)[-1], 0.0)))
-    raise ValueError(f"unknown ball kind {kind!r}")
+    return float(_ball(kind).dual_norm(check_matrix(V, "V")))
 
 
 def project_ball(V, ball: BallSpec, *, _start=0.0) -> np.ndarray:
-    """Dispatch to the projection matching the ball descriptor; ``_start`` goes to l12's."""
-    if ball.kind == "l1":
-        return proj_l1_matrix(V, ball.radius)
-    if ball.kind == "l21":
-        return proj_l21(V, ball.radius)
-    if ball.kind == "l12":
-        return proj_l12(V, ball.radius, _start=_start)
-    if ball.kind == "nuclear":
-        return proj_nuclear(V, ball.radius)
-    raise ValueError(f"unknown ball kind {ball.kind!r}")
+    """Project onto the ball the descriptor names; ``_start`` goes to l12's multiplier search."""
+    return _BALLS[ball.kind].project(V, ball.radius, _start)

@@ -14,17 +14,14 @@ shrink on W when alpha > 0, or the Frobenius loss's dual prox.  Convergence
 requires a strict inequality on (tau, tau_mu, sigma); the solver refuses to
 run otherwise.
 
-Every fit starts at W = 0, mu = I, Z = 0.  A nuclear ball with d > m runs
-the same iteration on an m x r factor R of X = R Q, Q with orthonormal
-rows, r <= m the rank of X: a plain fit of r x k weights B, with
-W = Q^T B, at O(m r k) per iteration instead of O(m d k); the Notes of
-``solve`` say why it is the same.
-
-On the l1 and l21 balls the W step forms X^T Z on candidate rows that a
-certificate shows hold the projection's whole support, and the coupling
-product X (2 W - W_old) reads only the nonzero rows of W when at most one
-in eight is nonzero.  Both agree with the dense iteration to rounding, not
-bit for bit; the Notes of ``solve`` give them.
+Every fit starts at W = 0, mu = I, Z = 0.  Three shortcuts agree with the
+dense iteration to rounding, not bit for bit (the Notes of ``solve``): with
+d > m, a rotation-invariant ball (nuclear) runs on an m x r factor of X, at
+O(m r k) per iteration instead of O(m d k); the screened balls (l1, l21)
+form X^T Z on candidate rows that a certificate shows hold the projection's
+whole support; and X (2 W - W_old) reads only the nonzero rows of W when at
+most one in eight is nonzero.  Each ball's rules come from its entry in
+``projections``' table.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ from .linalg import OperatorNormEstimate, label_operator_norm, spectral_norm  # 
 from .linalg import GATHER_RATIO, _check_scalar, sparse_rows_product as _forward
 from .losses import ObjectiveBreakdown, dual_prox, primal_objective
 from .model import Problem, TrainedModel
-from .projections import dual_norm, project_ball
+from .projections import _BALLS, dual_norm, project_ball
 
 __all__ = [
     "HistoryRecord",
@@ -237,42 +234,35 @@ def _extrapolate(W, W_old, theta) -> np.ndarray:
 class _PrimalStep:
     """The W step P_ball((W + tau X^T Z) / (1 + tau alpha)) and the coupling X W_ext.
 
-    On the l1 and l21 balls the W step is screened (the Notes of ``solve``):
-    it keeps Z_ref and the row magnitudes of the last full product X^T Z_ref
-    and the threshold theta of the last projection.  A screened step forms
-    X^T Z on the candidate rows, a full step all of it; each projects only
-    the candidates' block when it certifies, into +0.0 rows.  ``rows`` and
-    ``block`` keep a certified step's rows and projection, None otherwise;
-    ``kept`` the last rows gathered and their X[:, rows], which the
-    screened step and the coupling product share.  ``full`` counts the full
-    products.  On the l12 ball ``lam`` is the last projection's multiplier,
-    the next one's start (Notes).
+    On a ball whose table entry has ``terms`` (l1, l21) the W step is
+    screened (the Notes of ``solve``): it keeps Z_ref and the row magnitudes
+    of the last full product X^T Z_ref and the threshold theta of the last
+    projection.  A screened step forms X^T Z on the candidate rows, a full
+    step all of it; each projects only the candidates' block when it
+    certifies, into +0.0 rows.  ``rows`` and ``block`` keep a certified
+    step's rows and projection, None otherwise; ``kept`` the last rows
+    gathered and their X[:, rows], which the screened step and the coupling
+    product share.  ``full`` counts the full products.  ``start`` is the
+    next projection's start, read back off the last one by the ball's
+    ``next_start`` (l12's multiplier; Notes).
     """
 
     def __init__(self, X: np.ndarray, ball, k: int):
         m, d = X.shape
         self.X, self.ball = X, ball
-        self.screens = ball.kind in ("l1", "l21")
+        self.spec = _BALLS[ball.kind]
+        self.screens = self.spec.terms is not None
         self.full = 0
-        self.theta = self.lam = 0.0
+        self.theta = self.start = 0.0
         self.rows = self.block = None
         self.kept = None, None
         if self.screens:
             self.col_norms = np.sqrt(np.einsum("ij,ij->j", X, X))
             self.slack = ((d + 2) * k + m + 20) * EPS
 
-    def _terms(self, A: np.ndarray) -> np.ndarray:
-        """The magnitudes the threshold is taken over: entries on l1, row 2-norms on l21."""
-        return np.abs(A) if self.ball.kind == "l1" else np.sqrt(np.einsum("ij,ij->i", A, A))
-
-    def _magnitudes(self, A: np.ndarray) -> np.ndarray:
-        """mag(A_i) of every row: its largest entry on l1, its 2-norm on l21."""
-        return np.abs(A).max(axis=1) if self.ball.kind == "l1" else self._terms(A)
-
     def _size(self, Z: np.ndarray) -> float:
-        """max_j ||Z_j|| over columns on l1, ||Z||_F on l21: the bound's factor of ||x_i||."""
-        squares = np.einsum("ij,ij->j", Z, Z)
-        return math.sqrt(squares.max() if self.ball.kind == "l1" else squares.sum())
+        """The bound's factor of ||x_i||: max_j ||Z_j|| over columns on l1, ||Z||_F on l21."""
+        return math.sqrt(self.spec.z_factor(np.einsum("ij,ij->j", Z, Z)))
 
     def _candidates(self, magnitudes, W, shrink=1.0, tau=1.0) -> np.ndarray:
         """The rows whose magnitudes times tau / shrink can clear t, and W's nonzero rows."""
@@ -285,14 +275,14 @@ class _PrimalStep:
 
     def _certified(self, G, rows, extra=0.0):
         """The new W: P_ball(G) on ``rows``, zero elsewhere, if the G there certifies (Notes)."""
-        terms = self._terms(G)
+        terms = self.spec.terms(G)
         n = terms.size
         beta = EPS * (extra + (G.shape[1] + 4) * terms.max(initial=0.0))
         excess = np.maximum(terms - SCREEN_FRACTION * self.theta, 0.0).sum()
         if excess < (self.ball.radius + n * beta) * (1.0 + (n + 2) * EPS):
             return None
         P = project_ball(G, self.ball)
-        self.theta = float((terms - self._terms(P)).max())
+        self.theta = float((terms - self.spec.terms(P)).max())
         self.rows, self.block = rows, P
         W = np.zeros((self.X.shape[1], G.shape[1]), order="F")
         W[rows] = P
@@ -314,24 +304,20 @@ class _PrimalStep:
         C = _gradient(self.X, Z)
         if self.screens:
             self.Z_ref, self.ref_size = Z.copy(), self._size(Z)
-            self.ref_magnitudes = self._magnitudes(C)
+            self.ref_magnitudes = self.spec.magnitude(C)
         G = _shift(C, W, tau, alpha)
         if certify:
-            rows = self._candidates(self._magnitudes(G), W)
+            rows = self._candidates(self.spec.magnitude(G), W)
             # column-major, as G: l21's row norms take their bits from the layout
             W_new = self._certified(np.asfortranarray(G[rows]), rows)
             if W_new is not None:
                 return W_new
         self.rows = self.block = None
-        W_new = project_ball(G, self.ball, _start=self.lam)
+        W_new = project_ball(G, self.ball, _start=self.start)
         if self.screens:
-            self.theta = float((self._terms(G) - self._terms(W_new)).max())
-        elif self.ball.kind == "l12":
-            # lam read back on the row i of W_new's largest entry (Notes)
-            A = np.abs(W_new)
-            i = int(A.max(axis=1).argmax())
-            norm = float(A[i].sum())
-            self.lam = float((np.abs(G[i]) - A[i]).max()) / norm if norm > 0.0 else 0.0
+            self.theta = float((self.spec.terms(G) - self.spec.terms(W_new)).max())
+        elif self.spec.next_start is not None:
+            self.start = self.spec.next_start(G, W_new)
         return W_new
 
     def _candidate_step(self, W, Z, tau, alpha):
@@ -425,21 +411,21 @@ def solve(problem: Problem, params: SolverParams, callback=None
     ergodic averages, the recorded diagnostics and the returned model;
     only the internal recursion sees the relaxed variables.
 
-    A nuclear fit with more features than samples (d > m), whose record
-    holds X X^T, runs on a factor of X.  ``solve`` takes the eigenpairs
-    (lam, V) of K = X X^T and keeps the r with lam > lam_max m eps: the
-    others are zero up to rounding, as one is for a column-centred X of
-    rank m - 1.  R = V_r diag(lam_r)^(1/2) and T = V_r diag(lam_r)^(-1/2) give
-    X = R Q with Q = T^T X, whose rows are orthonormal, and the loop is a
-    plain fit of r x k weights B on ``replace(problem, X=R)``, with the
-    steps from the estimate of ||X||.  It is the same iteration: from W = 0
-    every update stays in the row space of X (X^T Z = Q^T R^T Z; the matrix
-    representer theorem), and W = Q^T B maps B's products with R, Frobenius
-    norm and singular values to W's with X, so the nuclear projection, the
-    objective and the duality gap are those of B.  W = X^T (T B) is formed,
-    column-major, only for the callback, the returned model and the ergodic
-    average.  Results agree with the d-space iteration to rounding, not bit
-    for bit.
+    A fit on a rotation-invariant ball (nuclear) with more features than
+    samples (d > m), whose record holds X X^T, runs on a factor of X.
+    ``solve`` takes the eigenpairs (lam, V) of K = X X^T and keeps the r
+    with lam > lam_max m eps: the others are zero up to rounding, as one is
+    for a column-centred X of rank m - 1.  R = V_r diag(lam_r)^(1/2) and
+    T = V_r diag(lam_r)^(-1/2) give X = R Q with Q = T^T X, whose rows are
+    orthonormal, and the loop is a plain fit of r x k weights B on
+    ``replace(problem, X=R)``, with the steps from the estimate of ||X||.
+    It is the same iteration: from W = 0 every update stays in the row space
+    of X (X^T Z = Q^T R^T Z; the matrix representer theorem), and W = Q^T B
+    maps B's products with R, Frobenius norm and singular values to W's with
+    X, so the ball's projection, the objective and the duality gap are
+    those of B.  W = X^T (T B) is formed, column-major, only for the
+    callback, the returned model and the ergodic average.  Results agree
+    with the d-space iteration to rounding, not bit for bit.
 
     The dual step is Z <- dual_prox(Z + sigma (Y mu_ext - X W_ext)), with
     W_ext = (1 + theta) W - theta W_old and mu_ext alike.  After a
@@ -561,10 +547,10 @@ def solve(problem: Problem, params: SolverParams, callback=None
             f"step sizes violate the {condition} convergence condition "
             f"(slack {slack:.3e}); reduce sigma or the primal steps")
 
-    # A wide nuclear fit runs on the factor R of X = R Q (Notes), whose
+    # A wide rotation-invariant fit runs on the factor R of X = R Q (Notes), whose
     # weights B give W = Q^T B = X^T (T B); W is formed only where it is seen.
     scale, T = problem.features.scale, None
-    if ball.kind == "nuclear" and problem.features.gram is not None:
+    if _BALLS[ball.kind].rotation_invariant and problem.features.gram is not None:
         lam, V = np.linalg.eigh(problem.features.gram)
         keep = lam > lam[-1] * m * EPS
         root = np.sqrt(lam[keep])

@@ -400,9 +400,5 @@ def eta_sweep_reference(X, labels, etas, template, params=None, folds=4, seed=0)
         cv = _cross_validate_reference(X, labels, folds, t, params=params, seed=seed)
         full_model, _ = _train_model_reference(X, labels, t, params=params)
         sel = _signature_reference(full_model).union()
-        per_class = np.vstack([r.per_class_accuracy for r in cv.reports])
-        points.append(SweepPoint(eta=eta, n_features=int(sel.size),
-                                 accuracy=cv.mean_accuracy,
-                                 per_class_accuracy=np.nanmean(per_class, axis=0),
-                                 cv=cv, selected_features=sel))
+        points.append(SweepPoint(eta=eta, cv=cv, selected_features=sel))
     return SweepResult(points=tuple(points))

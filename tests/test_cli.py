@@ -596,6 +596,15 @@ def test_cli_opens_no_file():
     assert projs == [], f"cli.py names a proj_* function on lines {projs}"
 
 
+def test_only_projections_names_a_ball_kind():
+    """solver, model and classify read every rule of a ball off the projections table."""
+    for name in ("solver.py", "model.py", "classify.py"):
+        tree = ast.parse(Path(cli.__file__).with_name(name).read_text(encoding="utf-8"))
+        named = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Constant) and node.value in BALL_KINDS]
+        assert named == [], f"{name} names a ball kind on lines {named}"
+
+
 class TestBenchProj:
     def test_smoke_writes_timings(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"

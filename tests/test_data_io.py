@@ -19,7 +19,7 @@ from pdsparse.data_io import (
     write_curve_csv,
     write_dataset_csv,
 )
-from pdsparse.classify import SweepPoint, CVResult
+from pdsparse.classify import CVResult, EvalReport, SweepPoint
 from pdsparse.losses import LOSS_KINDS, LossSpec
 from pdsparse.model import TrainedModel
 from pdsparse.projections import BALL_KINDS, BallSpec
@@ -323,35 +323,48 @@ def _crafted_model(path, d, k):
     return _written(path, blob + json.dumps([str(j) for j in range(k)]).encode("ascii"))
 
 
-def _points(k=2):
-    cv = CVResult(reports=())
-    return [
-        SweepPoint(eta=0.5, n_features=3, accuracy=0.75,
-                   per_class_accuracy=np.array([0.5, 1.0]), cv=cv,
-                   selected_features=np.array([0, 1, 2])),
-        SweepPoint(eta=1.0, n_features=5, accuracy=0.875,
-                   per_class_accuracy=np.array([0.75, 1.0]), cv=cv,
-                   selected_features=np.arange(5)),
-    ]
+def _point(eta, confusion, selected):
+    """A sweep point whose one fold has the given confusion matrix."""
+    return SweepPoint(eta=eta, cv=CVResult(reports=(EvalReport(np.array(confusion)),)),
+                      selected_features=np.array(selected))
+
+
+def _points():
+    return [_point(0.5, [[1, 1], [0, 2]], [0, 1, 2]),
+            _point(1.0, [[3, 1], [0, 4]], np.arange(5))]
 
 
 class TestCurveCsv:
-    def test_empty_sweep_writes_header_only(self, tmp_path):
+    def test_empty_sweep_refused(self, tmp_path):
         path = tmp_path / "curve.csv"
-        write_curve_csv(path, [], 3)
-        assert path.read_text() == "eta,n_features,accuracy,acc_class_0,acc_class_1,acc_class_2\n"
+        with pytest.raises(ValueError, match="no sweep points"):
+            write_curve_csv(path, [])
+        assert not path.exists()
+
+    def test_points_of_different_class_counts_refused(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        three = _point(2.0, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0])
+        with pytest.raises(ValueError, match=r"disagree on the class count: \[2, 3\]"):
+            write_curve_csv(path, [*_points(), three])
+        assert not path.exists()
+
+    def test_header_counts_the_points_classes(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        write_curve_csv(path, _points())
+        assert path.read_text().splitlines()[0] == \
+            "eta,n_features,accuracy,acc_class_0,acc_class_1"
 
     def test_single_point_two_lines(self, tmp_path):
         path = tmp_path / "curve.csv"
-        write_curve_csv(path, _points()[:1], 2)
+        write_curve_csv(path, _points()[:1])
         lines = path.read_text().splitlines()
         assert len(lines) == 2
         assert lines[1] == "0.5,3,0.75,0.5,1"
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_curve_csv(p1, _points(), 2)
-        write_curve_csv(p2, _points(), 2)
+        write_curve_csv(p1, _points())
+        write_curve_csv(p2, _points())
         assert p1.read_bytes() == p2.read_bytes()
 
 

@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pdsparse
+from pdsparse import projections
 from pdsparse.linalg import normalize_features, one_hot, spectral_norm
 from pdsparse.losses import LossSpec, dual_prox
 from pdsparse.model import Problem, ProblemTemplate
@@ -1074,3 +1075,36 @@ class TestInputChecks:
         with pytest.raises(ValueError) as exc:
             call()
         assert str(exc.value) == message
+
+
+def _frobenius_entry():
+    """The Frobenius ball ||W||_F <= r as a table entry: radial scaling, self-dual norm."""
+    def project(V, radius, start):
+        norm = np.linalg.norm(V)
+        return V * (radius / norm) if norm > radius else V.copy(order="K")
+    return projections._Ball(project=project, norm=np.linalg.norm, dual_norm=np.linalg.norm,
+                             rotation_invariant=True)
+
+
+class TestFifthBall:
+    """A ball is one entry of the projections table: a fifth one fits with no other change."""
+
+    @pytest.mark.parametrize("d, factor_rows", [(30, None), (80, 40)], ids=["d<m", "d>m"])
+    def test_frobenius_ball_fits_to_a_certified_gap(self, d, factor_rows, monkeypatch):
+        monkeypatch.setitem(projections._BALLS, "frobenius", _frobenius_entry())
+        shapes = []
+        monkeypatch.setattr(pdsparse.solver, "project_ball",
+                            lambda V, ball, **kw: shapes.append(V.shape)
+                            or project_ball(V, ball, **kw))
+        X = normalize_features(make_rng(43).standard_normal((40, d))).X
+        radius = 0.5
+        prob = Problem(X=X, Y=one_hot(np.arange(40) % 3, 3), loss=LossSpec("huber", 1.0),
+                       ball=BallSpec("frobenius", radius))
+        model, hist = solve(prob, SolverParams(max_iter=3000, record_every=10,
+                                               early_stop_tol=1e-6))
+        final = hist.records[-1]
+        assert final.iteration < 3000
+        assert final.gap <= 1e-6 * max(1.0, abs(final.objective.total))
+        # the ball is active, and a wide fit projected the m x k factor weights
+        assert radius * (1 - 1e-6) <= np.linalg.norm(model.W) <= radius * (1 + 1e-9)
+        assert set(shapes) == {(factor_rows or d, 3)}
