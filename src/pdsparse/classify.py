@@ -168,7 +168,7 @@ def evaluate(X_test, labels_test, model: TrainedModel) -> EvalReport:
 
 
 def train_model(X, labels, template: ProblemTemplate,
-                params: SolverParams | None = None,
+                params: SolverParams = SolverParams(),
                 normalize: bool = True) -> tuple[TrainedModel, TrainingHistory]:
     """Normalize features, build the problem and run the solver.
 
@@ -177,8 +177,7 @@ def train_model(X, labels, template: ProblemTemplate,
     matrix, and the model it returns keeps its scale for scaling queries.
     Every class in ``0..max(labels)`` must have a sample.
     """
-    return solve(_bind(X, labels, template, normalize),
-                 params if params is not None else SolverParams())
+    return solve(_bind(X, labels, template, normalize), params)
 
 
 def _bind(X, labels, template: ProblemTemplate, normalize: bool = True) -> Problem:
@@ -238,18 +237,17 @@ def _bind_folds(X, labels, folds: int, template: ProblemTemplate, seed: int):
 
 
 def cross_validate(X, labels, folds: int, template: ProblemTemplate,
-                   params: SolverParams | None = None, seed: int = 0) -> CVResult:
+                   params: SolverParams = SolverParams(), seed: int = 0) -> CVResult:
     """Stratified k-fold cross validation, one solver run per fold, in fold order.
 
     Each fold fits its normalized training rows on all k classes, even on one they miss.
     """
-    params = params if params is not None else SolverParams()
     bound = _bind_folds(X, labels, folds, template, seed)
     return CVResult(reports=tuple(evaluate(X_t, y_t, solve(p, params)[0]) for p, X_t, y_t in bound))
 
 
 def eta_sweep(X, labels, etas, template: ProblemTemplate,
-              params: SolverParams | None = None, folds: int = 4,
+              params: SolverParams = SolverParams(), folds: int = 4,
               seed: int = 0) -> SweepResult:
     """Cross-validate over a grid of constraint radii.
 
@@ -262,7 +260,6 @@ def eta_sweep(X, labels, etas, template: ProblemTemplate,
         raise ValueError("need at least one radius")
     if sorted(etas) != etas:
         raise ValueError("radii must be sorted ascending")
-    params = params if params is not None else SolverParams()
     bound = [*_bind_folds(X, labels, folds, template, seed)]
     full = _bind(X, labels, template)
     points = []

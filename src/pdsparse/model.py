@@ -49,7 +49,7 @@ class Problem(ProblemTemplate):
     """Immutable training instance: a template's settings with data and one-hot labels.
 
     ``X`` may be given as a ``linalg.Features`` record; ``X`` then holds
-    its matrix.
+    its matrix, taken as checked (a record is built from a checked one).
     """
 
     X: np.ndarray
@@ -59,8 +59,7 @@ class Problem(ProblemTemplate):
         super().__post_init__()
         if isinstance(self.X, Features):
             object.__setattr__(self, "features", self.X)
-            object.__setattr__(self, "X", self.X.X)
-        X = check_matrix(self.X, "X")
+        X = self.X.X if isinstance(self.X, Features) else check_matrix(self.X, "X")
         Y = check_matrix(self.Y, "Y")
         if X.shape[0] != Y.shape[0]:
             raise ValueError(f"X has {X.shape[0]} rows but Y has {Y.shape[0]}")

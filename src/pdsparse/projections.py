@@ -11,7 +11,7 @@ plus the l-infinity box and the Frobenius unit ball needed by the dual
 updates.  The l1 ball, and through it the l21 ball (on the row norms) and
 the nuclear ball (on the singular values), is one full sort-and-scan.  The
 l12 projection solves for its Lagrange multiplier with a guarded Newton
-iteration.
+iteration, whose iterates and final residual an ``L12NewtonState`` holds.
 
 Each ball kind is one entry of ``_BALLS``; ``solver``, ``model`` and
 ``classify`` name none.  An entry holds the projection, called as (V, radius,
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import functools
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,8 +70,7 @@ class BallSpec:
     radius: float
 
     def __post_init__(self):
-        if self.kind not in (kinds := tuple(_BALLS)):
-            raise ValueError(f"unknown ball kind {self.kind!r}, expected one of {kinds}")
+        _ball(self.kind)
         _check_scalar(self.radius, "ball radius", "positive")
 
 
@@ -119,14 +118,19 @@ def _proj_l1(v: np.ndarray, radius: float) -> np.ndarray:
     css_rho - r (Duchi, Shalev-Shwartz, Singer & Chandra 2008).  The sort
     and the scan work in the buffer of |v|, which is then taken again: the
     page faults that fresh n-sized temporaries cost can outweigh the
-    arithmetic.
+    arithmetic.  A radius at or below (n + 2) eps sum(u), lost in css's
+    rounding, is scanned on u - u_0 (exact within r of u_0) and shrinks |v| - u_0.
     """
     a = np.abs(v)
-    if a.sum() <= radius:
+    total = a.sum()
+    if total <= radius:
         return v.copy(order="K")
     u = a.ravel(order="K")  # a view, in memory order
     u.sort()
     u = u[::-1]
+    top = u[0] if radius <= (u.size + 2) * np.finfo(np.float64).eps * total else 0.0
+    if top:
+        u -= top
     uj = np.arange(1.0, u.size + 1)
     uj *= u
     excess = np.cumsum(u, out=u)
@@ -135,6 +139,8 @@ def _proj_l1(v: np.ndarray, radius: float) -> np.ndarray:
     rho = active.size - 1 - int(np.argmax(active[::-1]))
     theta = excess[rho] / (rho + 1)
     np.abs(v, out=a)
+    if top:
+        a -= top
     a -= theta
     np.maximum(a, 0.0, out=a)
     np.copysign(a, v, out=a)
@@ -205,17 +211,22 @@ def proj_nuclear(V, radius) -> np.ndarray:
 class L12NewtonState:
     """Internals of the l12 multiplier search, kept for diagnostics/tests.
 
-    ``lambdas`` records every multiplier iterate starting from the start,
-    else the lower bound, ``p`` the per-row active counts at the final
-    multiplier, and ``residual`` the final constraint value minus radius^2.
+    ``lambdas`` records every multiplier iterate from the start, else the
+    lower bound ([0.0] for a feasible input), and ``residual`` the final
+    constraint value minus radius^2; ``lam`` is the last iterate and
+    ``iterations`` the number of Newton updates.
     """
 
-    prefix_sums: np.ndarray
-    lam: float
-    p: np.ndarray
+    lambdas: list[float]
     residual: float
-    lambdas: list[float] = field(default_factory=list)
-    iterations: int = 0
+
+    @property
+    def lam(self) -> float:
+        return self.lambdas[-1]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.lambdas) - 1
 
 
 @functools.cache
@@ -271,7 +282,6 @@ def proj_l12_with_state(V, radius, *, _start=0.0) -> tuple[np.ndarray, L12Newton
     St = np.array(rows).reshape(m, n)
     for j in range(1, m):
         St[j] += St[j - 1]
-    S = np.ascontiguousarray(St.T)
 
     p_range = np.arange(1, m + 1, dtype=np.float64)
     # p is the first column of each row's best ratio S_ip / (1 + lam p), as
@@ -293,9 +303,8 @@ def proj_l12_with_state(V, radius, *, _start=0.0) -> tuple[np.ndarray, L12Newton
         norm_sq = float((row_l1 * row_l1).sum())
         if norm_sq <= target:
             # feasible: multiplier 0, all entries active
-            state = L12NewtonState(prefix_sums=S, lam=0.0, p=np.full(n, m),
-                                   residual=norm_sq - target, lambdas=[0.0])
-            return V.copy(order="K"), state
+            return V.copy(order="K"), L12NewtonState([0.0], norm_sq - target)
+        S = np.ascontiguousarray(St.T)
         col = np.sqrt((S * S).sum(axis=0))
         lam = max(0.0, float(((col / radius - 1.0) / p_range).max()))
         first = evaluate(lam)
@@ -317,15 +326,7 @@ def proj_l12_with_state(V, radius, *, _start=0.0) -> tuple[np.ndarray, L12Newton
 
     deltas = lam * row_best
     W = np.sign(V) * np.maximum(A - deltas[:, None], 0.0)
-    state = L12NewtonState(
-        prefix_sums=S,
-        lam=lam,
-        p=p.astype(np.int64),
-        residual=val - target,
-        lambdas=lambdas,
-        iterations=iterations,
-    )
-    return W, state
+    return W, L12NewtonState(lambdas, val - target)
 
 
 def proj_l12(V, radius, *, _start=0.0) -> np.ndarray:
@@ -370,8 +371,8 @@ BALL_KINDS = tuple(_BALLS)
 
 
 def _ball(kind: str) -> _Ball:
-    if kind not in tuple(_BALLS):  # a tuple, so an unhashable kind is refused as unknown
-        raise ValueError(f"unknown ball kind {kind!r}")
+    if kind not in (kinds := tuple(_BALLS)):  # a tuple: an unhashable kind is refused as unknown
+        raise ValueError(f"unknown ball kind {kind!r}, expected one of {kinds}")
     return _BALLS[kind]
 
 

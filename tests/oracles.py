@@ -9,7 +9,8 @@ iteration of ``spectral_norm`` without forming the Gram matrix, and
 ``solve_reference`` the primal-dual iteration written plainly in the d x k
 weights, multiplying by all of X, where ``solve`` runs a nuclear ball on an
 m x r factor of X once d > m and multiplies X by the nonzero rows of a
-sparse iterate, or by a certified step's rows, only.
+sparse iterate, or by a certified step's rows, only.  ``proj_l1_exact``
+runs the sort-and-scan in exact rationals, so no radius is lost in rounding.
 
 ``proj_l12_with_state_reference``, ``proj_l1_reference`` and
 ``stratified_folds_reference`` are the exceptions: they are the l12
@@ -25,6 +26,8 @@ radius, so the tests can assert that binding them once changed no bit.
 dividing the n x d rows by the feature scale before projecting them, so the
 tests can bound how far scaling the n x k projection instead rounds.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -119,6 +122,20 @@ def proj_l1_reference(v: np.ndarray, radius: float) -> np.ndarray:
     return np.sign(v) * np.maximum(a - theta, 0.0)
 
 
+def proj_l1_exact(v, radius) -> np.ndarray:
+    """The l1 projection by sort-and-scan in exact rationals, rounded once at the end."""
+    u = sorted((Fraction(abs(float(x))) for x in v), reverse=True)
+    r = Fraction(float(radius))
+    if sum(u) <= r:
+        return np.array(v, dtype=np.float64)
+    css = theta = Fraction(0)
+    for j, uj in enumerate(u):
+        css += uj
+        if uj > (t := (css - r) / (j + 1)):
+            theta = t
+    return np.sign(v) * np.array([float(max(Fraction(abs(float(x))) - theta, 0)) for x in v])
+
+
 def proj_l12_bisection(V, radius, lam_iters: int = 100,
                        threshold_iters: int = 72) -> np.ndarray:
     """Slow independent l12 projection for cross-checking (test oracle).
@@ -194,22 +211,14 @@ def proj_l12_with_state_reference(V, radius, max_iter: int = 100) -> tuple[np.nd
     """
     radius = _check_radius(radius)
     V = check_matrix(V, "V")
-    n, m = V.shape
+    m = V.shape[1]
     A = np.abs(V)
     target = radius * radius
 
     row_l1 = A.sum(axis=1)
     if float((row_l1 * row_l1).sum()) <= target:
         # feasible: multiplier 0, all entries active
-        srt0 = np.sort(A, axis=1)[:, ::-1]
-        state = L12NewtonState(
-            prefix_sums=np.cumsum(srt0, axis=1),
-            lam=0.0,
-            p=np.full(n, m),
-            residual=float((row_l1 * row_l1).sum()) - target,
-            lambdas=[0.0],
-        )
-        return V.copy(), state
+        return V.copy(), L12NewtonState([0.0], float((row_l1 * row_l1).sum()) - target)
 
     # stable descending sort: ties keep original column order
     order = np.argsort(-A, axis=1, kind="stable")
@@ -223,9 +232,8 @@ def proj_l12_with_state_reference(V, radius, max_iter: int = 100) -> tuple[np.nd
 
     p, row_best = _l12_row_state(S, lam)
     val = float((row_best * row_best).sum())
-    iterations = 0
     if val - target > L12_TOL * target:
-        for iterations in range(1, max_iter + 1):
+        for _ in range(max_iter):
             deriv = 2.0 * float((p * row_best * row_best / (1.0 + lam * p)).sum())
             lam = lam + (val - target) / deriv
             lambdas.append(lam)
@@ -242,15 +250,7 @@ def proj_l12_with_state_reference(V, radius, max_iter: int = 100) -> tuple[np.nd
 
     deltas = lam * row_best
     W = np.sign(V) * np.maximum(A - deltas[:, None], 0.0)
-    state = L12NewtonState(
-        prefix_sums=S,
-        lam=lam,
-        p=p.astype(np.int64),
-        residual=val - target,
-        lambdas=lambdas,
-        iterations=iterations,
-    )
-    return W, state
+    return W, L12NewtonState(lambdas, val - target)
 
 
 def spectral_norm_matrix_free(A, max_iter: int = 1000) -> OperatorNormEstimate:

@@ -616,8 +616,8 @@ class TestNormHandOff:
         monkeypatch.setattr(np.linalg, "eigh", eigh)
         train_model(X, np.arange(30) % 3, hand_off_template(kind),
                     params=SolverParams(max_iter=5))
-        # the raw X in normalize_features and the scaled one in Problem
-        assert calls == {"gram": 1, "estimate": 1, "scans": 2}
+        # the raw X in normalize_features alone: Problem takes the record's X as checked
+        assert calls == {"gram": 1, "estimate": 1, "scans": 1}
         wide_nuclear = kind == "nuclear" and d > 30
         assert len(eigh_inputs) == wide_nuclear
         if wide_nuclear:

@@ -526,6 +526,20 @@ class TestProject:
         assert np.allclose(data_io.load_matrix_csv(dst), np.diag([2.0, 0.0]),
                            atol=1e-9)
 
+    def test_svd_failure_exits_1(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
+        data_io.save_matrix_csv(src, np.diag([3.0, 1.0]))
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        rc = main(["project", "--input", str(src), "--output", str(dst),
+                   "--ball", "nuclear", "--radius", "2"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: SVD failed during nuclear projection: SVD did not converge\n")
+        assert not dst.exists()
+
     def test_l12_single_row_matches_l1(self, tmp_path, capsys):
         src = tmp_path / "in.csv"
         row = np.array([[3.0, 1.0, -2.0]])

@@ -25,7 +25,7 @@ from pdsparse.projections import (
 )
 
 from conftest import make_rng, random_feasible
-from oracles import (_l12_row_state, l1_threshold_bisection, proj_l1_reference,
+from oracles import (_l12_row_state, l1_threshold_bisection, proj_l1_exact, proj_l1_reference,
                      proj_l1_vector_scan, proj_l12_bisection, proj_l12_with_state_reference)
 
 
@@ -190,6 +190,71 @@ class TestProjNuclear:
             out = proj_nuclear(np.diag(diag), radius)
             assert np.abs(out - nuclear_diag_oracle(diag, radius)).max() <= 1e-8
 
+    def test_svd_failure_is_refused(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        V = np.diag([3.0, 1.0])
+        for call in (lambda: proj_nuclear(V, 1.0),
+                     lambda: project_ball(V, BallSpec("nuclear", 1.0))):
+            with pytest.raises(RuntimeError) as exc:
+                call()
+            assert str(exc.value) == "SVD failed during nuclear projection: SVD did not converge"
+
+
+@st.composite
+def scaled_magnitudes(draw):
+    """Signed entries and a radius spread over up to 300 decades, with tied magnitudes."""
+    decades = draw(st.floats(0.0, 300.0))
+    n = draw(st.integers(1, 6))
+    mantissas = draw(st.lists(st.sampled_from([1.0, 2.0, 3.0]), min_size=n, max_size=n))
+    levels = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                           min_size=n, max_size=n))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+    x = np.array([s * m * 10.0 ** (decades * (f - 0.5))
+                  for s, m, f in zip(signs, mantissas, levels)])
+    return x, 10.0 ** (decades * (draw(st.floats(0.0, 1.0)) - 0.5))
+
+
+class TestRadiusBelowRounding:
+    """A radius lost in the rounding of the sorted prefix sums still gives a point of its ball."""
+
+    @pytest.mark.parametrize("kind", ["l1", "l21", "nuclear"])
+    @given(case=scaled_magnitudes())
+    @settings(max_examples=300, deadline=None)
+    def test_near_the_exact_projection(self, kind, case):
+        x, radius = case
+        n = x.size
+        # l1 and l21 see x as a matrix of one-entry rows, nuclear as a diagonal,
+        # so each ball norm is sum |x| and the exact projection is x's embedded
+        def embed(y):
+            if kind == "nuclear":
+                return np.diag(y)
+            Y = np.zeros((n, 2))
+            Y[np.arange(n), np.arange(n) % 2] = y
+            return Y
+
+        out = project_ball(embed(x), BallSpec(kind, radius))
+        total = float(np.abs(x).sum())
+        rounding = (n + 2) * np.finfo(np.float64).eps * total
+        dist = np.linalg.norm(out - embed(proj_l1_exact(x, radius)))
+        if radius <= rounding:
+            assert ball_norm(out, kind) <= radius * (1 + 1e-9)
+            assert dist <= 1e-9 * radius
+        else:
+            assert ball_norm(out, kind) <= radius + rounding
+            assert dist <= radius
+
+    @pytest.mark.parametrize("call, norm", [
+        (lambda: proj_l1_vector([1e16, 1.0], 1.0)[:, None], "l1"),
+        (lambda: proj_l21([[1e17, 0.0], [1.0, 2.0]], 1.0), "l21"),
+        (lambda: proj_nuclear(np.diag([1e17, 1.0]), 1.0), "nuclear"),
+        (lambda: proj_l1_matrix(np.full((3, 2), 1e200), 1.0), "l1"),
+    ], ids=["l1-vector", "l21", "nuclear", "l1-ties"])
+    def test_unit_radius_under_large_entries(self, call, norm):
+        assert ball_norm(call(), norm) == pytest.approx(1.0, rel=1e-12)
+
 
 class TestProjL12:
     def test_feasible_unchanged(self):
@@ -243,9 +308,9 @@ class TestProjL12:
         rng = make_rng(55)
         V = rng.standard_normal((6, 4)) * 2
         out, state = proj_l12_with_state(V, 0.5 * ball_norm(V, "l12"))
-        # every output entry is a soft threshold of the input at its row's level
-        deltas = state.lam * np.take_along_axis(
-            state.prefix_sums, (state.p - 1)[:, None], axis=1)[:, 0] / (1.0 + state.lam * state.p)
+        # every output entry is a soft threshold of the input at its row's
+        # level, lam times the row's output l1 norm (KKT)
+        deltas = state.lam * np.abs(out).sum(axis=1)
         expect = np.sign(V) * np.maximum(np.abs(V) - deltas[:, None], 0.0)
         assert np.abs(out - expect).max() <= 1e-12
 
@@ -282,7 +347,6 @@ def assert_l12_bits_unchanged(V, radius):
     W_ref, state_ref = proj_l12_with_state_reference(V, radius)
     assert _bits(W) == _bits(W_ref)
     assert _layout(W) == _layout(V)
-    assert state.prefix_sums.flags.c_contiguous
     for f in dataclasses.fields(L12NewtonState):
         assert _bits(getattr(state, f.name)) == _bits(getattr(state_ref, f.name)), f.name
 
@@ -364,9 +428,9 @@ class TestProjL12ByteIdentity:
         assert exc.value.residual.hex() == exc_ref.value.residual.hex()
 
 
-def residual_at(state, lam, radius):
-    """The constraint value minus radius^2 at multiplier lam, from the cold call's prefix sums."""
-    _, row_best = _l12_row_state(state.prefix_sums, lam)
+def residual_at(V, lam, radius):
+    """The constraint value minus radius^2 at multiplier lam, from V's sorted prefix sums."""
+    _, row_best = _l12_row_state(np.cumsum(np.sort(np.abs(V), axis=1)[:, ::-1], axis=1), lam)
     return float((row_best * row_best).sum()) - radius * radius
 
 
@@ -386,7 +450,7 @@ class TestProjL12Start:
             root = cold.lam
             for start in (0.0, 0.5 * root, root * (1.0 - 1e-9), root, 2.0 * root):
                 W, state = proj_l12_with_state(V, radius, _start=start)
-                if start > 0.0 and residual_at(cold, start, radius) > 0.0:
+                if start > 0.0 and residual_at(V, start, radius) > 0.0:
                     warm += 1
                     assert state.lambdas[0] == start
                     assert np.all(np.diff(state.lambdas) >= 0)
@@ -669,13 +733,16 @@ class TestBallSpec:
         assert ball_norm(V, "nuclear") == pytest.approx(5.0, rel=1e-12)
 
 
+UNKNOWN_KIND = "unknown ball kind 'l3', expected one of ('l1', 'l21', 'l12', 'nuclear')"
 INPUT_CHECKS = [
     pytest.param(lambda: proj_l1_vector(np.ones((2, 2)), 1.0),
                  "expected a vector, got shape (2, 2)", id="l1-vector-matrix"),
     pytest.param(lambda: proj_l1_vector([1.0, np.nan], 1.0),
                  "vector contains non-finite entries", id="l1-vector-non-finite"),
     pytest.param(lambda: ball_norm(np.eye(2), "l3"),
-                 "unknown ball kind 'l3'", id="ball-norm-kind"),
+                 UNKNOWN_KIND, id="ball-norm-kind"),
+    pytest.param(lambda: dual_norm(np.eye(2), "l3"), UNKNOWN_KIND, id="dual-norm-kind"),
+    pytest.param(lambda: BallSpec("l3", 1.0), UNKNOWN_KIND, id="ball-spec-kind"),
 ]
 
 
